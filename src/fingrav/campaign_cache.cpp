@@ -85,7 +85,12 @@ CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
     // change bumps kVersion and thereby expires every cached result.
     enc.u16(fscodec::kVersion);
     fscodec::encodeScenarioSpec(enc, spec);
-    fscodec::encodeMachineConfig(enc, cfg);
+    // advance_threads only places device stepping on threads (results are
+    // bit-identical for every value), so it must not split the key: it is
+    // encoded as 1, the default, and default-config keys keep their bytes.
+    sim::MachineConfig shaping = cfg;
+    shaping.advance_threads = 1;
+    fscodec::encodeMachineConfig(enc, shaping);
     return std::string(enc.bytes().begin(), enc.bytes().end());
 }
 

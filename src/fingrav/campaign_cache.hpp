@@ -12,7 +12,8 @@
  * every such pair a canonical byte string, so a campaign result is
  * content-addressable:
  *
- *     key  = canonical_bytes(codec::kVersion, ScenarioSpec, MachineConfig)
+ *     key  = canonical_bytes(codec::kVersion, ScenarioSpec, MachineConfig
+ *                            with advance_threads = 1)
  *     hash = FNV-1a-64(key)
  *
  * CampaignCache maps that key to the resulting ProfileSet through two
@@ -123,8 +124,9 @@ class CampaignCache {
 
     /**
      * The canonical content key: codec version + ScenarioSpec +
-     * MachineConfig, in canonical codec bytes.  Fatal for uncacheable
-     * specs — callers gate on cacheable() first.
+     * MachineConfig, in canonical codec bytes, with the placement-only
+     * advance_threads encoded as 1 so every thread count shares one key.
+     * Fatal for uncacheable specs — callers gate on cacheable() first.
      */
     static std::string key(const ScenarioSpec& spec,
                            const sim::MachineConfig& cfg);

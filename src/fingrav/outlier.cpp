@@ -104,15 +104,10 @@ PhaseSlice::PhaseSlice(KernelModelPtr base, double from, double to)
     if (from < 0.0 || to > 1.0 || to <= from)
         fingrav::support::fatal("PhaseSlice: invalid slice [", from, ", ",
                                 to, ")");
-}
-
-std::string
-PhaseSlice::label() const
-{
     std::ostringstream oss;
     oss << base_->label() << "[" << static_cast<int>(from_ * 100.0) << "-"
         << static_cast<int>(to_ * 100.0) << "%]";
-    return oss.str();
+    setLabel(oss.str());
 }
 
 sim::KernelWork

@@ -87,7 +87,6 @@ class PhaseSlice : public KernelModel {
      */
     PhaseSlice(KernelModelPtr base, double from, double to);
 
-    std::string label() const override;
     sim::KernelWork workAt(double warmth) const override;
     double opsPerByte() const override { return base_->opsPerByte(); }
     bool isCollective() const override { return base_->isCollective(); }

@@ -136,18 +136,11 @@ RunExecutor::executeRun(const RunPlan& plan, std::size_t run_index,
         ExecObservation obs;
         obs.label = work.label;
         obs.is_main = is_main;
-        if (model.isCollective()) {
-            // Collectives execute node-wide; timing is observed on the
-            // profiled device as usual.
-            obs.timing.cpu_start_ns =
-                host_.cpuNowNs() +
-                cfg.launch_overhead.nanos() + 700;
-            host_.launchOnAllDevices(work);
-            host_.synchronize(plan.device);
-            obs.timing.cpu_end_ns = host_.cpuNowNs();
-        } else {
-            obs.timing = host_.timedRun(work, plan.device);
-        }
+        // Collectives execute node-wide; timing is observed on the
+        // profiled device as usual.
+        obs.timing = model.isCollective()
+                         ? host_.timedRunOnAllDevices(work, plan.device)
+                         : host_.timedRun(work, plan.device);
         if (is_main)
             rec.main_exec_indices.push_back(rec.execs.size());
         rec.execs.push_back(std::move(obs));

@@ -30,6 +30,7 @@ CollectiveKernel::CollectiveKernel(CollectiveOp op, support::Bytes bytes,
     if (bytes <= 0)
         support::fatal("CollectiveKernel: payload must be positive, got ",
                        bytes);
+    setLabel(formatLabel());
 }
 
 support::Duration
@@ -60,7 +61,7 @@ CollectiveKernel::boundedness() const
 }
 
 std::string
-CollectiveKernel::label() const
+CollectiveKernel::formatLabel() const
 {
     std::ostringstream oss;
     oss << toString(op_) << "-";

@@ -63,7 +63,6 @@ class CollectiveKernel : public KernelModel {
     CollectiveKernel(CollectiveOp op, support::Bytes bytes,
                      const sim::MachineConfig& cfg);
 
-    std::string label() const override;
     sim::KernelWork workAt(double warmth) const override;
 
     /** Communication kernels have no meaningful FLOP:byte ratio. */
@@ -87,6 +86,9 @@ class CollectiveKernel : public KernelModel {
   private:
     /** End-to-end duration from the fabric model. */
     support::Duration baseDuration() const;
+
+    /** "AG-"/"AR-" and the payload in the largest whole decimal unit. */
+    std::string formatLabel() const;
 
     CollectiveOp op_;
     support::Bytes bytes_;

@@ -60,6 +60,7 @@ GemmKernel::GemmKernel(const GemmShape& shape, const sim::MachineConfig& cfg)
     // MFMA macro-tile; smaller ones fall back to 128 to keep enough
     // workgroups in flight.
     tile_ = (std::min(shape.m, shape.n) >= 4096) ? 256 : 128;
+    setLabel(formatLabel());
 }
 
 double
@@ -121,7 +122,7 @@ GemmKernel::achievedComputeUtilization() const
 }
 
 std::string
-GemmKernel::label() const
+GemmKernel::formatLabel() const
 {
     std::ostringstream oss;
     oss << (boundedness() == Boundedness::kComputeBound ? "CB-" : "MB-");

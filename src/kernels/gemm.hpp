@@ -46,7 +46,6 @@ class GemmKernel : public KernelModel {
      */
     GemmKernel(const GemmShape& shape, const sim::MachineConfig& cfg);
 
-    std::string label() const override;
     sim::KernelWork workAt(double warmth) const override;
     double opsPerByte() const override;
 
@@ -81,6 +80,9 @@ class GemmKernel : public KernelModel {
   private:
     /** Per-CU pipeline efficiency for the selected tile and K depth. */
     double pipeEfficiency() const;
+
+    /** "CB-"/"MB-", the M edge in K when whole, then "GEMM"/"GEMV". */
+    std::string formatLabel() const;
 
     GemmShape shape_;
     sim::MachineConfig cfg_;

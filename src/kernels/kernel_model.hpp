@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/kernel_work.hpp"
@@ -39,8 +40,12 @@ class KernelModel {
   public:
     virtual ~KernelModel() = default;
 
-    /** Paper-style label, e.g. "CB-4K-GEMM" or "AG-1GB". */
-    virtual std::string label() const = 0;
+    /**
+     * Paper-style label, e.g. "CB-4K-GEMM" or "AG-1GB".  Formatted once,
+     * by the derived constructor; workAt() copies it into every
+     * invocation.
+     */
+    const std::string& label() const { return label_; }
 
     /**
      * The kernel invocation at a given warmth.
@@ -65,6 +70,13 @@ class KernelModel {
      * device 0, as the paper does.
      */
     virtual bool isCollective() const { return false; }
+
+  protected:
+    /** Set the label (each derived constructor, once its inputs check out). */
+    void setLabel(std::string label) { label_ = std::move(label); }
+
+  private:
+    std::string label_;
 };
 
 /** Shared pointer alias used by workload registries. */

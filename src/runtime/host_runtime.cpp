@@ -218,6 +218,19 @@ HostRuntime::timedRun(const sim::KernelWork& work, std::size_t device)
     return t;
 }
 
+HostTiming
+HostRuntime::timedRunOnAllDevices(const sim::KernelWork& work,
+                                  std::size_t device)
+{
+    HostTiming t;
+    t.cpu_start_ns = cpuNowNs() + sim_.config().launch_overhead.nanos() +
+                     kLaunchCallCost.nanos();
+    launchOnAllDevices(work);
+    synchronize(device);
+    t.cpu_end_ns = cpuNowNs();
+    return t;
+}
+
 TimestampRead
 HostRuntime::readGpuTimestamp(std::size_t device)
 {

@@ -125,6 +125,13 @@ class HostRuntime {
      */
     HostTiming timedRun(const sim::KernelWork& work, std::size_t device = 0);
 
+    /**
+     * timedRun for a collective: launch on every device, synchronize
+     * `device` and time it there, as the paper does for node-wide runs.
+     */
+    HostTiming timedRunOnAllDevices(const sim::KernelWork& work,
+                                    std::size_t device = 0);
+
     // ------------------------------------------------------------------
     // Background-launch channel (scenario environments)
     // ------------------------------------------------------------------

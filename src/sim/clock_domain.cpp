@@ -18,15 +18,6 @@ ClockDomain::ClockDomain(support::Duration offset, double drift_ppm,
 }
 
 support::SimTime
-ClockDomain::domainTime(support::SimTime master) const
-{
-    const double ns =
-        static_cast<double>(offset_.nanos()) +
-        static_cast<double>(master.nanos()) * rate_;
-    return support::SimTime::fromNanos(static_cast<std::int64_t>(ns));
-}
-
-support::SimTime
 ClockDomain::masterTime(support::SimTime domain) const
 {
     const double ns =

@@ -37,8 +37,17 @@ class ClockDomain {
     ClockDomain(support::Duration offset, double drift_ppm,
                 support::Duration tick);
 
-    /** Exact (unquantized) domain time for a master time. */
-    support::SimTime domainTime(support::SimTime master) const;
+    /**
+     * Exact (unquantized) domain time for a master time.  Defined here so
+     * the per-stretch logger feed inlines it.
+     */
+    support::SimTime
+    domainTime(support::SimTime master) const
+    {
+        const double ns = static_cast<double>(offset_.nanos()) +
+                          static_cast<double>(master.nanos()) * rate_;
+        return support::SimTime::fromNanos(static_cast<std::int64_t>(ns));
+    }
 
     /** Inverse map: master time at which the domain clock reads `domain`. */
     support::SimTime masterTime(support::SimTime domain) const;

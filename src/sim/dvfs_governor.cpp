@@ -1,9 +1,9 @@
 #include "sim/dvfs_governor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/logging.hpp"
+#include "support/memo_exp.hpp"
 
 namespace fingrav::sim {
 
@@ -13,54 +13,6 @@ DvfsGovernor::DvfsGovernor(const DvfsGovernorParams& params)
     FINGRAV_ASSERT(p_.min_ratio <= p_.boost_ratio, "governor ratio bounds");
     FINGRAV_ASSERT(p_.sustained_limit_w <= p_.peak_limit_w,
                    "sustained limit above peak limit");
-}
-
-double
-DvfsGovernor::currentCap() const
-{
-    if (p_.boost_budget.nanos() > 0 &&
-        active_since_wake_ >= p_.boost_budget) {
-        return p_.nominal_ratio;
-    }
-    return p_.boost_ratio;
-}
-
-bool
-DvfsGovernor::quiescentAt(double power_w) const
-{
-    if (hold_remaining_.nanos() > 0)
-        return true;  // clock pinned by the excursion response
-    if (ratio_ != currentCap())
-        return false;  // recovery or backoff is moving the clock
-    if (fast_w_ > p_.peak_limit_w || power_w > p_.peak_limit_w)
-        return false;
-    if (slow_w_ > p_.sustained_limit_w || power_w > p_.sustained_limit_w)
-        return false;
-    return true;
-}
-
-std::optional<support::Duration>
-DvfsGovernor::timeToBoostBudget() const
-{
-    if (p_.boost_budget.nanos() <= 0)
-        return std::nullopt;
-    if (active_since_wake_ >= p_.boost_budget)
-        return std::nullopt;
-    // The cap change only matters when the clock sits above the
-    // post-budget ceiling; below it, the clamp is unaffected (and any
-    // later recovery runs under quantum-bounded stepping anyway).
-    if (ratio_ <= p_.nominal_ratio)
-        return std::nullopt;
-    return p_.boost_budget - active_since_wake_;
-}
-
-std::optional<support::Duration>
-DvfsGovernor::timeToPark() const
-{
-    if (parked_ || p_.idle_park_delay.nanos() <= 0)
-        return std::nullopt;
-    const auto left = p_.idle_park_delay - inactive_;
-    return left.nanos() > 0 ? left : support::Duration::nanos(1);
 }
 
 void
@@ -83,15 +35,17 @@ DvfsGovernor::update(support::Duration dt, double power_w, bool active)
         return;
 
     // EMA power estimates (exact exponential decay for step independence).
+    // Stretch lengths repeat (the power_step quantum, collective
+    // siblings), so the decay factors come through the exact exp memo.
     if (!estimates_primed_) {
         fast_w_ = power_w;
         slow_w_ = power_w;
         estimates_primed_ = true;
     } else {
-        const double af =
-            1.0 - std::exp(-dt.toSeconds() / p_.fast_tau.toSeconds());
-        const double as =
-            1.0 - std::exp(-dt.toSeconds() / p_.slow_tau.toSeconds());
+        const double af = 1.0 - support::memoExp(-dt.toSeconds() /
+                                                 p_.fast_tau.toSeconds());
+        const double as = 1.0 - support::memoExp(-dt.toSeconds() /
+                                                 p_.slow_tau.toSeconds());
         fast_w_ += af * (power_w - fast_w_);
         slow_w_ += as * (power_w - slow_w_);
     }

@@ -132,24 +132,65 @@ class DvfsGovernor {
      * Event-driven stepping (sim/gpu_device) integrates whole
      * constant-power stretches in a single update() when this holds.
      */
-    bool quiescentAt(double power_w) const;
+    bool
+    quiescentAt(double power_w) const
+    {
+        if (hold_remaining_.nanos() > 0)
+            return true;  // clock pinned by the excursion response
+        if (ratio_ != currentCap())
+            return false;  // recovery or backoff is moving the clock
+        if (fast_w_ > p_.peak_limit_w || power_w > p_.peak_limit_w)
+            return false;
+        if (slow_w_ > p_.sustained_limit_w || power_w > p_.sustained_limit_w)
+            return false;
+        return true;
+    }
 
     /**
      * Active time left until the boost budget expires *and* the expiry
      * would move the clock (ratio above the post-budget nominal cap).
      * Empty when the budget is disabled, already spent, or irrelevant.
+     * (Queried every stretch, so defined here to inline.)
      */
-    std::optional<support::Duration> timeToBoostBudget() const;
+    std::optional<support::Duration>
+    timeToBoostBudget() const
+    {
+        if (p_.boost_budget.nanos() <= 0)
+            return std::nullopt;
+        if (active_since_wake_ >= p_.boost_budget)
+            return std::nullopt;
+        // The cap change only matters when the clock sits above the
+        // post-budget ceiling; below it, the clamp is unaffected (and any
+        // later recovery runs under quantum-bounded stepping anyway).
+        if (ratio_ <= p_.nominal_ratio)
+            return std::nullopt;
+        return p_.boost_budget - active_since_wake_;
+    }
 
     /**
      * Continuous idle time left before the clock parks.  Empty while
      * active, already parked, or when no park delay is configured.
      */
-    std::optional<support::Duration> timeToPark() const;
+    std::optional<support::Duration>
+    timeToPark() const
+    {
+        if (parked_ || p_.idle_park_delay.nanos() <= 0)
+            return std::nullopt;
+        const auto left = p_.idle_park_delay - inactive_;
+        return left.nanos() > 0 ? left : support::Duration::nanos(1);
+    }
 
   private:
     /** Clock ceiling at the current boost-budget state. */
-    double currentCap() const;
+    double
+    currentCap() const
+    {
+        if (p_.boost_budget.nanos() > 0 &&
+            active_since_wake_ >= p_.boost_budget) {
+            return p_.nominal_ratio;
+        }
+        return p_.boost_ratio;
+    }
 
     DvfsGovernorParams p_;
     double ratio_;

@@ -118,8 +118,11 @@ NodeFabric::distinctDemand(std::size_t exclude_device,
         total += d.demand;
     // Committed demands of the non-excluded devices, one contribution
     // per distinct transfer.  Copies of a transfer carry equal demand,
-    // so the first sighting stands in for the group.
-    std::vector<std::uint64_t> seen;
+    // so the first sighting stands in for the group.  The seen-list is
+    // per-thread scratch (devices price concurrently during an epoch)
+    // that keeps its capacity, so a call allocates nothing.
+    thread_local std::vector<std::uint64_t> seen;
+    seen.clear();
     for (std::size_t j = 0; j < committed_.size(); ++j) {
         if (j == exclude_device)
             continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "support/logging.hpp"
@@ -58,7 +59,7 @@ GpuDevice::submit(const KernelWork& work, support::SimTime ready_at,
     if (queue >= queues_.size())
         queues_.resize(queue + 1);
 
-    QueueEntry entry;
+    QueueEntry& entry = queues_[queue].emplace_back();
     entry.id = next_id_++;
     entry.work = work;
     if (entry.work.fabric_group == KernelWork::kAutoFabricGroup) {
@@ -75,9 +76,8 @@ GpuDevice::submit(const KernelWork& work, support::SimTime ready_at,
     // Work cannot start before the device's own present.
     entry.ready_at = std::max(ready_at, now_);
     entry.remaining_s = work.nominal_duration.toSeconds();
-    queues_[queue].push_back(std::move(entry));
     queue_state_.dirty = true;
-    return queues_[queue].back().id;
+    return entry.id;
 }
 
 bool
@@ -129,7 +129,6 @@ GpuDevice::refreshQueueState()
     double demand_fab = 0.0;
     UtilizationVector agg;
     std::size_t running = 0;
-    fabric_demands_.clear();
     for (const auto& q : queues_) {
         if (q.empty() || !q.front().started)
             continue;
@@ -141,10 +140,6 @@ GpuDevice::refreshQueueState()
         demand_fab += u.fabric_bw;
         agg = agg.saturatingAdd(u);
         ++running;
-        if (q.front().work.fabric_group != 0) {
-            fabric_demands_.push_back(
-                {q.front().work.fabric_group, u.fabric_bw});
-        }
     }
     // Shared node fabric: this device's transfers plus the committed
     // demand of transfers on other devices, each distinct transfer once.
@@ -155,18 +150,25 @@ GpuDevice::refreshQueueState()
     // contended GPU-to-GPU links.
     double fabric_stretch = 1.0;
     if (fabric_ != nullptr) {
-        fabric_->postDemand(device_id_, fabric_demands_);
-        if (!fabric_demands_.empty()) {
-            fabric_stretch = std::max(
+        postFabricDemands();
+        // The shared demand is a pure function of the posted transfers
+        // and the committed view, which only changes with the epoch:
+        // re-price only when one of the two moved.
+        if (fabric_demands_.empty()) {
+            priced_stretch_ = 1.0;
+        } else if (price_stale_ || fabric_->epoch() != priced_epoch_) {
+            priced_stretch_ = std::max(
                 1.0, fabric_->sharedDemand(device_id_, fabric_demands_));
-            if (fabric_stretch > 1.0) {
-                double node_fab = 0.0;
-                for (const auto& d : fabric_demands_)
-                    node_fab += d.demand;
-                agg.fabric_bw = std::min(
-                    1.0,
-                    agg.fabric_bw + node_fab * (fabric_stretch - 1.0));
-            }
+            priced_epoch_ = fabric_->epoch();
+            price_stale_ = false;
+        }
+        fabric_stretch = priced_stretch_;
+        if (fabric_stretch > 1.0) {
+            double node_fab = 0.0;
+            for (const auto& d : fabric_demands_)
+                node_fab += d.demand;
+            agg.fabric_bw = std::min(
+                1.0, agg.fabric_bw + node_fab * (fabric_stretch - 1.0));
         }
     }
     queue_state_.contention =
@@ -176,6 +178,27 @@ GpuDevice::refreshQueueState()
     queue_state_.running = running;
     queue_state_.active = running > 0;
     queue_state_.dirty = false;
+    // Contention or the running set may have moved: re-rate the fronts.
+    progress_f_ = std::numeric_limits<double>::quiet_NaN();
+}
+
+void
+GpuDevice::postFabricDemands()
+{
+    fabric_demands_.clear();
+    for (const auto& q : queues_) {
+        if (!q.empty() && q.front().started &&
+            q.front().work.fabric_group != 0) {
+            fabric_demands_.push_back(
+                {q.front().work.fabric_group, q.front().work.util.fabric_bw});
+        }
+    }
+    // The pending slot keeps the last posted list: post only a change.
+    if (fabric_demands_ != posted_demands_) {
+        fabric_->postDemand(device_id_, fabric_demands_);
+        posted_demands_ = fabric_demands_;
+        price_stale_ = true;
+    }
 }
 
 void
@@ -186,7 +209,10 @@ GpuDevice::noteFabricEpoch()
     const std::uint64_t e = fabric_->epoch();
     if (e != fabric_epoch_seen_) {
         fabric_epoch_seen_ = e;
-        queue_state_.dirty = true;
+        // Only running transfers price the committed view; without any,
+        // the fabric stretch is 1 whatever the epoch.
+        if (!posted_demands_.empty())
+            queue_state_.dirty = true;
     }
 }
 
@@ -194,9 +220,11 @@ void
 GpuDevice::pollFabricDemand()
 {
     startReady();
-    noteFabricEpoch();
-    if (queue_state_.dirty)
-        refreshQueueState();
+    // Only the posted transfers matter to the coming commit (a clean
+    // queue state has posted them already).  Contention is priced when
+    // the device next steps, against the view that commit publishes.
+    if (fabric_ != nullptr && queue_state_.dirty)
+        postFabricDemands();
 }
 
 support::SimTime
@@ -233,6 +261,12 @@ GpuDevice::nextFabricEvent(support::SimTime limit)
 void
 GpuDevice::refreshProgress(double f)
 {
+    // A rate is a pure function of the kernel, f and the contention, and
+    // every start or completion refreshes the queue state: with neither
+    // f nor the queue state changed, every rate still holds.
+    if (f == progress_f_)
+        return;
+    progress_f_ = f;
     for (auto& q : queues_) {
         if (q.empty() || !q.front().started)
             continue;
@@ -305,21 +339,12 @@ GpuDevice::advanceUntilIdle(support::SimTime limit)
 }
 
 support::SimTime
-GpuDevice::nextLoggerCut(support::SimTime limit) const
+GpuDevice::nextLoggerCut(support::SimTime limit)
 {
     SimTime best = limit;
-    const std::int64_t g_now = gpu_clock_.domainTime(now_).nanos();
     for (const auto& logger : loggers_) {
-        if (!logger->capturing())
-            continue;
-        const std::int64_t boundary = logger->nextWindowEndGpuNs(g_now);
-        SimTime m = gpu_clock_.masterTime(SimTime::fromNanos(boundary));
-        // The inverse map truncates; step forward to the first integer
-        // master nanosecond at/after the boundary (at most a few ns).
-        while (gpu_clock_.domainTime(m).nanos() < boundary)
-            m += Duration::nanos(1);
-        if (m < best)
-            best = m;
+        if (logger->capturing())
+            best = std::min(best, logger->nextWindowEndMaster(now_));
     }
     return best;
 }
@@ -428,9 +453,9 @@ GpuDevice::stepLoop(support::SimTime limit, bool stop_on_idle)
                 continue;
             QueueEntry& front = q.front();
             if (front.completion_due <= now_) {
-                ExecutionRecord rec;
+                ExecutionRecord& rec = execution_log_.emplace_back();
                 rec.id = front.id;
-                rec.label = front.work.label;
+                rec.label = std::move(front.work.label);
                 rec.start = *front.started;
                 rec.end = now_;
                 rec.queue = qi;
@@ -439,7 +464,6 @@ GpuDevice::stepLoop(support::SimTime limit, bool stop_on_idle)
                     if (fabric_ != nullptr)
                         fabric_->noteRetired();
                 }
-                execution_log_.push_back(std::move(rec));
                 q.pop_front();
                 queue_state_.dirty = true;
             }

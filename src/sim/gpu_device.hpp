@@ -44,8 +44,9 @@
  * moves (docs/ARCHITECTURE.md).
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -203,6 +204,40 @@ class GpuDevice {
         support::SimTime completion_due;
     };
 
+    /**
+     * One hardware queue: a FIFO over a vector that keeps its capacity.
+     * Kernels stream through a queue a few at a time, where a std::deque
+     * would free and reallocate a block every few entries; this buffer
+     * drops its consumed prefix when the queue drains (or once the
+     * prefix is the larger half) and is reused from then on.
+     */
+    class HwQueue {
+      public:
+        bool empty() const { return head_ == items_.size(); }
+        QueueEntry& front() { return items_[head_]; }
+        const QueueEntry& front() const { return items_[head_]; }
+        QueueEntry& emplace_back() { return items_.emplace_back(); }
+
+        void
+        pop_front()
+        {
+            ++head_;
+            if (head_ == items_.size()) {
+                items_.clear();
+                head_ = 0;
+            } else if (head_ >= 32 && 2 * head_ >= items_.size()) {
+                items_.erase(items_.begin(),
+                             items_.begin() +
+                                 static_cast<std::ptrdiff_t>(head_));
+                head_ = 0;
+            }
+        }
+
+      private:
+        std::vector<QueueEntry> items_;
+        std::size_t head_ = 0;  ///< index of the front entry
+    };
+
     /** Aggregate state of the queue fronts, valid while no event fires. */
     struct QueueState {
         bool dirty = true;
@@ -218,6 +253,9 @@ class GpuDevice {
     /** Mark queue state dirty when the fabric epoch moved since last seen. */
     void noteFabricEpoch();
 
+    /** Collect the running transfers; post them when the list changed. */
+    void postFabricDemands();
+
     /** One pass over the queue fronts: utilization, contention, activity. */
     void refreshQueueState();
 
@@ -227,8 +265,12 @@ class GpuDevice {
     /** Aggregate utilization and count of running kernels (oracle). */
     UtilizationVector aggregateUtil(std::size_t* running) const;
 
-    /** Earliest capturing-logger window boundary after now_, capped. */
-    support::SimTime nextLoggerCut(support::SimTime limit) const;
+    /**
+     * Earliest capturing-logger window boundary after now_, capped.  Each
+     * logger remembers its cut in master time until now_ reaches it, so
+     * a stretch pays no clock-domain conversion.
+     */
+    support::SimTime nextLoggerCut(support::SimTime limit);
 
     /** Core stepping loop; stops at `limit` or (optionally) on idle. */
     support::SimTime stepLoop(support::SimTime limit, bool stop_on_idle);
@@ -244,9 +286,19 @@ class GpuDevice {
     std::uint64_t fabric_epoch_seen_ = 0; ///< last committed view priced
     std::size_t fabric_kernels_ = 0;      ///< queued+running, this device
     std::vector<FabricDemand> fabric_demands_;  ///< scratch: running transfers
+    /** The list in this device's pending fabric slot (empty at start). */
+    std::vector<FabricDemand> posted_demands_;
+    /** Fair-share stretch of posted_demands_ at priced_epoch_, unless a
+     *  new list was posted since (price_stale_). */
+    double priced_stretch_ = 1.0;
+    std::uint64_t priced_epoch_ = 0;
+    bool price_stale_ = false;
+    /** Clock ratio the front rates were last computed at; NaN = stale
+     *  (set whenever the queue state is refreshed). */
+    double progress_f_ = std::numeric_limits<double>::quiet_NaN();
 
     support::SimTime now_;
-    std::vector<std::deque<QueueEntry>> queues_;
+    std::vector<HwQueue> queues_;
     QueueState queue_state_;
     std::vector<ExecutionRecord> execution_log_;
     std::vector<std::unique_ptr<PowerLogger>> loggers_;

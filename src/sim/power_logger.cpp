@@ -23,7 +23,8 @@ PowerLogger::PowerLogger(support::Duration window,
                          const ClockDomain& gpu_clock, double noise_w,
                          support::Rng rng)
     : window_(window), gpu_clock_(gpu_clock), noise_w_(noise_w),
-      rng_(std::move(rng))
+      rng_(std::move(rng)),
+      mapped_end_gpu_ns_(gpu_clock.domainTime(mapped_end_).nanos())
 {
     if (window.nanos() <= 0)
         support::fatal("PowerLogger: window must be positive, got ",
@@ -42,6 +43,34 @@ PowerLogger::start(support::SimTime master_now)
     window_start_gpu_ns_ = nextWindowEndGpuNs(gpu_ns);
     acc_xcd_ = acc_iod_ = acc_hbm_ = acc_misc_ = 0.0;
     seg_span_ns_ = 0;
+}
+
+support::SimTime
+PowerLogger::nextWindowEndMaster(support::SimTime master_now)
+{
+    if (cut_from_ <= master_now && master_now < cut_until_)
+        return cut_;
+    const std::int64_t boundary =
+        nextWindowEndGpuNs(gpu_clock_.domainTime(master_now).nanos());
+    const auto start =
+        gpu_clock_.masterTime(support::SimTime::fromNanos(boundary));
+    // The inverse map truncates; step forward to the first integer
+    // master nanosecond at/after the boundary (at most a few ns).
+    auto cut = start;
+    while (gpu_clock_.domainTime(cut).nanos() < boundary)
+        cut += support::Duration::nanos(1);
+    // The GPU clock is monotone in master time, so every master time in
+    // [master_now, cut) maps before the boundary and recomputes this same
+    // cut — unless the inverse map overshot, leaving a master time below
+    // `start` already at the boundary.  One reading rules that out.
+    const bool no_overshoot =
+        start <= master_now ||
+        gpu_clock_.domainTime(start - support::Duration::nanos(1)).nanos() <
+            boundary;
+    cut_ = cut;
+    cut_from_ = master_now;
+    cut_until_ = no_overshoot ? cut : master_now + support::Duration::nanos(1);
+    return cut;
 }
 
 void
@@ -94,10 +123,14 @@ PowerLogger::addSlice(support::SimTime master_start, support::Duration dt,
     // Map the slice to GPU-domain nanoseconds.  Drift is ppm-scale, so the
     // mapped interval has essentially the master length; all boundary
     // arithmetic below is exact integer math in GPU time, and mapped slice
-    // endpoints telescope across consecutive calls.
-    const std::int64_t g0 = gpu_clock_.domainTime(master_start).nanos();
-    const std::int64_t g1 =
-        gpu_clock_.domainTime(master_start + dt).nanos();
+    // endpoints telescope across consecutive calls — so the start of a
+    // slice is usually the end mapped by the previous one.
+    const std::int64_t g0 = master_start == mapped_end_
+                                ? mapped_end_gpu_ns_
+                                : gpu_clock_.domainTime(master_start).nanos();
+    mapped_end_ = master_start + dt;
+    mapped_end_gpu_ns_ = gpu_clock_.domainTime(mapped_end_).nanos();
+    const std::int64_t g1 = mapped_end_gpu_ns_;
     if (g1 <= g0)
         return;
 

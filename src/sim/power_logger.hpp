@@ -85,6 +85,16 @@ class PowerLogger {
         return (gpu_now / w + 1) * w;
     }
 
+    /**
+     * First master nanosecond at which the GPU clock reaches the grid
+     * boundary after `master_now`: the stretch cut a capturing logger
+     * imposes on its device.  The grid is fixed, so the cut is remembered
+     * and recomputed only once `master_now` leaves the interval over
+     * which the same computation would return it — it is a cache of a
+     * pure function and returns exactly what a fresh computation would.
+     */
+    support::SimTime nextWindowEndMaster(support::SimTime master_now);
+
     /** Pre-grow the sample columns by `n` additional samples. */
     void
     reserveSamples(std::size_t n)
@@ -139,7 +149,16 @@ class PowerLogger {
     RailPower seg_rails_;
     std::int64_t seg_span_ns_ = 0;
 
+    /** nextWindowEndMaster's cut, valid for master times in [from, until). */
+    support::SimTime cut_;
+    support::SimTime cut_from_;
+    support::SimTime cut_until_;
+
     SampleColumns samples_;
+
+    /** The last slice end and its GPU-domain ns (addSlice telescoping). */
+    support::SimTime mapped_end_;
+    std::int64_t mapped_end_gpu_ns_;
 };
 
 }  // namespace fingrav::sim

@@ -26,6 +26,7 @@ Simulation::Simulation(const MachineConfig& cfg, std::uint64_t seed,
         devices_.push_back(std::make_unique<GpuDevice>(
             cfg, root_rng_.fork(100 + i), i));
         devices_.back()->attachFabric(&fabric_);
+        all_devices_.push_back(i);
     }
 }
 
@@ -37,16 +38,24 @@ Simulation::setAdvanceThreads(std::size_t threads)
         pool_.reset();
 }
 
+template <class Leader, class Item>
 void
-Simulation::runEpochs(const std::function<std::size_t()>& leader,
-                      const std::function<void(std::size_t)>& item)
+Simulation::runEpochs(const Leader& leader, const Item& item)
 {
+    // Serial stepping runs the loop in place: an advance call then pays
+    // neither the pool nor a std::function wrapper per callable.
+    if (advance_threads_ <= 1) {
+        while (const std::size_t n = leader()) {
+            for (std::size_t k = 0; k < n; ++k)
+                item(k);
+        }
+        return;
+    }
     // Batched dispatch: the whole epoch loop runs inside one pool job —
     // the leader section (poll, commit, probe) runs exclusively between
     // rounds — instead of paying the job submission/wake handshake per
     // epoch.  The epoch schedule is identical for every thread count, so
-    // results are bit-identical; with advance_threads <= 1 the pool has
-    // no workers and roundLoop degenerates to the plain serial loop.
+    // results are bit-identical.
     if (pool_ == nullptr)
         pool_ = std::make_unique<support::ThreadPool>(advance_threads_);
     pool_->roundLoop(leader, item);
@@ -143,19 +152,15 @@ Simulation::advanceDeviceUntilIdle(std::size_t i, support::SimTime limit)
     // transfer still in flight must contribute its completion to the
     // probe (or the target would drain against frozen demand); advanceTo
     // is a no-op for devices already past t_sync.
-    std::vector<std::size_t> active(devices_.size());
-    for (std::size_t j = 0; j < devices_.size(); ++j)
-        active[j] = j;
     support::SimTime t_sync;
     runEpochs(
         [&]() -> std::size_t {
             if (devices_[i]->idle() || devices_[i]->localNow() >= limit)
                 return 0;
-            t_sync = epochBoundary(active, limit);
-            return active.size();
+            t_sync = epochBoundary(all_devices_, limit);
+            return devices_.size();
         },
-        [&](std::size_t k) {
-            const std::size_t j = active[k];
+        [&](std::size_t j) {
             if (j == i)
                 devices_[j]->advanceUntilIdle(t_sync);
             else

@@ -26,7 +26,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -125,11 +124,11 @@ class Simulation {
      * Drive an epoch loop: `leader` runs exclusively between rounds (poll
      * demand, commit, probe the epoch boundary) and returns the item
      * count of the next round (0 = done); `item(k)` advances one device.
-     * Serial when advance_threads <= 1, one batched pool dispatch
-     * otherwise — identical epoch schedule either way.
+     * Serial in place when advance_threads <= 1, one batched pool
+     * dispatch otherwise — identical epoch schedule either way.
      */
-    void runEpochs(const std::function<std::size_t()>& leader,
-                   const std::function<void(std::size_t)>& item);
+    template <class Leader, class Item>
+    void runEpochs(const Leader& leader, const Item& item);
 
     MachineConfig cfg_;
     support::Rng root_rng_;
@@ -137,6 +136,7 @@ class Simulation {
     EventQueue events_;
     NodeFabric fabric_;  ///< must outlive devices_ (devices hold a pointer)
     std::vector<std::unique_ptr<GpuDevice>> devices_;
+    std::vector<std::size_t> all_devices_;  ///< 0 .. deviceCount() - 1
     std::size_t advance_threads_;
     std::unique_ptr<support::ThreadPool> pool_;
 };

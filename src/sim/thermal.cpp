@@ -1,8 +1,7 @@
 #include "sim/thermal.hpp"
 
-#include <cmath>
-
 #include "support/logging.hpp"
+#include "support/memo_exp.hpp"
 
 namespace fingrav::sim {
 
@@ -13,8 +12,10 @@ ThermalModel::update(support::Duration dt, double power_w)
     if (dt.nanos() == 0)
         return;
     const double target = steadyState(power_w);
+    // Stretch lengths repeat, so the RC factor comes through the exact
+    // exp memo (bitwise std::exp).
     const double alpha =
-        std::exp(-dt.toSeconds() / p_.time_constant.toSeconds());
+        support::memoExp(-dt.toSeconds() / p_.time_constant.toSeconds());
     temp_c_ = target + (temp_c_ - target) * alpha;
 }
 

@@ -97,17 +97,8 @@ void
 ThreadPool::roundLoop(const std::function<std::size_t()>& leader,
                       const std::function<void(std::size_t)>& fn)
 {
-    if (workers_.empty()) {
-        for (;;) {
-            const std::size_t n = leader();
-            if (n == 0)
-                return;
-            for (std::size_t i = 0; i < n; ++i)
-                fn(i);
-        }
-    }
-
-    // One participant per pool thread.  Each participant loops over
+    // One participant per pool thread (a worker-less pool runs the same
+    // rounds on the calling thread alone; serial callers loop in place).  Each participant loops over
     // rounds: arrive at the barrier; the last arriver runs the leader
     // section (exclusively, under the barrier mutex — everyone else is
     // asleep) and opens the next round; then every participant claims

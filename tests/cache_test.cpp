@@ -11,7 +11,8 @@
  *    instance over the same store serves disk hits) and is shared
  *    between backends and with worker processes;
  *  - the content key separates every input that can change a result
- *    (spec fields, machine config) — near-miss lookups never collide;
+ *    (spec fields, machine config) — near-miss lookups never collide —
+ *    and nothing that only places work (advance_threads);
  *  - profile_fn specs bypass the cache entirely, mirroring the wire;
  *  - the memory tier honours its byte bound via LRU eviction.
  *
@@ -288,6 +289,36 @@ TEST(CampaignCache, KeySeparatesEveryResultShapingInput)
     EXPECT_TRUE(cache.lookup(base, cfg).has_value());
     EXPECT_FALSE(cache.lookup(seed, cfg).has_value());
     EXPECT_FALSE(cache.lookup(base, other_cfg).has_value());
+}
+
+TEST(CampaignCache, KeyIgnoresPlacementOnlyAdvanceThreads)
+{
+    // advance_threads only places device stepping on threads, so one
+    // campaign must have one key on every host: a store written under 8
+    // threads (or a capped worker count) serves a lookup at 1.
+    const auto spec = fig10Specs().front();
+    const auto at = [](std::size_t threads) {
+        auto cfg = fingrav::sim::mi300xConfig();
+        cfg.advance_threads = threads;
+        return cfg;
+    };
+    const auto k1 = fc::CampaignCache::key(spec, at(1));
+    EXPECT_EQ(fc::CampaignCache::key(spec, at(2)), k1);
+    EXPECT_EQ(fc::CampaignCache::key(spec, at(8)), k1);
+    EXPECT_EQ(fc::CampaignCache::key(spec, fingrav::sim::mi300xConfig()), k1)
+        << "the default config's key must keep its bytes";
+
+    TempDir dir("fingrav_cache");
+    fc::CacheOptions copts;
+    copts.dir = dir.path();
+    const auto set = fc::CampaignRunner::runOne(spec, at(8));
+    fc::CampaignCache(copts).store(spec, at(8), set);
+    fc::CampaignCache reader(copts);
+    const auto hit = reader.lookup(spec, at(1));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(fc::identicalProfileSets(*hit, set));
+    EXPECT_EQ(reader.stats().disk_hits, 1u);
+    EXPECT_EQ(reader.stats().misses, 0u);
 }
 
 TEST(CampaignCache, ProfileFnSpecsBypassTheCache)

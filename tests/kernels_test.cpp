@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "fingrav/outlier.hpp"
 #include "kernels/collective.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/workloads.hpp"
@@ -52,6 +54,27 @@ TEST(GemmModel, Labels)
     EXPECT_EQ(fk::makeSquareGemm(8192, cfg())->label(), "CB-8K-GEMM");
     EXPECT_EQ(fk::makeSquareGemm(2048, cfg())->label(), "CB-2K-GEMM");
     EXPECT_EQ(fk::makeGemv(4096, cfg())->label(), "MB-4K-GEMV");
+}
+
+TEST(KernelModel, PaperLabelsPinnedInEveryInvocation)
+{
+    // Labels are formatted once, at construction; every invocation must
+    // carry exactly that string, at any warmth.
+    static const char* const kLabels[] = {
+        "CB-8K-GEMM", "CB-4K-GEMM", "CB-2K-GEMM", "MB-8K-GEMV",
+        "MB-4K-GEMV", "MB-2K-GEMV", "AG-64KB",    "AG-128KB",
+        "AG-512MB",   "AG-1GB",     "AR-64KB",    "AR-128KB",
+        "AR-512MB",   "AR-1GB"};
+    const auto kernels = fk::paperKernels(cfg());
+    ASSERT_EQ(kernels.size(), std::size(kLabels));
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        EXPECT_EQ(kernels[i]->label(), kLabels[i]);
+        for (const double warmth : {0.0, 0.5, 1.0})
+            EXPECT_EQ(kernels[i]->workAt(warmth).label, kLabels[i]);
+    }
+    const fk::PhaseSlice slice(fk::makeSquareGemm(8192, cfg()), 0.25, 0.75);
+    EXPECT_EQ(slice.label(), "CB-8K-GEMM[25-75%]");
+    EXPECT_EQ(slice.workAt(0.0).label, "CB-8K-GEMM[25-75%]");
 }
 
 TEST(GemmModel, OpsPerByte)

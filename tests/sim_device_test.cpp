@@ -3,9 +3,11 @@
  * Tests for GpuDevice (execution engine + power integration) and
  * PowerLogger (windowed averaging), including the conservation property:
  * with zero measurement noise, each logger sample is the exact time-average
- * of instantaneous power over its window.
+ * of instantaneous power over its window, and the remembered stretch cut
+ * a logger imposes equals the cut computed from scratch.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -267,6 +269,78 @@ TEST(PowerLogger, RejectsNonPositiveWindow)
     sim::ClockDomain clk(fs::Duration::nanos(0), 0.0, 10_ns);
     EXPECT_THROW(sim::PowerLogger(0_ms, clk, 0.0, fs::Rng(1)),
                  fs::FatalError);
+}
+
+namespace {
+
+/**
+ * The logger cut computed from scratch: the first master nanosecond at
+ * which the GPU clock reaches the window-grid boundary after `now` (what
+ * the device computed every stretch before the cut was remembered).
+ */
+fs::SimTime
+uncachedCut(const sim::ClockDomain& clk, fs::Duration window, fs::SimTime now)
+{
+    const std::int64_t w = window.nanos();
+    const std::int64_t boundary = (clk.domainTime(now).nanos() / w + 1) * w;
+    auto cut = clk.masterTime(fs::SimTime::fromNanos(boundary));
+    while (clk.domainTime(cut).nanos() < boundary)
+        cut += fs::Duration::nanos(1);
+    return cut;
+}
+
+}  // namespace
+
+TEST(PowerLogger, RememberedCutMatchesUncachedComputation)
+{
+    // Random clock offsets (the device's boot-time range), drifts,
+    // counter ticks and windows; the query time walks onto the cut, one
+    // nanosecond short of it, by a little, by several windows, and now
+    // and then back in time, while capture stops and restarts.
+    fs::Rng rng(31337);
+    for (int trial = 0; trial < 300; ++trial) {
+        const sim::ClockDomain clk(
+            fs::Duration::nanos(rng.uniformInt(1'000'000'000'000,
+                                               90'000'000'000'000)),
+            rng.uniform(-200.0, 200.0),
+            fs::Duration::nanos(rng.uniformInt(1, 40)));
+        const auto window = fs::Duration::nanos(rng.uniformInt(1, 20'000'000));
+        sim::PowerLogger logger(window, clk, 0.0, fs::Rng(1));
+        auto now = fs::SimTime::fromNanos(rng.uniformInt(0, 5'000'000'000));
+        for (int step = 0; step < 200; ++step) {
+            if (rng.bernoulli(0.05)) {
+                if (logger.capturing())
+                    logger.stop();
+                else
+                    logger.start(now);
+            }
+            const auto want = uncachedCut(clk, window, now);
+            ASSERT_EQ(logger.nextWindowEndMaster(now), want)
+                << "trial " << trial << " step " << step;
+            switch (rng.uniformInt(0, 4)) {
+              case 0:
+                now = want;
+                break;
+              case 1:
+                now = std::max(now, want - fs::Duration::nanos(1));
+                break;
+              case 2:
+                now += fs::Duration::nanos(rng.uniformInt(0, 2'000));
+                break;
+              case 3:
+                now += fs::Duration::nanos(
+                    rng.uniformInt(0, 5 * window.nanos()));
+                break;
+              default: {
+                const auto back =
+                    now - fs::Duration::nanos(rng.uniformInt(1, 3'000));
+                EXPECT_EQ(logger.nextWindowEndMaster(back),
+                          uncachedCut(clk, window, back));
+                break;
+              }
+            }
+        }
+    }
 }
 
 TEST(GpuDeviceLogger, DeviceSamplesMatchComputedPowerWhileIdle)

@@ -1,14 +1,21 @@
 /**
  * @file
  * Tests for the support core: logging severities, strong time types,
- * unit literals and the deterministic RNG.
+ * unit literals, the deterministic RNG and the exact exp memo.
  */
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/logging.hpp"
+#include "support/memo_exp.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/time_types.hpp"
@@ -16,6 +23,47 @@
 
 namespace fs = fingrav::support;
 using namespace fingrav::support::literals;
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * Arguments the memo must reproduce bit for bit: both zeros, subnormals
+ * of both signs, the simulator's decay factors, the -700..0 range it
+ * covers, and some repeats so every value is also served from a hit.
+ */
+std::vector<double>
+memoExpProbe()
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> xs = {0.0,
+                              -0.0,
+                              limits::denorm_min(),
+                              -limits::denorm_min(),
+                              limits::min() / 4.0,
+                              -limits::min() / 4.0,
+                              limits::min(),
+                              -limits::min(),
+                              -1e-300,
+                              -1.3333333333333333e-06,
+                              -0.005,
+                              -0.05,
+                              -1.0,
+                              -700.0};
+    fs::Rng rng(77);
+    for (int i = 0; i < 20000; ++i)
+        xs.push_back(-rng.uniform(0.0, 700.0));
+    for (int i = 0; i < 500; ++i)
+        xs.push_back(xs[static_cast<std::size_t>(i) * 7]);
+    return xs;
+}
+
+}  // namespace
 
 TEST(Logging, FatalThrowsFatalError)
 {
@@ -121,6 +169,66 @@ TEST(Rng, UniformIntBounds)
         EXPECT_GE(v, 3);
         EXPECT_LE(v, 7);
     }
+}
+
+TEST(MemoExp, BitwiseEqualToStdExp)
+{
+    for (const double x : memoExpProbe()) {
+        const double want = std::exp(x);
+        EXPECT_TRUE(sameBits(fs::memoExp(x), want)) << x;
+        EXPECT_TRUE(sameBits(fs::memoExp(x), want)) << x << " (repeat)";
+    }
+}
+
+TEST(MemoExp, SlotCollisionsEvictExactly)
+{
+    // Arguments sharing one slot, called in turn, so every call evicts
+    // the previous occupant: once around a governor decay argument, and
+    // once in the slot of +0.0, the pair every slot starts out holding.
+    for (const double anchor : {-0.05, 0.0}) {
+        const std::size_t slot = fs::expMemoSlot(anchor);
+        std::vector<double> same_slot = {anchor};
+        for (double x = -1e-3; same_slot.size() < 8;
+             x = std::nextafter(x, -1.0)) {
+            if (fs::expMemoSlot(x) == slot)
+                same_slot.push_back(x);
+        }
+        for (int round = 0; round < 4; ++round) {
+            for (const double x : same_slot)
+                EXPECT_TRUE(sameBits(fs::memoExp(x), std::exp(x))) << x;
+        }
+    }
+}
+
+TEST(MemoExp, ThreadsKeepPrivateExactTables)
+{
+    // Four threads walk the probe from different starting points, so
+    // their tables hold different occupants at every moment; each must
+    // still see exactly std::exp.
+    const auto xs = memoExpProbe();
+    std::vector<double> want;
+    want.reserve(xs.size());
+    for (const double x : xs)
+        want.push_back(std::exp(x));
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int pass = 0; pass < 3; ++pass) {
+                for (std::size_t k = 0; k < xs.size(); ++k) {
+                    const std::size_t i =
+                        (k + t * xs.size() / kThreads) % xs.size();
+                    if (!sameBits(fs::memoExp(xs[i]), want[i]))
+                        ++mismatches[t];
+                }
+            }
+        });
+    }
+    for (auto& thread : threads)
+        thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 TEST(TableWriter, AlignedOutputAndRowCheck)
