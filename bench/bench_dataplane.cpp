@@ -19,7 +19,10 @@
  *     (one contiguous block per column, decode adopting columns
  *     wholesale), against an in-bench replica of the v1 field-wise
  *     per-point layout built from the same Encoder/Decoder primitives.
- *     Reports MB/s both ways.
+ *     Reports MB/s both ways and the heap allocations one v2 decode
+ *     performs (counted by a bench-local global operator new): the
+ *     column decode should stay at a handful of vector allocations, not
+ *     one per point.
  *
  *  4. stitch_append — bulk timeline assembly through
  *     PowerProfile::appendTimelineRun (one resize, tight per-column
@@ -56,11 +59,14 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -83,6 +89,55 @@ namespace fc = fingrav::core;
 namespace fs = fingrav::support;
 namespace sim = fingrav::sim;
 namespace tools = fingrav::tools;
+
+namespace {
+
+/** Heap-allocation counter behind the replaced global operator new. */
+std::atomic<std::uint64_t> g_alloc_count{0};
+
+}  // namespace
+
+// Bench-local allocation accounting: the minimal replaceable pair.  The
+// aligned overloads fall through to the default implementation, which is
+// fine — the codec's column vectors use the plain form.
+void*
+operator new(std::size_t size)
+{
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -441,6 +496,12 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
     fc::ProfileSet v2_set;
     const double v2_dec_ms =
         bestMs(reps, [&] { v2_set = fc::codec::decodeProfileSet(v2_bytes); });
+    // Allocations of one decode, counted outside the timed reps.
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    v2_set = fc::codec::decodeProfileSet(v2_bytes);
+    const std::uint64_t dec_allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
 
     const bool identical = profilesBitIdentical(v1_sse, set.sse) &&
                            profilesBitIdentical(v1_ssp, set.ssp) &&
@@ -450,14 +511,18 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
     const double dec_speedup = v2_dec_ms > 0.0 ? v1_dec_ms / v2_dec_ms : 0.0;
     speedup_out = dec_speedup;
     const double mb = static_cast<double>(v2_bytes.size()) / 1.0e6;
+    const std::uint64_t points =
+        set.sse.size() + set.ssp.size() + set.timeline.size();
+    const double allocs_per_kpoint =
+        points > 0 ? static_cast<double>(dec_allocs) * 1.0e3 /
+                         static_cast<double>(points)
+                   : 0.0;
 
     auto& s = report.scenario("codec");
     s.note("description",
            "ProfileSet wire codec: v1 field-wise point replica vs v2 "
-           "columnar encode/decode");
-    s.metric("points", static_cast<std::uint64_t>(
-                           set.sse.size() + set.ssp.size() +
-                           set.timeline.size()));
+           "columnar encode/decode, and heap allocations per v2 decode");
+    s.metric("points", points);
     s.metric("v1_payload_bytes", static_cast<std::uint64_t>(v1_bytes.size()));
     s.metric("v2_payload_bytes", static_cast<std::uint64_t>(v2_bytes.size()));
     s.metric("v1_encode_wall_ms", v1_enc_ms);
@@ -470,13 +535,17 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
              v2_enc_ms > 0.0 ? mb / (v2_enc_ms / 1.0e3) : 0.0);
     s.metric("v2_decode_mb_per_s",
              v2_dec_ms > 0.0 ? mb / (v2_dec_ms / 1.0e3) : 0.0);
+    s.metric("decode_allocs", dec_allocs);
+    s.metric("decode_allocs_per_1k_points", allocs_per_kpoint);
     s.note("bit_identical", identical ? "yes" : "NO");
 
     std::cout << "codec: v1 encode " << v1_enc_ms << " ms / decode "
               << v1_dec_ms << " ms, v2 encode " << v2_enc_ms
               << " ms / decode " << v2_dec_ms << " ms, speedups "
-              << enc_speedup << "x / " << dec_speedup
-              << "x, bit-identical: " << (identical ? "yes" : "NO") << "\n";
+              << enc_speedup << "x / " << dec_speedup << "x, "
+              << dec_allocs << " allocations per decode ("
+              << allocs_per_kpoint << " per 1k points), bit-identical: "
+              << (identical ? "yes" : "NO") << "\n";
     if (!identical)
         std::cerr << "FAIL: codec round trips diverged from the source "
                      "set\n";

@@ -14,11 +14,11 @@
  * CampaignRunner owns that spec-order/bit-identity contract and
  * delegates *placement* to a pluggable core::ExecutionBackend
  * (fingrav/execution_backend.hpp): the default ThreadPoolBackend fans
- * specs over a support::ThreadPool, one node per campaign; ShardBackend
- * (fingrav/shard_backend.hpp) dispatches spec shards to worker
+ * specs over a support::ThreadPool, one node per campaign; FleetBackend
+ * (fingrav/worker_fleet.hpp) dispatches specs to resident worker
  * processes over the codec wire format.  Either way run() returns
  * ProfileSets in spec order — bit-identical to the serial loop for any
- * thread count, shard count and any completion order, because no state
+ * thread count, worker count and any completion order, because no state
  * is shared between campaigns and each result lands in its spec's slot.
  *
  * Determinism contract:
@@ -98,7 +98,7 @@ class CampaignRunner {
 
     /**
      * Custom placement: any admissible ExecutionBackend (e.g.
-     * core::ShardBackend for multi-process execution).
+     * core::FleetBackend for multi-process execution).
      */
     explicit CampaignRunner(std::shared_ptr<ExecutionBackend> backend);
 

@@ -5,16 +5,16 @@
  * @file
  * Versioned canonical binary encoding for the campaign wire contract.
  *
- * Distributed campaign sharding (fingrav/shard_backend.hpp) ships
- * hermetic scenarios to worker processes and slot-addressed results
- * back; the encoding defined here is the wire contract both sides speak.
+ * Multi-process placement (fingrav/worker_fleet.hpp) ships hermetic
+ * scenarios to worker processes and slot-addressed results back; the
+ * encoding defined here is the wire contract both sides speak.
  * Three properties it must hold, in order of importance:
  *
  *  - *Round-trip exactness.*  decode(encode(x)) reproduces every field
  *    of x bit-for-bit — doubles travel as their IEEE-754 bit patterns,
  *    simulated time as raw nanosecond counts — so a ProfileSet computed
  *    in a worker and reassembled by the driver is indistinguishable from
- *    one computed in-process (the ShardBackend bit-identity gate).
+ *    one computed in-process (the FleetBackend bit-identity gate).
  *
  *  - *Canonical form.*  Equal values encode to equal bytes: fixed-width
  *    little-endian integers, length-prefixed strings and vectors, fields
@@ -34,7 +34,7 @@
  * guidance/LOI-yield fields, sync calibration outputs).  A ScenarioSpec
  * carrying a custom profile_fn cannot cross the wire (a std::function
  * has no canonical bytes); encodeScenarioSpec rejects it and the
- * ShardBackend keeps such specs on the in-process path.
+ * FleetBackend keeps such specs on the in-process path.
  */
 
 #include <cstddef>

@@ -16,15 +16,16 @@
  *    a support::ThreadPool, one fresh node per campaign, with the
  *    nested-oversubscription guard capping per-campaign advance threads.
  *
- *  - ShardBackend (fingrav/shard_backend.hpp): specs partitioned into
- *    shards and dispatched to worker *processes* over the codec wire
- *    format, with an in-process fallback for failed workers.
+ *  - FleetBackend (fingrav/worker_fleet.hpp): specs pulled one at a time
+ *    by resident worker *processes* over the codec wire format, with an
+ *    in-process fallback for failed workers.  A one-shot dispatch is a
+ *    FleetBackend that goes out of scope.
  *
  * Backend admissibility: execute() must return exactly specs.size()
  * results with results[i] produced from specs[i], each bit-identical to
  * CampaignRunner::runOne(specs[i], cfg).  Placement — threads,
  * processes, machines, retry and completion order — must be invisible
- * in the results (tests/shard_test.cpp, bench_shard's hard-fail gate).
+ * in the results (tests/fleet_test.cpp, bench_fleet's hard-fail gate).
  */
 
 #include <cstddef>
@@ -45,7 +46,7 @@ class ExecutionBackend {
   public:
     virtual ~ExecutionBackend() = default;
 
-    /** Short placement name for diagnostics ("thread-pool", "shard"). */
+    /** Short placement name for diagnostics ("thread-pool", "fleet"). */
     virtual const char* name() const = 0;
 
     /** Execute every spec; results in spec order (see contract above). */
@@ -93,18 +94,25 @@ class ExecutionBackend {
                      std::vector<ProfileSet>&& executed,
                      const sim::MachineConfig& cfg) const;
 
+    /**
+     * Nested-oversubscription guard: `workers` concurrent campaigns
+     * (threads or processes) each step their node with
+     * cfg.advance_threads threads.  When the product exceeds the
+     * hardware, the returned config caps per-campaign advance threads at
+     * max(1, hw / workers) and a one-time warning says so.  Node stepping
+     * is bit-identical for any advance thread count, so the cap only
+     * relocates work — results are unchanged.
+     */
+    sim::MachineConfig capAdvanceThreads(const sim::MachineConfig& cfg,
+                                         std::size_t workers) const;
+
   private:
     std::shared_ptr<CampaignCache> cache_;
 };
 
 /**
- * The in-process placement: campaigns fanned over a support::ThreadPool.
- *
- * Nested oversubscription: campaign-level threads multiply with
- * MachineConfig::advance_threads (the node stepper's pool).  When the
- * product would exceed the hardware, execute() caps the per-campaign
- * advance threads — results are unchanged (node stepping is
- * bit-identical for any advance thread count), only thread placement is.
+ * The in-process placement: campaigns fanned over a support::ThreadPool,
+ * per-campaign advance threads capped by capAdvanceThreads().
  */
 class ThreadPoolBackend final : public ExecutionBackend {
   public:

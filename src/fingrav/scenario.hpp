@@ -149,9 +149,9 @@ struct CampaignSpec {
 /**
  * One declarative profiling scenario: the unified spec type every
  * figure/table bench rides, and the spec/result contract unit
- * distributed campaign sharding serializes (fingrav/codec.hpp encodes
+ * multi-process placement serializes (fingrav/codec.hpp encodes
  * every field except profile_fn, which is process-local and keeps a
- * spec on the in-process execution path — fingrav/shard_backend.hpp).
+ * spec on the in-process execution path — fingrav/worker_fleet.hpp).
  */
 struct ScenarioSpec {
     std::string label;          ///< foreground kernel label

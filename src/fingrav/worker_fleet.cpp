@@ -7,7 +7,6 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -288,32 +287,11 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     for (const auto& [cost, slot] : ranked)
         queue.push_back(slot);
 
-    // Nested-oversubscription guard, mirrored from the other backends:
-    // the shipped config must not depend on scheduling decisions (the
-    // cache key embeds it), so the cap derives from the fleet size the
-    // dispatch *could* use, never from the retry path.
-    const std::size_t initial_workers = std::min(
-        fleet_.size(), std::max<std::size_t>(queue.size(), 1));
-    sim::MachineConfig effective = cfg;
-    const std::size_t advance =
-        std::max<std::size_t>(1, cfg.advance_threads);
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0 && initial_workers * advance > hw) {
-        const std::size_t cap =
-            std::max<std::size_t>(1, hw / initial_workers);
-        if (cap < advance) {
-            static std::once_flag warned;
-            std::call_once(warned, [&] {
-                support::warn("FleetBackend: ", initial_workers,
-                              " workers x ", advance,
-                              " advance threads exceed ", hw,
-                              " hardware threads; capping per-campaign "
-                              "advance threads at ", cap,
-                              " (results unchanged)");
-            });
-            effective.advance_threads = cap;
-        }
-    }
+    // The shipped config must not depend on scheduling decisions, so the
+    // cap derives from the fleet size the dispatch *could* use, never
+    // from the retry path.
+    const sim::MachineConfig effective = capAdvanceThreads(
+        cfg, std::min(fleet_.size(), std::max<std::size_t>(queue.size(), 1)));
 
     // Acquire: probe residents that survived the previous dispatch —
     // one that died in between must not be trusted with a request.

@@ -3,12 +3,15 @@
 
 /**
  * @file
- * Persistent worker fleet with cost-aware pull dispatch.
+ * Persistent worker fleet with cost-aware pull dispatch: the one
+ * multi-process placement path.
  *
- * ShardBackend re-pays spawn + handshake on every execute() and
- * partitions specs by static round-robin, so one long scenario
- * straggles its whole shard while other workers sit idle.  This file
- * replaces both costs:
+ * Spawn + handshake are paid once per fleet seat, not once per
+ * execute(), and specs are pulled one at a time rather than partitioned
+ * up front, so one long scenario cannot straggle a fixed share of the
+ * work behind it while other workers sit idle.  A one-shot dispatch is
+ * a FleetBackend that goes out of scope: its destructor sends kShutdown
+ * to every resident and reaps them.
  *
  *  - **WorkerFleet** keeps `fingrav_cli --serve` subprocesses resident
  *    across dispatches.  A serve worker's loop (runtime/shard_worker)
@@ -30,17 +33,20 @@
  *    ThreadPoolBackend for any fleet size (tests/fleet_test.cpp,
  *    bench_fleet's hard-fail gate).
  *
- * Supervision (rehosted from ShardBackend, same taxonomy): a worker
- * that dies, stalls past its I/O budget, or streams corruption forfeits
- * only the one spec it was running.  The slot re-queues under seeded
- * exponential backoff, a replacement worker is spawned into the same
- * fleet seat, and a spec that kills `quarantine_deaths` workers is
+ * Supervision: a worker that dies, stalls past its I/O budget or its
+ * per-spec deadline, or streams corruption forfeits only the one spec
+ * it was running.  The slot re-queues under seeded exponential backoff
+ * (one backoff per redispatch; the schedule is a pure function of
+ * FleetOptions), a replacement worker is spawned into the same fleet
+ * seat, and a spec that kills `quarantine_deaths` workers is
  * quarantined to the in-process path.  Slots that exhaust
  * `max_retries` redispatches — or find no live worker — fall back to
  * ThreadPoolBackend execution, loudly, in the degradation journal.
- * Fault plans address workers as (shard = fleet seat, attempt = spawn
- * generation of that seat); worker-site faults count result frames over
- * the worker's *lifetime*, matching the persistent serve loop.
+ * Specs carrying a custom profile_fn never leave the process (a
+ * std::function has no wire form).  Fault plans address workers as
+ * (shard = fleet seat, attempt = spawn generation of that seat);
+ * worker-site faults count result frames over the worker's *lifetime*,
+ * matching the persistent serve loop.
  */
 
 #include <atomic>
@@ -76,13 +82,13 @@ struct FleetOptions {
      *  concurrency.  Results are bit-identical for any value. */
     std::size_t fallback_threads = 0;
 
-    /** Per-syscall I/O inactivity timeout, ms; 0 waits forever (see
-     *  ShardOptions::io_timeout_ms — same semantics per frame read). */
+    /** Per-syscall I/O inactivity timeout, ms: a worker pipe that moves
+     *  no bytes for this long is treated as dead.  0 (the default) waits
+     *  forever — a legitimate spec may compute for arbitrarily long. */
     long io_timeout_ms = 0;
 
     /** Per-spec wall-clock deadline, ms, armed when the spec is sent;
-     *  0 disables.  One spec per request makes this exact, not the
-     *  `x slots` approximation the shard drain needs. */
+     *  0 disables.  One spec per request makes this exact. */
     long spec_deadline_ms = 0;
 
     /** Keepalive probe budget, ms: how long an idle resident gets to
@@ -235,9 +241,10 @@ class WorkerFleet {
 /**
  * Cost-scheduled placement over a persistent WorkerFleet.
  *
- * Not reentrant (same contract as ShardBackend): execute() accumulates
- * lastStats() and drives the fleet's pipes, so one instance serves one
- * run at a time; overlap is a FatalError.  The fleet lives as long as
+ * Not reentrant: execute() accumulates lastStats() and drives the
+ * fleet's pipes, so one instance serves one run at a time — concurrent
+ * drivers hold one FleetBackend each — and overlapping execute() calls
+ * on one instance are a FatalError.  The fleet lives as long as
  * the backend — back-to-back execute() calls reuse the residents, which
  * is the spawn-amortization win bench_fleet measures.
  */
@@ -270,9 +277,9 @@ class FleetBackend final : public ExecutionBackend {
 
 /**
  * The default fleet-worker argv for a driver whose own executable path
- * is `argv0`: {"<dir(argv0)>/fingrav_cli", "--serve"} (the CLI itself
- * gets {argv0, "--serve"}) — the persistent sibling of
- * defaultWorkerCommand().
+ * is `argv0`: {"<dir(argv0)>/fingrav_cli", "--serve"} — benches, tests
+ * and the CLI all sit next to fingrav_cli in the build tree.  The CLI
+ * itself gets {argv0, "--serve"}.
  */
 std::vector<std::string> defaultServeCommand(const std::string& argv0);
 

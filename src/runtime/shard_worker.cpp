@@ -69,8 +69,7 @@ runShardWorker(std::istream& in, std::ostream& out,
     // The fault-site coordinate counts result frames over the *process*
     // lifetime, not per request: a persistent fleet worker serves many
     // one-spec requests, and a plan like `kill:frame=2` must mean "die
-    // before the third result this worker ever produces".  One-shot
-    // shard workers see a single request, so the two scopes coincide.
+    // before the third result this worker ever produces".
     std::size_t result_frame = 0;
     for (;;) {
         std::optional<codec::Frame> frame;
@@ -167,7 +166,7 @@ runShardWorker(std::istream& in, std::ostream& out,
         } catch (const std::exception& e) {
             // FatalError (user-level: bad label, bad schedule) and
             // anything else (bad_alloc, logic errors) alike: report and
-            // let the driver re-place the shard, never std::terminate.
+            // let the driver re-place the spec, never std::terminate.
             sendError(out, e.what());
             return 1;
         }

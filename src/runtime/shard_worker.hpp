@@ -3,38 +3,37 @@
 
 /**
  * @file
- * Worker-process bootstrap for distributed campaign sharding.
+ * Worker-process bootstrap for multi-process campaign placement.
  *
- * `fingrav_cli --worker` (one-shot shard) and `fingrav_cli --serve`
- * (persistent fleet resident) both call runShardWorker(std::cin,
- * std::cout): a serve loop that reads kShardRequest frames (machine
- * config + a list of slot-addressed ScenarioSpecs) off stdin, executes
- * each spec on a fresh hermetic node via core::CampaignRunner::runOne —
- * the exact code path the in-process backends bottom out in — and
- * streams one kShardResult frame per completed spec back on stdout,
- * closing each request with a kShardDone frame.  The loop then waits
- * for the next request: ShardBackend sends one request and closes the
- * pipe; core::WorkerFleet keeps the worker resident across dispatches,
- * probing idle residents with kPing (answered kPong) and retiring them
- * with kShutdown (clean exit, same as EOF).  Streaming per spec means a
- * worker killed mid-shard forfeits only its unfinished slots;
- * everything already written is checksummed, slot-addressed and
- * bit-exact (fingrav/codec.hpp, fingrav/shard_backend.hpp).
+ * `fingrav_cli --serve` (a core::WorkerFleet resident) calls
+ * runShardWorker(std::cin, std::cout): a serve loop that reads
+ * kShardRequest frames (machine config + a list of slot-addressed
+ * ScenarioSpecs) off stdin, executes each spec on a fresh hermetic node
+ * via core::CampaignRunner::runOne — the exact code path the in-process
+ * backends bottom out in — and streams one kShardResult frame per
+ * completed spec back on stdout, closing each request with a kShardDone
+ * frame.  The loop then waits for the next request: core::WorkerFleet
+ * keeps the worker resident across dispatches, probing idle residents
+ * with kPing (answered kPong) and retiring them with kShutdown (clean
+ * exit, same as EOF).  Streaming per spec means a worker killed
+ * mid-request forfeits only its unfinished slots; everything already
+ * written is checksummed, slot-addressed and bit-exact
+ * (fingrav/codec.hpp, fingrav/worker_fleet.hpp).
  *
  * stdout belongs to the protocol: the worker must never print there.
  * Callers route diagnostics to stderr (the CLI lowers the log level so
  * inform() cannot leak into the frame stream).  A user-level failure
  * (unknown kernel label, invalid background schedule) is reported as a
  * kWorkerError frame and a nonzero exit, so the driver can re-place the
- * shard on its fallback path instead of hanging.
+ * spec on its fallback path instead of hanging.
  *
- * Fault injection (`fingrav_cli --worker --fault-plan PLAN`): the serve
- * loop hosts the worker-side injection sites — each result frame is
- * counted per request, and a scripted fault fires instead of (kill,
- * truncate) or around (corrupt, stall) writing the matching frame.
- * The driver derives each worker's sub-plan from the run-level plan
- * (support/fault_injector.hpp), so the supervision stack is exercised
- * through the real subprocess machinery, not a test seam.
+ * Fault injection (`fingrav_cli --serve --fault-plan PLAN`): the serve
+ * loop hosts the worker-side injection sites — result frames are
+ * counted over the worker's lifetime, and a scripted fault fires
+ * instead of (kill, truncate) or around (corrupt, stall) writing the
+ * matching frame.  The driver derives each worker's sub-plan from the
+ * run-level plan (support/fault_injector.hpp), so the supervision stack
+ * is exercised through the real subprocess machinery, not a test seam.
  */
 
 #include <iosfwd>
@@ -49,18 +48,18 @@ class FaultInjector;
 namespace fingrav::runtime {
 
 /**
- * Serve shard requests until clean EOF on `in`.
+ * Serve kShardRequest frames until kShutdown or clean EOF on `in`.
  *
  * @param cache  Optional campaign cache consulted before executing each
  *               spec and fed with every fresh result (`fingrav_cli
- *               --worker --cache-dir DIR`).  Cached results are
+ *               --serve --cache-dir DIR`).  Cached results are
  *               bit-identical to execution by the cache's contract, so
  *               the frames streamed back are unchanged; null disables.
  * @param injector  Optional fault injector consulted before each result
  *               frame (see file comment); null disables.  A kill or
  *               truncate fault abandons the serve loop mid-stream and
  *               returns the fault's exit code, exactly as the driver
- *               would observe a real mid-shard death.
+ *               would observe a real mid-request death.
  * @return Process exit code: 0 after a clean EOF on a frame boundary,
  *         1 after a protocol violation or a fatal execution error (a
  *         kWorkerError frame is emitted first when possible), 137 after

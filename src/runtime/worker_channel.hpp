@@ -7,18 +7,15 @@
  * stdin/stdout pair, budgeted raw I/O, and framed reads off the wire
  * protocol (fingrav/codec.hpp).
  *
- * Extracted from ShardBackend so every driver of `fingrav_cli --worker`
- * / `--serve` processes — the one-shot shard supervisor and the
- * persistent core::WorkerFleet — shares one spawn idiom (own process
- * group, exec-failure `_exit(127)`), one I/O budget semantics
- * (inactivity timeout re-armed by progress, optional absolute
- * deadline), and one frame-read status taxonomy that maps 1:1 onto the
- * degradation journal's kinds.
+ * core::WorkerFleet drives its `fingrav_cli --serve` residents through
+ * one spawn idiom (own process group, exec-failure `_exit(127)`), one
+ * I/O budget semantics (inactivity timeout re-armed by progress,
+ * optional absolute deadline), and one frame-read status taxonomy that
+ * maps 1:1 onto the degradation journal's kinds.
  *
- * Everything here is synchronous and single-threaded by design: callers
- * multiplex across workers either by draining them in sequence
- * (ShardBackend) or by polling readiness before committing to a framed
- * read (WorkerFleet).
+ * Everything here is synchronous and single-threaded by design: the
+ * fleet multiplexes across workers by polling readiness before
+ * committing to a framed read.
  */
 
 #include <chrono>

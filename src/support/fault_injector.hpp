@@ -6,12 +6,12 @@
  * Deterministic, scripted fault injection for the supervised execution
  * path.
  *
- * Before this existed every fault test wired its own one-off hack: a
- * `spawn_hook` on ShardOptions to SIGKILL workers, `/bin/sh -c` stand-in
- * worker commands that printf garbage or sleep forever, hand-rolled blob
- * mutation against the cache store.  Those hacks exercised real failure
- * paths but could not compose, could not run end-to-end through the CLI,
- * and left the production binary with test-only seams.
+ * Fault tests script real failures through the production code instead
+ * of one-off hacks (a spawn hook that SIGKILLs workers, `/bin/sh -c`
+ * stand-in workers that printf garbage or sleep forever, hand-rolled
+ * blob mutation against the cache store): such hacks cannot compose,
+ * cannot run end-to-end through the CLI, and leave the production binary
+ * with test-only seams.
  *
  * A FaultPlan is a small script of FaultActions, each naming an
  * injection *site* baked into the production code:
@@ -35,9 +35,9 @@
  *   value   := non-negative integer | '*'            ('*' = match any)
  *
  * Examples:
- *   kill:shard=0,frame=1          worker on shard 0, first attempt,
- *                                 dies after delivering one result
- *   kill:shard=0,attempt=*        every worker ever launched for shard 0
+ *   kill:shard=0,frame=1          first worker in fleet seat 0 dies
+ *                                 after delivering one result
+ *   kill:shard=0,attempt=*        every worker ever spawned into seat 0
  *                                 dies before its first result (drives
  *                                 a spec into quarantine)
  *   spawn-fail:times=3            the next three spawns fail (drives
@@ -89,8 +89,8 @@ struct FaultAction {
     static constexpr long kAny = -1;
 
     FaultKind kind = FaultKind::kKillWorker;
-    long shard = kAny;    ///< which shard's worker (driver coordinates)
-    long attempt = 0;     ///< which (re)launch; retries get fresh workers
+    long shard = kAny;    ///< which fleet seat's worker (driver side)
+    long attempt = 0;     ///< which spawn generation of that seat
     long frame = 0;       ///< which result frame (worker coordinates)
     long stall_ms = 2000; ///< kStallPipe only: sleep duration
     long times = 1;       ///< fire at most this many times (0 = never)

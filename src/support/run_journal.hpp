@@ -11,8 +11,8 @@
  * gates — a dead worker's slots re-execute in-process and the results
  * cannot diverge.  The *loudly* half used to be a scatter of warn()
  * lines and counters; RunJournal makes it a first-class artifact: every
- * component that degrades (shard supervisor, worker protocol, campaign
- * cache) records a typed DegradeEvent, the events fold into ShardStats,
+ * component that degrades (fleet supervisor, worker protocol, campaign
+ * cache) records a typed DegradeEvent, the events fold into FleetStats,
  * and fingrav_cli prints the journal after every supervised run.
  *
  * The taxonomy is deliberately small and closed — a new failure mode
@@ -29,11 +29,11 @@
  *   quarantine            a poisoned spec forced onto the in-process path
  *   fallback              slots executed in-process after supervision
  *                         gave up on the wire path
- *   crash-loop            consecutive spawn failures disabled sharding
+ *   crash-loop            consecutive spawn failures disabled the fleet
  *
  * Thread safety: record()/merge() and all readers are safe to call
  * concurrently.  The journal is copyable (a locked snapshot), so it can
- * ride inside value types such as core::ShardStats.
+ * ride inside value types such as core::FleetStats.
  */
 
 #include <cstddef>

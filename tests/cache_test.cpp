@@ -5,8 +5,8 @@
  * The gates, in order of importance:
  *  - a warm cache serves repeated sweeps with ZERO re-executions (the
  *    stats observable) and bit-identical ProfileSets, under both the
- *    thread-pool and the shard backend — a warm sharded run must not
- *    even launch workers;
+ *    thread-pool and the fleet backend — a fresh fleet over a warm store
+ *    must not even spawn workers;
  *  - the on-disk tier survives the process boundary (a fresh cache
  *    instance over the same store serves disk hits) and is shared
  *    between backends and with worker processes;
@@ -16,7 +16,7 @@
  *  - profile_fn specs bypass the cache entirely, mirroring the wire;
  *  - the memory tier honours its byte bound via LRU eviction.
  *
- * The worker binary is the real `fingrav_cli --worker`, resolved via
+ * The worker binary is the real `fingrav_cli --serve`, resolved via
  * the FINGRAV_CLI_PATH compile definition (CMakeLists.txt).
  */
 
@@ -29,7 +29,7 @@
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/execution_backend.hpp"
-#include "fingrav/shard_backend.hpp"
+#include "fingrav/worker_fleet.hpp"
 #include "support/logging.hpp"
 #include "tests/test_fixtures.hpp"
 
@@ -43,7 +43,6 @@ namespace fs = fingrav::support;
 namespace {
 
 using fingrav::testing::TempDir;
-using fingrav::testing::cliWorkerCommand;
 using fingrav::testing::expectAllIdentical;
 
 /** The shared Fig. 10 gate set at a cache-test-sized run budget. */
@@ -53,13 +52,17 @@ fig10Specs()
     return fingrav::testing::fig10Specs(4);
 }
 
-std::shared_ptr<fc::ShardBackend>
-makeShardBackend(std::size_t shards)
+/** A fleet of real `fingrav_cli --serve` workers, plus extra argv. */
+std::shared_ptr<fc::FleetBackend>
+makeFleetBackend(std::size_t workers,
+                 const std::vector<std::string>& extra_args = {})
 {
-    fc::ShardOptions opts;
-    opts.shards = shards;
-    opts.worker_command = cliWorkerCommand();
-    return std::make_shared<fc::ShardBackend>(opts);
+    fc::FleetOptions opts;
+    opts.workers = workers;
+    opts.worker_command = fc::defaultServeCommand(FINGRAV_CLI_PATH);
+    opts.worker_command.insert(opts.worker_command.end(),
+                               extra_args.begin(), extra_args.end());
+    return std::make_shared<fc::FleetBackend>(opts);
 }
 
 }  // namespace
@@ -100,10 +103,12 @@ TEST(CampaignCache, WarmSweepZeroReexecutionsThreadPool)
         << "warm passes must be served from the memory tier";
 }
 
-TEST(CampaignCache, WarmSweepZeroWorkersSharded)
+TEST(CampaignCache, WarmSweepZeroWorkersFleet)
 {
-    // Same gate through the shard backend: a fully cached run must not
-    // place anything — zero workers launched, zero specs on the wire.
+    // Same gate through the fleet: a fully cached run must not place
+    // anything.  Residents would hide a spawn on a reused backend, so
+    // every warm pass gets a fresh fleet — which must never fork a
+    // worker and must put zero specs on the wire.
     auto specs = fig10Specs();
     specs.resize(4);
     const auto reference = fc::CampaignRunner(1).run(specs);
@@ -111,47 +116,50 @@ TEST(CampaignCache, WarmSweepZeroWorkersSharded)
     TempDir dir("fingrav_cache");
     fc::CacheOptions copts;
     copts.dir = dir.path();
+    const auto cache = std::make_shared<fc::CampaignCache>(copts);
 
-    auto backend = makeShardBackend(2);
-    backend->attachCache(std::make_shared<fc::CampaignCache>(copts));
-    const fc::CampaignRunner runner(backend);
-
-    expectAllIdentical(reference, runner.run(specs), specs, "cold shard");
-    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
-    EXPECT_EQ(backend->lastStats().cached_specs, 0u);
+    auto cold = makeFleetBackend(2);
+    cold->attachCache(cache);
+    expectAllIdentical(reference, fc::CampaignRunner(cold).run(specs),
+                       specs, "cold fleet");
+    EXPECT_EQ(cold->lastStats().remote_specs, specs.size());
+    EXPECT_EQ(cold->lastStats().cached_specs, 0u);
 
     for (int pass = 2; pass <= 6; ++pass) {
-        expectAllIdentical(reference, runner.run(specs), specs,
-                           "warm shard");
-        EXPECT_EQ(backend->lastStats().shards_launched, 0u)
+        auto warm = makeFleetBackend(2);
+        warm->attachCache(cache);
+        expectAllIdentical(reference, fc::CampaignRunner(warm).run(specs),
+                           specs, "warm fleet");
+        EXPECT_EQ(warm->lastStats().workers_spawned, 0u)
             << "pass " << pass
             << ": a warm run must not spawn worker processes";
-        EXPECT_EQ(backend->lastStats().remote_specs, 0u);
-        EXPECT_EQ(backend->lastStats().cached_specs, specs.size());
+        EXPECT_EQ(warm->fleet().lifetimeSpawns(), 0u) << "pass " << pass;
+        EXPECT_EQ(warm->lastStats().remote_specs, 0u);
+        EXPECT_EQ(warm->lastStats().cached_specs, specs.size());
     }
 }
 
-TEST(CampaignCache, CachedShardedBitIdenticalAcrossShardCounts)
+TEST(CampaignCache, CachedFleetBitIdenticalAcrossWorkerCounts)
 {
     // Cached-vs-uncached identity for every placement: serial reference
-    // vs cold-cached and warm-cached execution at 1/2/4 shards.
+    // vs cold-cached and warm-cached execution at 1/2/4 workers.
     auto specs = fig10Specs();
     specs.resize(6);
     const auto reference = fc::CampaignRunner(1).run(specs);
 
-    for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
         TempDir dir("fingrav_cache");
         fc::CacheOptions copts;
         copts.dir = dir.path();
-        auto backend = makeShardBackend(shards);
+        auto backend = makeFleetBackend(workers);
         backend->attachCache(std::make_shared<fc::CampaignCache>(copts));
         const fc::CampaignRunner runner(backend);
         expectAllIdentical(reference, runner.run(specs), specs,
-                           "cold cached shards");
+                           "cold cached fleet");
         expectAllIdentical(reference, runner.run(specs), specs,
-                           "warm cached shards");
+                           "warm cached fleet");
         EXPECT_EQ(backend->lastStats().cached_specs, specs.size())
-            << shards << " shards";
+            << workers << " workers";
     }
 }
 
@@ -193,7 +201,7 @@ TEST(CampaignCache, DiskTierSurvivesProcessBoundary)
 
 TEST(CampaignCache, StoreIsSharedAcrossBackends)
 {
-    // Warm written by the thread pool, served to the shard backend (and
+    // Warm written by the thread pool, served to the fleet backend (and
     // the reverse order implicitly via the zero-worker observable).
     auto specs = fig10Specs();
     specs.resize(4);
@@ -208,30 +216,26 @@ TEST(CampaignCache, StoreIsSharedAcrossBackends)
         pool_runner.run(specs);
     }
 
-    auto backend = makeShardBackend(2);
+    auto backend = makeFleetBackend(2);
     backend->attachCache(std::make_shared<fc::CampaignCache>(copts));
     expectAllIdentical(reference,
                        fc::CampaignRunner(backend).run(specs), specs,
-                       "shard backend over pool-written store");
-    EXPECT_EQ(backend->lastStats().shards_launched, 0u);
+                       "fleet backend over pool-written store");
+    EXPECT_EQ(backend->lastStats().workers_spawned, 0u);
+    EXPECT_EQ(backend->fleet().lifetimeSpawns(), 0u);
     EXPECT_EQ(backend->lastStats().cached_specs, specs.size());
 }
 
 TEST(CampaignCache, WorkerProcessesShareTheStore)
 {
-    // Workers spawned with --cache-dir feed the same store the driver
-    // uses: one sharded run populates it end to end.
+    // Workers spawned with --serve --cache-dir feed the same store the
+    // driver uses: one fleet dispatch populates it end to end.
     auto specs = fig10Specs();
     specs.resize(4);
     const auto reference = fc::CampaignRunner(1).run(specs);
 
     TempDir dir("fingrav_cache");
-    fc::ShardOptions sopts;
-    sopts.shards = 2;
-    sopts.worker_command = cliWorkerCommand();
-    sopts.worker_command.push_back("--cache-dir");
-    sopts.worker_command.push_back(dir.path());
-    auto backend = std::make_shared<fc::ShardBackend>(sopts);
+    auto backend = makeFleetBackend(2, {"--cache-dir", dir.path()});
     expectAllIdentical(reference,
                        fc::CampaignRunner(backend).run(specs), specs,
                        "workers with --cache-dir");

@@ -18,7 +18,7 @@
 #include "fingrav/energy.hpp"
 #include "fingrav/profile.hpp"
 #include "fingrav/profiler.hpp"
-#include "fingrav/shard_backend.hpp"
+#include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
@@ -28,6 +28,10 @@
 #include "support/run_journal.hpp"
 #include "tests/test_fixtures.hpp"
 
+#ifndef FINGRAV_CLI_PATH
+#error "FINGRAV_CLI_PATH must point at the fingrav_cli binary"
+#endif
+
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
@@ -35,6 +39,18 @@ namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 
 namespace {
+
+/** A real `fingrav_cli --serve` fleet under a scripted fault plan. */
+std::shared_ptr<fc::FleetBackend>
+faultedFleet(std::size_t workers, const char* plan)
+{
+    fc::FleetOptions opts;
+    opts.workers = workers;
+    opts.worker_command = fc::defaultServeCommand(FINGRAV_CLI_PATH);
+    opts.backoff_base_ms = 1;
+    opts.fault_plan = fs::FaultPlan::parse(plan);
+    return std::make_shared<fc::FleetBackend>(opts);
+}
 
 struct Node {
     sim::MachineConfig cfg;
@@ -176,9 +192,9 @@ TEST(FailureInjection, TinyRunBudgetDegradesGracefully)
     }
 }
 
-TEST(FailureInjection, WorkerDeathMidShardStaysBitIdenticalAndJournaled)
+TEST(FailureInjection, WorkerDeathMidDispatchStaysBitIdenticalAndJournaled)
 {
-    // Shard 1's worker is scripted to die before delivering anything.
+    // Seat 1's worker is scripted to die before delivering anything.
     // The supervisor redispatches on a fresh worker; the output must be
     // bit-identical to the serial loop and the death must be journaled —
     // a silent degradation is itself a failure.
@@ -186,16 +202,11 @@ TEST(FailureInjection, WorkerDeathMidShardStaysBitIdenticalAndJournaled)
     specs.resize(4);
     const auto serial = fc::CampaignRunner(1).run(specs);
 
-    fc::ShardOptions opts;
-    opts.shards = 2;
-    opts.worker_command = fingrav::testing::cliWorkerCommand();
-    opts.backoff_base_ms = 1;
-    opts.fault_plan = fs::FaultPlan::parse("kill:shard=1,frame=0");
-    auto backend = std::make_shared<fc::ShardBackend>(opts);
-    const auto sharded = fc::CampaignRunner(backend).run(specs);
+    const auto backend = faultedFleet(2, "kill:shard=1,frame=0");
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
 
-    fingrav::testing::expectAllIdentical(serial, sharded, specs,
-                                         "worker death mid-shard");
+    fingrav::testing::expectAllIdentical(serial, fleet, specs,
+                                         "worker death mid-dispatch");
     const auto& journal = backend->lastStats().journal;
     EXPECT_FALSE(journal.empty()) << "worker death must be journaled";
     EXPECT_GE(journal.count(fs::DegradeKind::kWorkerDeath), 1u);
@@ -204,21 +215,16 @@ TEST(FailureInjection, WorkerDeathMidShardStaysBitIdenticalAndJournaled)
 TEST(FailureInjection, CorruptResultFrameStaysBitIdenticalAndJournaled)
 {
     // A bit-flipped result frame must be rejected by the frame checksum
-    // — never decoded into a result — and the forfeited slots must come
+    // — never decoded into a result — and the forfeited spec must come
     // back bit-identical through a retry, with the corruption journaled.
     auto specs = fingrav::testing::fig10Specs(6);
     specs.resize(2);
     const auto serial = fc::CampaignRunner(1).run(specs);
 
-    fc::ShardOptions opts;
-    opts.shards = 1;
-    opts.worker_command = fingrav::testing::cliWorkerCommand();
-    opts.backoff_base_ms = 1;
-    opts.fault_plan = fs::FaultPlan::parse("corrupt:shard=0,frame=0");
-    auto backend = std::make_shared<fc::ShardBackend>(opts);
-    const auto sharded = fc::CampaignRunner(backend).run(specs);
+    const auto backend = faultedFleet(1, "corrupt:shard=0,frame=0");
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
 
-    fingrav::testing::expectAllIdentical(serial, sharded, specs,
+    fingrav::testing::expectAllIdentical(serial, fleet, specs,
                                          "corrupt result frame");
     const auto& journal = backend->lastStats().journal;
     EXPECT_FALSE(journal.empty()) << "frame corruption must be journaled";

