@@ -39,12 +39,12 @@ readAll(const std::string& path)
 }
 
 /**
- * Decode one on-disk blob back to (key bytes, ProfileSet).  Throws
- * support::FatalError on ANY inconsistency — truncation, bit flip
+ * Decode one on-disk blob back to its (key bytes, ProfileSet) entry.
+ * Throws support::FatalError on ANY inconsistency — truncation, bit flip
  * (checksum), foreign version, wrong frame type, trailing bytes — which
  * callers translate into a miss.
  */
-std::pair<std::string, ProfileSet>
+fscodec::CacheEntry
 decodeEntry(const std::vector<std::uint8_t>& bytes)
 {
     const auto frame = fscodec::parseFrame(bytes);
@@ -53,11 +53,7 @@ decodeEntry(const std::vector<std::uint8_t>& bytes)
                        fscodec::toString(frame.type),
                        " frame, not a cache entry");
     }
-    fscodec::Decoder dec(frame.payload);
-    std::string key = dec.str();
-    ProfileSet set = fscodec::decodeProfileSet(dec);
-    dec.expectEnd("cache entry");
-    return {std::move(key), std::move(set)};
+    return fscodec::decode<fscodec::CacheEntry>(frame.payload);
 }
 
 }  // namespace
@@ -80,18 +76,12 @@ CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
         support::fatal("campaign cache: a spec with a custom profile_fn "
                        "has no canonical bytes and cannot be keyed");
     }
-    fscodec::Encoder enc;
-    // The version is part of the content address: any layout-semantics
-    // change bumps kVersion and thereby expires every cached result.
-    enc.u16(fscodec::kVersion);
-    fscodec::encodeScenarioSpec(enc, spec);
     // advance_threads only places device stepping on threads (results are
     // bit-identical for every value), so it must not split the key: it is
     // encoded as 1, the default, and default-config keys keep their bytes.
     sim::MachineConfig shaping = cfg;
     shaping.advance_threads = 1;
-    fscodec::encodeMachineConfig(enc, shaping);
-    return std::string(enc.bytes().begin(), enc.bytes().end());
+    return fscodec::cacheKey(spec, shaping);
 }
 
 std::uint64_t
@@ -177,15 +167,11 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
 {
     if (!cacheable(spec))
         return;
-    const std::string k = key(spec, cfg);
-
-    fscodec::Encoder enc;
-    enc.str(k);
-    fscodec::encodeProfileSet(enc, set);
-    const auto frame =
-        fscodec::encodeFrame(fscodec::FrameType::kCacheEntry, enc.bytes());
-
-    memoryInsert(k, set, frame.size());
+    fscodec::CacheEntry entry{key(spec, cfg), set};
+    const std::string& k = entry.key;
+    const auto frame = fscodec::encodeFrame(fscodec::FrameType::kCacheEntry,
+                                            fscodec::encode(entry));
+    memoryInsert(k, std::move(entry.set), frame.size());
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.stores;
@@ -262,7 +248,7 @@ CampaignCache::stats() const
 }
 
 void
-CampaignCache::memoryInsert(const std::string& key, const ProfileSet& set,
+CampaignCache::memoryInsert(const std::string& key, ProfileSet set,
                             std::size_t weight)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -272,11 +258,11 @@ CampaignCache::memoryInsert(const std::string& key, const ProfileSet& set,
     if (it != index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         memory_bytes_ -= it->second->weight;
-        it->second->set = set;
+        it->second->set = std::move(set);
         it->second->weight = weight;
         memory_bytes_ += weight;
     } else {
-        lru_.push_front(Entry{key, set, weight});
+        lru_.push_front(Entry{key, std::move(set), weight});
         index_[key] = lru_.begin();
         memory_bytes_ += weight;
     }

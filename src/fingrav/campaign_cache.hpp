@@ -186,7 +186,7 @@ class CampaignCache {
     };
 
     /** Insert into the LRU (caller holds no lock). */
-    void memoryInsert(const std::string& key, const ProfileSet& set,
+    void memoryInsert(const std::string& key, ProfileSet set,
                       std::size_t weight);
 
     CacheOptions opts_;

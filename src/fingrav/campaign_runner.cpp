@@ -45,12 +45,6 @@ CampaignNode::CampaignNode(const ScenarioSpec& spec,
     host_.armBackground(buildBackgroundStreams(spec, sim_), sim_.forkRng(9));
 }
 
-CampaignNode::CampaignNode(const CampaignSpec& spec,
-                           const sim::MachineConfig& cfg)
-    : CampaignNode(ScenarioSpec::fromCampaign(spec), cfg)
-{
-}
-
 CampaignRunner::CampaignRunner(std::size_t threads)
     : backend_(std::make_shared<ThreadPoolBackend>(threads))
 {
@@ -76,12 +70,6 @@ CampaignRunner::runOne(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
         .profile(node.kernel());
 }
 
-ProfileSet
-CampaignRunner::runOne(const CampaignSpec& spec, const sim::MachineConfig& cfg)
-{
-    return runOne(ScenarioSpec::fromCampaign(spec), cfg);
-}
-
 std::vector<ProfileSet>
 CampaignRunner::run(const std::vector<ScenarioSpec>& specs,
                     const sim::MachineConfig& cfg) const
@@ -93,52 +81,6 @@ CampaignRunner::run(const std::vector<ScenarioSpec>& specs,
                        specs.size(), " specs");
     }
     return results;
-}
-
-std::vector<ProfileSet>
-CampaignRunner::run(const std::vector<CampaignSpec>& specs,
-                    const sim::MachineConfig& cfg) const
-{
-    std::vector<ScenarioSpec> scenarios;
-    scenarios.reserve(specs.size());
-    for (const auto& spec : specs)
-        scenarios.push_back(ScenarioSpec::fromCampaign(spec));
-    return run(scenarios, cfg);
-}
-
-bool
-identicalProfiles(const PowerProfile& a, const PowerProfile& b)
-{
-    if (a.label() != b.label() || a.kind() != b.kind() ||
-        a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!(a.points()[i] == b.points()[i]))
-            return false;
-    }
-    return true;
-}
-
-bool
-identicalProfileSets(const ProfileSet& a, const ProfileSet& b)
-{
-    return a.label == b.label &&
-           a.measured_exec_time == b.measured_exec_time &&
-           a.guidance.runs == b.guidance.runs &&
-           a.guidance.binning_margin == b.guidance.binning_margin &&
-           a.runs_executed == b.runs_executed &&
-           a.binning.bin_center == b.binning.bin_center &&
-           a.binning.golden_runs == b.binning.golden_runs &&
-           a.binning.total_runs == b.binning.total_runs &&
-           a.sse_exec_index == b.sse_exec_index &&
-           a.ssp_exec_index == b.ssp_exec_index &&
-           a.execs_per_run == b.execs_per_run &&
-           a.ssp_exec_time == b.ssp_exec_time &&
-           a.loi_target == b.loi_target &&
-           a.read_delay_us == b.read_delay_us &&
-           a.drift_ppm == b.drift_ppm && identicalProfiles(a.sse, b.sse) &&
-           identicalProfiles(a.ssp, b.ssp) &&
-           identicalProfiles(a.timeline, b.timeline);
 }
 
 }  // namespace fingrav::core

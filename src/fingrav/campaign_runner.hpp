@@ -69,9 +69,6 @@ class CampaignNode {
   public:
     CampaignNode(const ScenarioSpec& spec, const sim::MachineConfig& cfg);
 
-    /** Legacy campaign description: an isolated-environment scenario. */
-    CampaignNode(const CampaignSpec& spec, const sim::MachineConfig& cfg);
-
     const kernels::KernelModelPtr& kernel() const { return kernel_; }
     sim::Simulation& simulation() { return sim_; }
     runtime::HostRuntime& host() { return host_; }
@@ -127,15 +124,6 @@ class CampaignRunner {
                                  sim::mi300xConfig());
 
     /**
-     * Legacy overload: execute one campaign description.  Construction
-     * mirrors analysis::Campaign, so results are bit-identical to the
-     * pre-scenario profileOnFreshNode path.
-     */
-    static ProfileSet runOne(const CampaignSpec& spec,
-                             const sim::MachineConfig& cfg =
-                                 sim::mi300xConfig());
-
-    /**
      * Execute every scenario through the backend; results are in spec
      * order and bit-identical to running the specs serially, whatever
      * the backend's placement (threads, worker processes, retries).
@@ -144,21 +132,10 @@ class CampaignRunner {
                                 const sim::MachineConfig& cfg =
                                     sim::mi300xConfig()) const;
 
-    /** Legacy overload: lifts each CampaignSpec into a scenario. */
-    std::vector<ProfileSet> run(const std::vector<CampaignSpec>& specs,
-                                const sim::MachineConfig& cfg =
-                                    sim::mi300xConfig()) const;
-
   private:
     std::size_t threads_;
     std::shared_ptr<ExecutionBackend> backend_;
 };
-
-/** Bitwise profile equality (parallel/serial and reuse/re-execute gates). */
-bool identicalProfiles(const PowerProfile& a, const PowerProfile& b);
-
-/** Bitwise ProfileSet equality across every field and profile point. */
-bool identicalProfileSets(const ProfileSet& a, const ProfileSet& b);
 
 }  // namespace fingrav::core
 

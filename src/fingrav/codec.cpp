@@ -1,6 +1,8 @@
 #include "fingrav/codec.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -121,30 +123,6 @@ Encoder::duration(Duration v)
     i64(v.nanos());
 }
 
-void
-Encoder::optU64(const std::optional<std::size_t>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        u64(*v);
-}
-
-void
-Encoder::optF64(const std::optional<double>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        f64(*v);
-}
-
-void
-Encoder::optDuration(const std::optional<Duration>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        duration(*v);
-}
-
 namespace {
 
 /** One contiguous little-endian element block (canonical bytes match the
@@ -172,19 +150,19 @@ appendColumnBytes(std::vector<std::uint8_t>& bytes, const std::vector<T>& v)
 }  // namespace
 
 void
-Encoder::f64Column(const std::vector<double>& v)
+Encoder::column(const std::vector<double>& v)
 {
     appendColumnBytes(bytes_, v);
 }
 
 void
-Encoder::i64Column(const std::vector<std::int64_t>& v)
+Encoder::column(const std::vector<std::int64_t>& v)
 {
     appendColumnBytes(bytes_, v);
 }
 
 void
-Encoder::u64Column(const std::vector<std::uint64_t>& v)
+Encoder::column(const std::vector<std::uint64_t>& v)
 {
     appendColumnBytes(bytes_, v);
 }
@@ -273,30 +251,6 @@ Decoder::duration()
     return Duration::nanos(i64());
 }
 
-std::optional<std::size_t>
-Decoder::optU64()
-{
-    if (!boolean())
-        return std::nullopt;
-    return static_cast<std::size_t>(u64());
-}
-
-std::optional<double>
-Decoder::optF64()
-{
-    if (!boolean())
-        return std::nullopt;
-    return f64();
-}
-
-std::optional<Duration>
-Decoder::optDuration()
-{
-    if (!boolean())
-        return std::nullopt;
-    return duration();
-}
-
 namespace {
 
 /** Block-read `n` little-endian elements: one bounds check, one memcpy on
@@ -353,165 +307,238 @@ Decoder::expectEnd(const char* what) const
 }
 
 // ---------------------------------------------------------------------------
-// ScenarioSpec
+// Field lists
+//
+// One list per serialized type, in wire order; put, get and same walk it
+// and derive each field's wire form from its C++ type.  A new field is
+// one entry in its type's list plus a kVersion bump.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-void
-encodeProfilerOptions(Encoder& enc, const ProfilerOptions& opts)
+/** T is U, possibly const: one list serves encode (const) and decode. */
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+decltype(auto)
+fields(Is<ProfilerOptions> auto& o, auto&& f)
 {
-    enc.u64(opts.device);
-    enc.optU64(opts.runs_override);
-    enc.optF64(opts.margin_override);
-    enc.u64(opts.sse_executions);
-    enc.u64(opts.timing_reps);
-    enc.duration(opts.min_delay);
-    enc.duration(opts.max_delay);
-    enc.u8(static_cast<std::uint8_t>(opts.sync_mode));
-    enc.boolean(opts.binning);
-    enc.boolean(opts.collect_extra_runs);
-    enc.f64(opts.max_extra_run_factor);
-    enc.f64(opts.stability_eps);
-    enc.duration(opts.logger_window);
-    enc.optDuration(opts.target_bin);
+    return f(o.device, o.runs_override, o.margin_override, o.sse_executions,
+             o.timing_reps, o.min_delay, o.max_delay, o.sync_mode, o.binning,
+             o.collect_extra_runs, o.max_extra_run_factor, o.stability_eps,
+             o.logger_window, o.target_bin);
 }
 
-ProfilerOptions
-decodeProfilerOptions(Decoder& dec)
+decltype(auto)
+fields(Is<BackgroundLoad> auto& l, auto&& f)
 {
-    ProfilerOptions opts;
-    opts.device = dec.u64();
-    opts.runs_override = dec.optU64();
-    opts.margin_override = dec.optF64();
-    opts.sse_executions = dec.u64();
-    opts.timing_reps = dec.u64();
-    opts.min_delay = dec.duration();
-    opts.max_delay = dec.duration();
-    const std::uint8_t mode = dec.u8();
-    if (mode > static_cast<std::uint8_t>(SyncMode::kCoarseAlign))
-        support::fatal("codec: invalid sync mode ", int(mode));
-    opts.sync_mode = static_cast<SyncMode>(mode);
-    opts.binning = dec.boolean();
-    opts.collect_extra_runs = dec.boolean();
-    opts.max_extra_run_factor = dec.f64();
-    opts.stability_eps = dec.f64();
-    opts.logger_window = dec.duration();
-    opts.target_bin = dec.optDuration();
-    return opts;
+    return f(l.kind, l.kernel, l.demand, l.device, l.queue, l.offset,
+             l.period, l.duty_cycle, l.cycles, l.jitter_sigma);
 }
 
-void
-encodeBackgroundLoad(Encoder& enc, const BackgroundLoad& load)
+/** Everything but profile_fn, which put() refuses. */
+decltype(auto)
+fields(Is<ScenarioSpec> auto& s, auto&& f)
 {
-    enc.u8(static_cast<std::uint8_t>(load.kind));
-    enc.str(load.kernel);
-    enc.f64(load.demand);
-    enc.u64(load.device);
-    enc.u64(load.queue);
-    enc.duration(load.offset);
-    enc.duration(load.period);
-    enc.f64(load.duty_cycle);
-    enc.u64(load.cycles);
-    enc.f64(load.jitter_sigma);
+    return f(s.label, s.seed, s.opts, s.devices, s.background);
 }
 
-BackgroundLoad
-decodeBackgroundLoad(Decoder& dec)
+decltype(auto)
+fields(Is<GuidanceEntry> auto& g, auto&& f)
 {
-    BackgroundLoad load;
-    const std::uint8_t kind = dec.u8();
-    if (kind > static_cast<std::uint8_t>(BackgroundKind::kFabricDemand))
-        support::fatal("codec: invalid background kind ", int(kind));
-    load.kind = static_cast<BackgroundKind>(kind);
-    load.kernel = dec.str();
-    load.demand = dec.f64();
-    load.device = dec.u64();
-    load.queue = dec.u64();
-    load.offset = dec.duration();
-    load.period = dec.duration();
-    load.duty_cycle = dec.f64();
-    load.cycles = dec.u64();
-    load.jitter_sigma = dec.f64();
-    return load;
+    return f(g.exec_lo, g.exec_hi, g.runs, g.loi_per, g.binning_margin);
 }
 
-}  // namespace
-
-void
-encodeScenarioSpec(Encoder& enc, const ScenarioSpec& spec)
+decltype(auto)
+fields(Is<BinningResult> auto& b, auto&& f)
 {
-    if (spec.profile_fn) {
-        support::fatal("codec: a ScenarioSpec with a custom profile_fn "
-                       "cannot cross the wire (", spec.label,
-                       "); run it on the in-process path");
-    }
-    enc.str(spec.label);
-    enc.u64(spec.seed);
-    encodeProfilerOptions(enc, spec.opts);
-    enc.u64(spec.devices);
-    enc.u32(static_cast<std::uint32_t>(spec.background.size()));
-    for (const auto& load : spec.background)
-        encodeBackgroundLoad(enc, load);
+    return f(b.bin_center, b.golden_runs, b.total_runs);
 }
 
-ScenarioSpec
-decodeScenarioSpec(Decoder& dec)
+decltype(auto)
+fields(Is<ProfileSet> auto& s, auto&& f)
 {
-    ScenarioSpec spec;
-    spec.label = dec.str();
-    spec.seed = dec.u64();
-    spec.opts = decodeProfilerOptions(dec);
-    spec.devices = dec.u64();
-    const std::uint64_t loads = checkedCount(dec.u32(), "background-load");
-    spec.background.reserve(loads);
-    for (std::uint64_t i = 0; i < loads; ++i)
-        spec.background.push_back(decodeBackgroundLoad(dec));
-    return spec;
+    return f(s.label, s.measured_exec_time, s.guidance, s.runs_executed,
+             s.binning, s.sse_exec_index, s.ssp_exec_index, s.execs_per_run,
+             s.ssp_exec_time, s.loi_target, s.read_delay_us, s.drift_ppm,
+             s.sse, s.ssp, s.timeline);
 }
 
-// ---------------------------------------------------------------------------
-// ProfileSet
-// ---------------------------------------------------------------------------
+decltype(auto)
+fields(Is<sim::PowerModelParams> auto& p, auto&& f)
+{
+    return f(p.xcd_idle_w, p.iod_idle_w, p.hbm_idle_w, p.misc_w, p.xcd_dyn_w,
+             p.xcd_residency_weight, p.xcd_issue_weight, p.iod_llc_w,
+             p.iod_hbmphy_w, p.iod_fabric_w, p.hbm_dyn_w, p.leakage_fraction,
+             p.leakage_temp_coeff, p.t_ref_c, p.voltage_floor);
+}
 
-namespace {
+decltype(auto)
+fields(Is<sim::DvfsGovernorParams> auto& d, auto&& f)
+{
+    return f(d.boost_ratio, d.min_ratio, d.idle_ratio, d.sustained_limit_w,
+             d.peak_limit_w, d.fast_tau, d.slow_tau, d.excursion_cut,
+             d.excursion_hold, d.kp_per_us, d.recovery_per_us,
+             d.idle_park_delay, d.boost_budget, d.nominal_ratio,
+             d.recovery_guard);
+}
+
+decltype(auto)
+fields(Is<sim::ThermalParams> auto& t, auto&& f)
+{
+    return f(t.ambient_c, t.resistance_c_per_w, t.time_constant);
+}
+
+/** Declaration order; the nested parameter blocks come last. */
+decltype(auto)
+fields(Is<sim::MachineConfig> auto& c, auto&& f)
+{
+    return f(c.num_xcds, c.cus_per_xcd, c.num_iods, c.num_hbm_stacks,
+             c.peak_matrix_flops, c.peak_vector_flops, c.hbm_bandwidth,
+             c.llc_bandwidth, c.llc_capacity, c.l2_capacity_per_xcd,
+             c.hbm_capacity, c.node_gpus, c.fabric_links,
+             c.fabric_link_bandwidth, c.boost_frequency_hz,
+             c.nominal_frequency_hz, c.idle_frequency_hz, c.timestamp_tick,
+             c.gpu_clock_drift_ppm, c.power_step, c.idle_step,
+             c.advance_threads, c.logger_window, c.logger_noise_w,
+             c.launch_overhead, c.sync_overhead, c.timestamp_read_delay,
+             c.timestamp_read_jitter, c.exec_time_sigma,
+             c.outlier_run_probability, c.outlier_slowdown_min,
+             c.outlier_slowdown_max, c.power, c.dvfs, c.thermal);
+}
+
+decltype(auto)
+fields(Is<SlotSpec> auto& s, auto&& f)
+{
+    return f(s.slot, s.spec);
+}
+
+decltype(auto)
+fields(Is<ShardRequest> auto& r, auto&& f)
+{
+    return f(r.cfg, r.items);
+}
+
+decltype(auto)
+fields(Is<ShardResult> auto& r, auto&& f)
+{
+    return f(r.slot, r.set);
+}
+
+decltype(auto)
+fields(Is<CacheEntry> auto& e, auto&& f)
+{
+    return f(e.key, e.set);
+}
+
+/** Types with a field list above. */
+template <typename T>
+concept Listed = requires(const T& v) { fields(v, [](const auto&...) {}); };
 
 /**
- * v2 columnar profile layout: label, kind, point count, then one
- * contiguous block per column in declaration order — toi_us, toi_frac,
- * run_time_us, gpu_timestamp, total_w, xcd_w, iod_w, hbm_w, run_index,
- * exec_index — and finally the packed contention bitmap, (n + 63) / 64
- * u64 words whose trailing bits past n MUST be zero (canonical form;
- * decode rejects trailing garbage).  The word count is derived from n,
- * never read off the wire.
+ * The v2 columnar profile block after label, kind and point count n: one
+ * contiguous block per column in this order, the last being the packed
+ * contention bitmap — (n + 63) / 64 u64 words whose bits past n MUST be
+ * zero (canonical form; decode rejects trailing garbage).  No column
+ * carries its own count.
  */
-void
-encodePowerProfile(Encoder& enc, const PowerProfile& profile)
+decltype(auto)
+columns(const PowerProfile& p, auto&& f)
 {
-    enc.str(profile.label());
-    enc.u8(static_cast<std::uint8_t>(profile.kind()));
-    enc.u32(static_cast<std::uint32_t>(profile.size()));
-    enc.f64Column(profile.toiUs());
-    enc.f64Column(profile.toiFrac());
-    enc.f64Column(profile.runTimeUs());
-    enc.i64Column(profile.gpuTimestamps());
-    enc.f64Column(profile.railColumn(Rail::kTotal));
-    enc.f64Column(profile.railColumn(Rail::kXcd));
-    enc.f64Column(profile.railColumn(Rail::kIod));
-    enc.f64Column(profile.railColumn(Rail::kHbm));
-    enc.u64Column(profile.runIndices());
-    enc.u64Column(profile.execIndices());
-    enc.u64Column(profile.contendedWords());
+    return f(p.toiUs(), p.toiFrac(), p.runTimeUs(), p.gpuTimestamps(),
+             p.railColumn(Rail::kTotal), p.railColumn(Rail::kXcd),
+             p.railColumn(Rail::kIod), p.railColumn(Rail::kHbm),
+             p.runIndices(), p.execIndices(), p.contendedWords());
 }
 
+/** Largest valid value and printable name of each encoded enum. */
+constexpr std::pair<SyncMode, const char*>
+enumRange(SyncMode)
+{
+    return {SyncMode::kCoarseAlign, "sync mode"};
+}
+
+constexpr std::pair<BackgroundKind, const char*>
+enumRange(BackgroundKind)
+{
+    return {BackgroundKind::kFabricDemand, "background kind"};
+}
+
+constexpr std::pair<ProfileKind, const char*>
+enumRange(ProfileKind)
+{
+    return {ProfileKind::kTimeline, "profile kind"};
+}
+
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+// ---------------------------------------------------------------------------
+// put / get / same
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void
+put(Encoder& enc, const T& v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        enc.boolean(v);
+    } else if constexpr (std::is_enum_v<T>) {
+        enc.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+        enc.f64(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+        enc.u64(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        enc.u32(v);
+    } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+        enc.u16(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        enc.str(v);
+    } else if constexpr (std::is_same_v<T, Duration>) {
+        enc.duration(v);
+    } else if constexpr (kIsOptional<T>) {
+        enc.boolean(v.has_value());
+        if (v.has_value())
+            put(enc, *v);
+    } else if constexpr (kIsVector<T>) {
+        enc.u32(static_cast<std::uint32_t>(v.size()));
+        for (const auto& x : v)
+            put(enc, x);
+    } else if constexpr (std::is_same_v<T, PowerProfile>) {
+        enc.str(v.label());
+        put(enc, v.kind());
+        enc.u32(static_cast<std::uint32_t>(v.size()));
+        columns(v, [&](const auto&... c) { (enc.column(c), ...); });
+    } else {
+        if constexpr (std::is_same_v<T, ScenarioSpec>) {
+            if (v.profile_fn) {
+                support::fatal("codec: a ScenarioSpec with a custom "
+                               "profile_fn cannot cross the wire (", v.label,
+                               "); run it on the in-process path");
+            }
+        }
+        fields(v, [&](const auto&... x) { (put(enc, x), ...); });
+    }
+}
+
+template <typename T>
+void get(Decoder& dec, T& v);
+
 PowerProfile
-decodePowerProfile(Decoder& dec)
+getProfile(Decoder& dec)
 {
     const std::string label = dec.str();
-    const std::uint8_t kind = dec.u8();
-    if (kind > static_cast<std::uint8_t>(ProfileKind::kTimeline))
-        support::fatal("codec: invalid profile kind ", int(kind));
-    PowerProfile profile(label, static_cast<ProfileKind>(kind));
+    ProfileKind kind{};
+    get(dec, kind);
+    PowerProfile profile(label, kind);
     const auto n = static_cast<std::size_t>(
         checkedCount(dec.u32(), "profile-point"));
     auto toi_us = dec.f64Column(n);
@@ -541,306 +568,136 @@ decodePowerProfile(Decoder& dec)
     return profile;
 }
 
+template <typename T>
 void
-encodeGuidanceEntry(Encoder& enc, const GuidanceEntry& entry)
+get(Decoder& dec, T& v)
 {
-    enc.duration(entry.exec_lo);
-    enc.duration(entry.exec_hi);
-    enc.u64(entry.runs);
-    enc.duration(entry.loi_per);
-    enc.f64(entry.binning_margin);
+    if constexpr (std::is_same_v<T, bool>) {
+        v = dec.boolean();
+    } else if constexpr (std::is_enum_v<T>) {
+        const std::uint8_t raw = dec.u8();
+        const auto [last, name] = enumRange(T{});
+        if (raw > static_cast<std::uint8_t>(last))
+            support::fatal("codec: invalid ", name, " ", int(raw));
+        v = static_cast<T>(raw);
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = dec.f64();
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+        v = static_cast<T>(dec.u64());
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        v = dec.u32();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = dec.str();
+    } else if constexpr (std::is_same_v<T, Duration>) {
+        v = dec.duration();
+    } else if constexpr (kIsOptional<T>) {
+        if (dec.boolean())
+            get(dec, v.emplace());
+    } else if constexpr (kIsVector<T>) {
+        // No reserve: a corrupt count below the cap must fail on
+        // truncation, not first allocate for every element it claims.
+        const std::uint64_t n = checkedCount(dec.u32(), "list-element");
+        for (std::uint64_t i = 0; i < n; ++i)
+            get(dec, v.emplace_back());
+    } else if constexpr (std::is_same_v<T, PowerProfile>) {
+        v = getProfile(dec);
+    } else {
+        fields(v, [&](auto&... x) { (get(dec, x), ...); });
+    }
 }
 
-GuidanceEntry
-decodeGuidanceEntry(Decoder& dec)
+/** Bitwise equality: doubles compare as bit patterns (-0.0 differs from
+ *  +0.0, equal NaN bits are equal), exactly as their encodings would. */
+template <typename T>
+bool
+same(const T& a, const T& b)
 {
-    GuidanceEntry entry;
-    entry.exec_lo = dec.duration();
-    entry.exec_hi = dec.duration();
-    entry.runs = dec.u64();
-    entry.loi_per = dec.duration();
-    entry.binning_margin = dec.f64();
-    return entry;
-}
-
-void
-encodeBinningResult(Encoder& enc, const BinningResult& binning)
-{
-    enc.duration(binning.bin_center);
-    enc.u32(static_cast<std::uint32_t>(binning.golden_runs.size()));
-    for (const std::size_t run : binning.golden_runs)
-        enc.u64(run);
-    enc.u64(binning.total_runs);
-}
-
-BinningResult
-decodeBinningResult(Decoder& dec)
-{
-    BinningResult binning;
-    binning.bin_center = dec.duration();
-    const std::uint64_t golden = checkedCount(dec.u32(), "golden-run");
-    binning.golden_runs.reserve(golden);
-    for (std::uint64_t i = 0; i < golden; ++i)
-        binning.golden_runs.push_back(dec.u64());
-    binning.total_runs = dec.u64();
-    return binning;
+    if constexpr (std::is_same_v<T, double>) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    } else if constexpr (kIsOptional<T>) {
+        return a.has_value() == b.has_value() &&
+               (!a.has_value() || same(*a, *b));
+    } else if constexpr (kIsVector<T>) {
+        using E = typename T::value_type;
+        if constexpr (std::is_arithmetic_v<E>) {
+            // Element bytes: bit patterns for doubles, exact for integers.
+            return a.size() == b.size() &&
+                   (a.empty() || std::memcmp(a.data(), b.data(),
+                                             a.size() * sizeof(E)) == 0);
+        } else {
+            const auto same_element = [](const E& x, const E& y) {
+                return same(x, y);
+            };
+            return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                              same_element);
+        }
+    } else if constexpr (std::is_same_v<T, PowerProfile>) {
+        const auto pairwise = [&](const auto&... x) {
+            return columns(b, [&](const auto&... y) {
+                return (same(x, y) && ...);
+            });
+        };
+        return a.label() == b.label() && a.kind() == b.kind() &&
+               a.size() == b.size() && columns(a, pairwise);
+    } else if constexpr (Listed<T>) {
+        return fields(a, [&](const auto&... x) {
+            return fields(b, [&](const auto&... y) {
+                return (same(x, y) && ...);
+            });
+        });
+    } else {
+        return a == b;
+    }
 }
 
 }  // namespace
 
-void
-encodeProfileSet(Encoder& enc, const ProfileSet& set)
-{
-    enc.str(set.label);
-    enc.duration(set.measured_exec_time);
-    encodeGuidanceEntry(enc, set.guidance);
-    enc.u64(set.runs_executed);
-    encodeBinningResult(enc, set.binning);
-    enc.u64(set.sse_exec_index);
-    enc.u64(set.ssp_exec_index);
-    enc.u64(set.execs_per_run);
-    enc.duration(set.ssp_exec_time);
-    enc.u64(set.loi_target);
-    enc.f64(set.read_delay_us);
-    enc.f64(set.drift_ppm);
-    encodePowerProfile(enc, set.sse);
-    encodePowerProfile(enc, set.ssp);
-    encodePowerProfile(enc, set.timeline);
-}
-
-ProfileSet
-decodeProfileSet(Decoder& dec)
-{
-    ProfileSet set;
-    set.label = dec.str();
-    set.measured_exec_time = dec.duration();
-    set.guidance = decodeGuidanceEntry(dec);
-    set.runs_executed = dec.u64();
-    set.binning = decodeBinningResult(dec);
-    set.sse_exec_index = dec.u64();
-    set.ssp_exec_index = dec.u64();
-    set.execs_per_run = dec.u64();
-    set.ssp_exec_time = dec.duration();
-    set.loi_target = dec.u64();
-    set.read_delay_us = dec.f64();
-    set.drift_ppm = dec.f64();
-    set.sse = decodePowerProfile(dec);
-    set.ssp = decodePowerProfile(dec);
-    set.timeline = decodePowerProfile(dec);
-    return set;
-}
-
-// ---------------------------------------------------------------------------
-// MachineConfig (declaration order; nested params appended)
-// ---------------------------------------------------------------------------
-
-void
-encodeMachineConfig(Encoder& enc, const sim::MachineConfig& cfg)
-{
-    enc.u64(cfg.num_xcds);
-    enc.u64(cfg.cus_per_xcd);
-    enc.u64(cfg.num_iods);
-    enc.u64(cfg.num_hbm_stacks);
-    enc.f64(cfg.peak_matrix_flops);
-    enc.f64(cfg.peak_vector_flops);
-    enc.f64(cfg.hbm_bandwidth);
-    enc.f64(cfg.llc_bandwidth);
-    enc.i64(cfg.llc_capacity);
-    enc.i64(cfg.l2_capacity_per_xcd);
-    enc.i64(cfg.hbm_capacity);
-    enc.u64(cfg.node_gpus);
-    enc.u64(cfg.fabric_links);
-    enc.f64(cfg.fabric_link_bandwidth);
-    enc.f64(cfg.boost_frequency_hz);
-    enc.f64(cfg.nominal_frequency_hz);
-    enc.f64(cfg.idle_frequency_hz);
-    enc.duration(cfg.timestamp_tick);
-    enc.f64(cfg.gpu_clock_drift_ppm);
-    enc.duration(cfg.power_step);
-    enc.duration(cfg.idle_step);
-    enc.u64(cfg.advance_threads);
-    enc.duration(cfg.logger_window);
-    enc.f64(cfg.logger_noise_w);
-    enc.duration(cfg.launch_overhead);
-    enc.duration(cfg.sync_overhead);
-    enc.duration(cfg.timestamp_read_delay);
-    enc.f64(cfg.timestamp_read_jitter);
-    enc.f64(cfg.exec_time_sigma);
-    enc.f64(cfg.outlier_run_probability);
-    enc.f64(cfg.outlier_slowdown_min);
-    enc.f64(cfg.outlier_slowdown_max);
-
-    const auto& p = cfg.power;
-    enc.f64(p.xcd_idle_w);
-    enc.f64(p.iod_idle_w);
-    enc.f64(p.hbm_idle_w);
-    enc.f64(p.misc_w);
-    enc.f64(p.xcd_dyn_w);
-    enc.f64(p.xcd_residency_weight);
-    enc.f64(p.xcd_issue_weight);
-    enc.f64(p.iod_llc_w);
-    enc.f64(p.iod_hbmphy_w);
-    enc.f64(p.iod_fabric_w);
-    enc.f64(p.hbm_dyn_w);
-    enc.f64(p.leakage_fraction);
-    enc.f64(p.leakage_temp_coeff);
-    enc.f64(p.t_ref_c);
-    enc.f64(p.voltage_floor);
-
-    const auto& d = cfg.dvfs;
-    enc.f64(d.boost_ratio);
-    enc.f64(d.min_ratio);
-    enc.f64(d.idle_ratio);
-    enc.f64(d.sustained_limit_w);
-    enc.f64(d.peak_limit_w);
-    enc.duration(d.fast_tau);
-    enc.duration(d.slow_tau);
-    enc.f64(d.excursion_cut);
-    enc.duration(d.excursion_hold);
-    enc.f64(d.kp_per_us);
-    enc.f64(d.recovery_per_us);
-    enc.duration(d.idle_park_delay);
-    enc.duration(d.boost_budget);
-    enc.f64(d.nominal_ratio);
-    enc.f64(d.recovery_guard);
-
-    const auto& t = cfg.thermal;
-    enc.f64(t.ambient_c);
-    enc.f64(t.resistance_c_per_w);
-    enc.duration(t.time_constant);
-}
-
-sim::MachineConfig
-decodeMachineConfig(Decoder& dec)
-{
-    sim::MachineConfig cfg;
-    cfg.num_xcds = dec.u64();
-    cfg.cus_per_xcd = dec.u64();
-    cfg.num_iods = dec.u64();
-    cfg.num_hbm_stacks = dec.u64();
-    cfg.peak_matrix_flops = dec.f64();
-    cfg.peak_vector_flops = dec.f64();
-    cfg.hbm_bandwidth = dec.f64();
-    cfg.llc_bandwidth = dec.f64();
-    cfg.llc_capacity = dec.i64();
-    cfg.l2_capacity_per_xcd = dec.i64();
-    cfg.hbm_capacity = dec.i64();
-    cfg.node_gpus = dec.u64();
-    cfg.fabric_links = dec.u64();
-    cfg.fabric_link_bandwidth = dec.f64();
-    cfg.boost_frequency_hz = dec.f64();
-    cfg.nominal_frequency_hz = dec.f64();
-    cfg.idle_frequency_hz = dec.f64();
-    cfg.timestamp_tick = dec.duration();
-    cfg.gpu_clock_drift_ppm = dec.f64();
-    cfg.power_step = dec.duration();
-    cfg.idle_step = dec.duration();
-    cfg.advance_threads = dec.u64();
-    cfg.logger_window = dec.duration();
-    cfg.logger_noise_w = dec.f64();
-    cfg.launch_overhead = dec.duration();
-    cfg.sync_overhead = dec.duration();
-    cfg.timestamp_read_delay = dec.duration();
-    cfg.timestamp_read_jitter = dec.f64();
-    cfg.exec_time_sigma = dec.f64();
-    cfg.outlier_run_probability = dec.f64();
-    cfg.outlier_slowdown_min = dec.f64();
-    cfg.outlier_slowdown_max = dec.f64();
-
-    auto& p = cfg.power;
-    p.xcd_idle_w = dec.f64();
-    p.iod_idle_w = dec.f64();
-    p.hbm_idle_w = dec.f64();
-    p.misc_w = dec.f64();
-    p.xcd_dyn_w = dec.f64();
-    p.xcd_residency_weight = dec.f64();
-    p.xcd_issue_weight = dec.f64();
-    p.iod_llc_w = dec.f64();
-    p.iod_hbmphy_w = dec.f64();
-    p.iod_fabric_w = dec.f64();
-    p.hbm_dyn_w = dec.f64();
-    p.leakage_fraction = dec.f64();
-    p.leakage_temp_coeff = dec.f64();
-    p.t_ref_c = dec.f64();
-    p.voltage_floor = dec.f64();
-
-    auto& d = cfg.dvfs;
-    d.boost_ratio = dec.f64();
-    d.min_ratio = dec.f64();
-    d.idle_ratio = dec.f64();
-    d.sustained_limit_w = dec.f64();
-    d.peak_limit_w = dec.f64();
-    d.fast_tau = dec.duration();
-    d.slow_tau = dec.duration();
-    d.excursion_cut = dec.f64();
-    d.excursion_hold = dec.duration();
-    d.kp_per_us = dec.f64();
-    d.recovery_per_us = dec.f64();
-    d.idle_park_delay = dec.duration();
-    d.boost_budget = dec.duration();
-    d.nominal_ratio = dec.f64();
-    d.recovery_guard = dec.f64();
-
-    auto& t = cfg.thermal;
-    t.ambient_c = dec.f64();
-    t.resistance_c_per_w = dec.f64();
-    t.time_constant = dec.duration();
-    return cfg;
-}
-
-// ---------------------------------------------------------------------------
-// Whole-value helpers
-// ---------------------------------------------------------------------------
-
+template <typename T>
 std::vector<std::uint8_t>
-encode(const ScenarioSpec& spec)
+encode(const T& value)
 {
     Encoder enc;
-    encodeScenarioSpec(enc, spec);
-    return enc.bytes();
+    put(enc, value);
+    return std::move(enc).bytes();
 }
 
-std::vector<std::uint8_t>
-encode(const ProfileSet& set)
+template <typename T>
+T
+decode(const std::vector<std::uint8_t>& payload)
+{
+    Decoder dec(payload);
+    T value{};
+    get(dec, value);
+    dec.expectEnd("payload");
+    return value;
+}
+
+template std::vector<std::uint8_t> encode(const ScenarioSpec&);
+template std::vector<std::uint8_t> encode(const ProfileSet&);
+template std::vector<std::uint8_t> encode(const sim::MachineConfig&);
+template std::vector<std::uint8_t> encode(const ShardRequest&);
+template std::vector<std::uint8_t> encode(const ShardResult&);
+template std::vector<std::uint8_t> encode(const CacheEntry&);
+template std::vector<std::uint8_t> encode(const std::uint32_t&);
+template std::vector<std::uint8_t> encode(const std::string&);
+template ScenarioSpec decode(const std::vector<std::uint8_t>&);
+template ProfileSet decode(const std::vector<std::uint8_t>&);
+template sim::MachineConfig decode(const std::vector<std::uint8_t>&);
+template ShardRequest decode(const std::vector<std::uint8_t>&);
+template ShardResult decode(const std::vector<std::uint8_t>&);
+template CacheEntry decode(const std::vector<std::uint8_t>&);
+template std::uint32_t decode(const std::vector<std::uint8_t>&);
+template std::string decode(const std::vector<std::uint8_t>&);
+
+std::string
+cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
     Encoder enc;
-    encodeProfileSet(enc, set);
-    return enc.bytes();
-}
-
-std::vector<std::uint8_t>
-encode(const sim::MachineConfig& cfg)
-{
-    Encoder enc;
-    encodeMachineConfig(enc, cfg);
-    return enc.bytes();
-}
-
-ScenarioSpec
-decodeScenarioSpec(const std::vector<std::uint8_t>& bytes)
-{
-    Decoder dec(bytes);
-    auto spec = decodeScenarioSpec(dec);
-    dec.expectEnd("ScenarioSpec");
-    return spec;
-}
-
-ProfileSet
-decodeProfileSet(const std::vector<std::uint8_t>& bytes)
-{
-    Decoder dec(bytes);
-    auto set = decodeProfileSet(dec);
-    dec.expectEnd("ProfileSet");
-    return set;
-}
-
-sim::MachineConfig
-decodeMachineConfig(const std::vector<std::uint8_t>& bytes)
-{
-    Decoder dec(bytes);
-    auto cfg = decodeMachineConfig(dec);
-    dec.expectEnd("MachineConfig");
-    return cfg;
+    put(enc, kVersion);
+    put(enc, spec);
+    put(enc, cfg);
+    return std::string(enc.bytes().begin(), enc.bytes().end());
 }
 
 // ---------------------------------------------------------------------------
@@ -964,3 +821,13 @@ parseFrame(const std::vector<std::uint8_t>& bytes)
 }
 
 }  // namespace fingrav::core::codec
+
+namespace fingrav::core {
+
+bool
+identicalProfileSets(const ProfileSet& a, const ProfileSet& b)
+{
+    return codec::same(a, b);
+}
+
+}  // namespace fingrav::core

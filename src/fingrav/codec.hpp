@@ -24,17 +24,23 @@
  *    FNV-1a payload checksum; a reader confronted with a foreign
  *    version, a corrupt header or a truncated/mangled payload fails
  *    cleanly (support::FatalError) instead of decoding garbage.
- *    Any change to any encoded layout MUST bump kCodecVersion — there
- *    is deliberately no per-field tagging; the version is the schema.
+ *    Any change to any encoded layout MUST bump kVersion — there is
+ *    deliberately no per-field tagging; the version is the schema.
  *
- * What crosses the wire: ScenarioSpec (foreground kernel reference,
- * BackgroundLoad schedules, seeds, profiler options), MachineConfig
- * (so a worker rebuilds the exact node the driver would have), and
- * ProfileSet (SSE/SSP/timeline points including contention flags,
- * guidance/LOI-yield fields, sync calibration outputs).  A ScenarioSpec
- * carrying a custom profile_fn cannot cross the wire (a std::function
- * has no canonical bytes); encodeScenarioSpec rejects it and the
- * FleetBackend keeps such specs on the in-process path.
+ * One field list per serialized type (codec.cpp) drives encode, decode
+ * and the bitwise equality gate core::identicalProfileSets alike; each
+ * field's wire form follows from its C++ type (fixed-width integers,
+ * doubles as bit patterns, Durations as nanoseconds, enums as one byte,
+ * bool as 0/1, optionals as a presence byte, strings and vectors with a
+ * u32 count).  What crosses the wire: ScenarioSpec (foreground kernel
+ * reference, BackgroundLoad schedules, seeds, profiler options),
+ * MachineConfig (so a worker rebuilds the exact node the driver would
+ * have), ProfileSet (SSE/SSP/timeline points including contention
+ * flags, guidance/LOI-yield fields, sync calibration outputs) and the
+ * frame payloads below.  A ScenarioSpec carrying a custom profile_fn
+ * cannot cross the wire (a std::function has no canonical bytes);
+ * encoding one is fatal and the FleetBackend keeps such specs on the
+ * in-process path.
  */
 
 #include <cstddef>
@@ -42,6 +48,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fingrav/profiler.hpp"
@@ -68,11 +75,11 @@ inline constexpr std::uint16_t kVersion = 3;
 enum class FrameType : std::uint16_t {
     kScenarioSpec = 1,  ///< one ScenarioSpec (tests, tooling)
     kProfileSet = 2,    ///< one ProfileSet (tests, tooling)
-    kShardRequest = 3,  ///< MachineConfig + [(slot, ScenarioSpec)]
-    kShardResult = 4,   ///< one (slot, ProfileSet) — streamed per spec
-    kShardDone = 5,     ///< u32 result count: clean shard completion
-    kWorkerError = 6,   ///< string: worker-side fatal diagnostic
-    kCacheEntry = 7,    ///< key bytes + ProfileSet (on-disk campaign cache)
+    kShardRequest = 3,  ///< ShardRequest
+    kShardResult = 4,   ///< ShardResult — streamed per spec
+    kShardDone = 5,     ///< std::uint32_t result count: clean completion
+    kWorkerError = 6,   ///< std::string: worker-side fatal diagnostic
+    kCacheEntry = 7,    ///< CacheEntry (on-disk campaign cache)
     kPing = 8,          ///< empty: driver keepalive probe to an idle worker
     kPong = 9,          ///< empty: worker liveness reply to kPing
     kShutdown = 10,     ///< empty: clean fleet-worker shutdown request
@@ -97,21 +104,18 @@ class Encoder {
     void str(const std::string& v);
     void duration(support::Duration v);
 
-    void optU64(const std::optional<std::size_t>& v);
-    void optF64(const std::optional<double>& v);
-    void optDuration(const std::optional<support::Duration>& v);
-
     /**
      * Bulk column writers (v2 profile frames): the whole vector as one
      * contiguous little-endian element block — on little-endian hosts a
      * single byte append, no per-element shifting.  The element count is
      * NOT written; the enclosing layout carries it once.
      */
-    void f64Column(const std::vector<double>& v);
-    void i64Column(const std::vector<std::int64_t>& v);
-    void u64Column(const std::vector<std::uint64_t>& v);
+    void column(const std::vector<double>& v);
+    void column(const std::vector<std::int64_t>& v);
+    void column(const std::vector<std::uint64_t>& v);
 
-    const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+    const std::vector<std::uint8_t>& bytes() const& { return bytes_; }
+    std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
 
   private:
     std::vector<std::uint8_t> bytes_;
@@ -145,10 +149,6 @@ class Decoder {
     std::string str();
     support::Duration duration();
 
-    std::optional<std::size_t> optU64();
-    std::optional<double> optF64();
-    std::optional<support::Duration> optDuration();
-
     /**
      * Bulk column readers (v2 profile frames): `n` little-endian
      * elements in one bounds check + block copy.  `n` must already have
@@ -176,26 +176,63 @@ class Decoder {
 };
 
 // ---------------------------------------------------------------------------
-// Payload codecs (field-by-field, declaration order; see kVersion rule)
+// Payloads
 // ---------------------------------------------------------------------------
 
-void encodeScenarioSpec(Encoder& enc, const ScenarioSpec& spec);
-ScenarioSpec decodeScenarioSpec(Decoder& dec);
+/** One spec of a shard request, addressed by its driver-side slot. */
+struct SlotSpec {
+    std::uint64_t slot = 0;
+    ScenarioSpec spec;
+};
 
-void encodeProfileSet(Encoder& enc, const ProfileSet& set);
-ProfileSet decodeProfileSet(Decoder& dec);
+/** kShardRequest payload: the node every spec runs on, plus the specs. */
+struct ShardRequest {
+    sim::MachineConfig cfg;
+    std::vector<SlotSpec> items;
+};
 
-void encodeMachineConfig(Encoder& enc, const sim::MachineConfig& cfg);
-sim::MachineConfig decodeMachineConfig(Decoder& dec);
+/** kShardResult payload: one slot-addressed result. */
+struct ShardResult {
+    std::uint64_t slot = 0;
+    ProfileSet set;
+};
 
-/** Convenience whole-value round trips (tests, tooling). */
-std::vector<std::uint8_t> encode(const ScenarioSpec& spec);
-std::vector<std::uint8_t> encode(const ProfileSet& set);
-std::vector<std::uint8_t> encode(const sim::MachineConfig& cfg);
-ScenarioSpec decodeScenarioSpec(const std::vector<std::uint8_t>& bytes);
-ProfileSet decodeProfileSet(const std::vector<std::uint8_t>& bytes);
-sim::MachineConfig decodeMachineConfig(
-    const std::vector<std::uint8_t>& bytes);
+/** kCacheEntry payload: the full content key (CampaignCache::key) and
+ *  the result it addresses. */
+struct CacheEntry {
+    std::string key;
+    ProfileSet set;
+};
+
+/**
+ * Canonical payload bytes of one value.  Defined for ScenarioSpec,
+ * ProfileSet, sim::MachineConfig, ShardRequest, ShardResult, CacheEntry,
+ * std::uint32_t (kShardDone) and std::string (kWorkerError).
+ */
+template <typename T>
+std::vector<std::uint8_t> encode(const T& value);
+
+/**
+ * Decode one whole payload of the same types; fatal on any out-of-range
+ * count, enum or boolean, non-canonical bitmap, truncation or trailing
+ * byte.
+ */
+template <typename T>
+T decode(const std::vector<std::uint8_t>& payload);
+
+/** Shorthand for decode<ProfileSet>. */
+inline ProfileSet
+decodeProfileSet(const std::vector<std::uint8_t>& bytes)
+{
+    return decode<ProfileSet>(bytes);
+}
+
+/**
+ * Content-key bytes of one campaign: kVersion, then the spec and config
+ * payloads.  The version makes any layout change expire every cached
+ * result.
+ */
+std::string cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg);
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -217,9 +254,7 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 /**
  * Guard for wire-derived lengths/counts: fatal when `n` is implausibly
  * large (a corrupted field must never be trusted with an allocation).
- * Every length the codec itself decodes is already guarded; custom
- * payload decoders (shard requests/results) must apply it to their own
- * count fields too.
+ * Every count the codec decodes passes through it.
  */
 std::uint64_t checkedCount(std::uint64_t n, const char* what);
 

@@ -130,6 +130,15 @@ struct ProfileSet {
 };
 
 /**
+ * Bitwise ProfileSet equality — the gate every backend, cache and replay
+ * check is held to.  Walks the codec's field list (fingrav/codec.cpp),
+ * so it is true exactly when the two sets encode to the same bytes:
+ * doubles compare as bit patterns (-0.0 differs from +0.0; equal NaN
+ * bits are equal).
+ */
+bool identicalProfileSets(const ProfileSet& a, const ProfileSet& b);
+
+/**
  * Step 1 of the methodology: measure warm execution time (median of
  * opts.timing_reps, after opts.sse_executions warm-ups) through a run
  * executor forked on stream 900.  Shared by Profiler and

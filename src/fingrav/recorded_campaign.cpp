@@ -21,14 +21,6 @@ using fingrav::support::Duration;
 }  // namespace
 
 RecordedCampaign
-RecordedCampaign::record(const CampaignSpec& spec,
-                         const std::vector<Duration>& extra_windows,
-                         const sim::MachineConfig& cfg)
-{
-    return record(ScenarioSpec::fromCampaign(spec), extra_windows, cfg);
-}
-
-RecordedCampaign
 RecordedCampaign::record(const ScenarioSpec& spec,
                          const std::vector<Duration>& extra_windows,
                          const sim::MachineConfig& cfg)

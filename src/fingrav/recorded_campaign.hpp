@@ -115,12 +115,6 @@ class RecordedCampaign {
         const std::vector<support::Duration>& extra_windows = {},
         const sim::MachineConfig& cfg = sim::mi300xConfig());
 
-    /** Legacy overload: lifts the campaign description into a scenario. */
-    static RecordedCampaign record(
-        const CampaignSpec& spec,
-        const std::vector<support::Duration>& extra_windows = {},
-        const sim::MachineConfig& cfg = sim::mi300xConfig());
-
     /** Replay steps 6-9 at one sweep point; defaults reproduce the
      *  recorded campaign's own parameters. */
     ProfileSet restitch(const SweepPoint& point = {}) const;

@@ -21,18 +21,6 @@ toString(BackgroundKind kind)
     return "?";
 }
 
-ScenarioSpec
-ScenarioSpec::fromCampaign(const CampaignSpec& spec)
-{
-    ScenarioSpec out;
-    out.label = spec.label;
-    out.seed = spec.seed;
-    out.opts = spec.opts;
-    out.devices = spec.devices;
-    out.profile_fn = spec.profile_fn;
-    return out;
-}
-
 namespace {
 
 /** Always-on span of a one-shot demand injection ("the whole campaign"). */

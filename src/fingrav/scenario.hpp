@@ -16,8 +16,8 @@
  * duty-cycle scheduling.  The campaign engine (CampaignNode,
  * CampaignRunner, RecordedCampaign, analysis::profileOnFreshNode) builds
  * nodes from scenarios; the classic isolated campaign is simply a
- * scenario with an empty background list and replicates the legacy
- * CampaignSpec trajectory bitwise (tests/scenario_test.cpp).
+ * scenario with an empty background list and replicates the
+ * analysis::Campaign trajectory bitwise (tests/scenario_test.cpp).
  *
  * Determinism: background launches are driven by the runtime's
  * background channel off a dedicated root-RNG stream (stream 9; the
@@ -130,23 +130,6 @@ struct BackgroundLoad {
 };
 
 /**
- * Legacy pre-scenario campaign description: kernel + opts + an opaque
- * profiling procedure, no environment.  Kept as the compatibility front
- * door; ScenarioSpec::fromCampaign lifts it into the scenario layer and
- * replicates its trajectory bitwise (tests/scenario_test.cpp).
- */
-struct CampaignSpec {
-    std::string label;          ///< kernel label (kernels/workloads.hpp)
-    std::uint64_t seed = 1;     ///< root seed; campaigns are bit-reproducible
-    ProfilerOptions opts;       ///< methodology knobs
-    /** GPUs to instantiate; 0 = auto (full node for collectives, 1 GPU
-     *  otherwise, as analysis::profileOnFreshNode always chose). */
-    std::size_t devices = 0;
-    /** Custom profiling procedure; null = core::Profiler::profile. */
-    ProfileFn profile_fn;
-};
-
-/**
  * One declarative profiling scenario: the unified spec type every
  * figure/table bench rides, and the spec/result contract unit
  * multi-process placement serializes (fingrav/codec.hpp encodes
@@ -164,9 +147,6 @@ struct ScenarioSpec {
     ProfileFn profile_fn;
     /** Environment loads active while the foreground is profiled. */
     std::vector<BackgroundLoad> background;
-
-    /** Lift a legacy campaign description (isolated environment). */
-    static ScenarioSpec fromCampaign(const CampaignSpec& spec);
 };
 
 /**

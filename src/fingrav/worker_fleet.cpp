@@ -27,19 +27,6 @@ using runtime::FrameStatus;
 using runtime::IoBudget;
 using Clock = std::chrono::steady_clock;
 
-/** One-spec request in the kShardRequest wire layout (count = 1). */
-std::vector<std::uint8_t>
-encodeSpecRequest(const sim::MachineConfig& cfg, std::size_t slot,
-                  const ScenarioSpec& spec)
-{
-    codec::Encoder enc;
-    codec::encodeMachineConfig(enc, cfg);
-    enc.u32(1);
-    enc.u64(slot);
-    codec::encodeScenarioSpec(enc, spec);
-    return enc.bytes();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -332,9 +319,9 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         SeatState& state = seats[seat];
         state.slot = slot;
         state.delivered = false;
-        const auto request = encodeSpecRequest(effective, slot, specs[slot]);
-        const auto wire =
-            codec::encodeFrame(codec::FrameType::kShardRequest, request);
+        const codec::ShardRequest request{effective, {{slot, specs[slot]}}};
+        const auto wire = codec::encodeFrame(codec::FrameType::kShardRequest,
+                                             codec::encode(request));
         if (!runtime::writeAll(fleet_.writeFd(seat), wire.data(),
                                wire.size(),
                                IoBudget::inactivityOnly(opts.io_timeout_ms)))
@@ -444,24 +431,21 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
             try {
                 switch (frame.type) {
                   case codec::FrameType::kShardResult: {
-                    codec::Decoder dec(frame.payload);
-                    const std::size_t slot =
-                        static_cast<std::size_t>(dec.u64());
-                    auto set = codec::decodeProfileSet(dec);
-                    dec.expectEnd("shard result");
-                    if (slot != state.slot || state.delivered) {
+                    auto result =
+                        codec::decode<codec::ShardResult>(frame.payload);
+                    if (result.slot != state.slot || state.delivered) {
                         support::fatal("fleet seat ", seat,
-                                       " returned unexpected slot ", slot);
+                                       " returned unexpected slot ",
+                                       result.slot);
                     }
-                    results[slot] = std::move(set);
+                    results[state.slot] = std::move(result.set);
                     state.delivered = true;
                     ++stats_.remote_specs;
                     break;
                   }
                   case codec::FrameType::kShardDone: {
-                    codec::Decoder dec(frame.payload);
-                    const std::uint32_t count = dec.u32();
-                    dec.expectEnd("shard done");
+                    const auto count =
+                        codec::decode<std::uint32_t>(frame.payload);
                     if (count != 1 || !state.delivered) {
                         support::fatal("fleet seat ", seat,
                                        " completed with its slot "
@@ -471,8 +455,8 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
                     break;
                   }
                   case codec::FrameType::kWorkerError: {
-                    codec::Decoder dec(frame.payload);
-                    const std::string message = dec.str();
+                    const auto message =
+                        codec::decode<std::string>(frame.payload);
                     forfeit(seat, DegradeKind::kWorkerDeath,
                             ("reported: " + message).c_str());
                     return;

@@ -23,9 +23,8 @@ namespace codec = fingrav::core::codec;
 void
 sendError(std::ostream& out, const std::string& message)
 {
-    codec::Encoder enc;
-    enc.str(message);
-    codec::writeFrame(out, codec::FrameType::kWorkerError, enc.bytes());
+    codec::writeFrame(out, codec::FrameType::kWorkerError,
+                      codec::encode(message));
 }
 
 /** Raw encoded-frame write + flush; false when the driver hung up. */
@@ -36,28 +35,6 @@ writeBytes(std::ostream& out, const std::uint8_t* data, std::size_t size)
               static_cast<std::streamsize>(size));
     out.flush();
     return static_cast<bool>(out);
-}
-
-/** One decoded shard request. */
-struct ShardRequest {
-    sim::MachineConfig cfg;
-    std::vector<std::pair<std::uint64_t, core::ScenarioSpec>> items;
-};
-
-ShardRequest
-decodeShardRequest(const std::vector<std::uint8_t>& payload)
-{
-    codec::Decoder dec(payload);
-    ShardRequest request;
-    request.cfg = codec::decodeMachineConfig(dec);
-    const auto count = codec::checkedCount(dec.u32(), "shard-request spec");
-    request.items.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t slot = dec.u64();
-        request.items.emplace_back(slot, codec::decodeScenarioSpec(dec));
-    }
-    dec.expectEnd("shard request");
-    return request;
 }
 
 }  // namespace
@@ -97,7 +74,8 @@ runShardWorker(std::istream& in, std::ostream& out,
             return 1;
         }
         try {
-            const auto request = decodeShardRequest(frame->payload);
+            const auto request =
+                codec::decode<codec::ShardRequest>(frame->payload);
             std::size_t completed = 0;
             for (const auto& [slot, spec] : request.items) {
                 // One fresh hermetic node per spec, the same runOne the
@@ -114,11 +92,9 @@ runShardWorker(std::istream& in, std::ostream& out,
                                                               request.cfg);
                 if (cache != nullptr && !hit.has_value())
                     cache->store(spec, request.cfg, set);
-                codec::Encoder enc;
-                enc.u64(slot);
-                codec::encodeProfileSet(enc, set);
                 auto wire = codec::encodeFrame(
-                    codec::FrameType::kShardResult, enc.bytes());
+                    codec::FrameType::kShardResult,
+                    codec::encode(codec::ShardResult{slot, std::move(set)}));
                 // Injection sites fire on the fully encoded frame, so a
                 // scripted fault mutates exactly the bytes a real death
                 // or corruption would leave on the pipe.
@@ -158,10 +134,9 @@ runShardWorker(std::istream& in, std::ostream& out,
                 ++result_frame;
                 ++completed;
             }
-            codec::Encoder enc;
-            enc.u32(static_cast<std::uint32_t>(completed));
-            if (!codec::writeFrame(out, codec::FrameType::kShardDone,
-                                   enc.bytes()))
+            if (!codec::writeFrame(
+                    out, codec::FrameType::kShardDone,
+                    codec::encode(static_cast<std::uint32_t>(completed))))
                 return 1;
         } catch (const std::exception& e) {
             // FatalError (user-level: bad label, bad schedule) and

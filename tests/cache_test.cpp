@@ -22,12 +22,14 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
+#include "fingrav/codec.hpp"
 #include "fingrav/execution_backend.hpp"
 #include "fingrav/worker_fleet.hpp"
 #include "support/logging.hpp"
@@ -257,72 +259,211 @@ TEST(CampaignCache, WorkerProcessesShareTheStore)
     EXPECT_EQ(cache->stats().misses, 0u);
 }
 
-TEST(CampaignCache, KeySeparatesEveryResultShapingInput)
+namespace {
+
+/** Everything CampaignCache::key reads. */
+struct KeyInputs {
+    fc::ScenarioSpec spec;
+    fingrav::sim::MachineConfig cfg = fingrav::sim::mi300xConfig();
+};
+
+/** A spec with every optional set and one background load per kind. */
+KeyInputs
+richKeyInputs()
 {
-    const auto cfg = fingrav::sim::mi300xConfig();
-    auto specs = fig10Specs();
-    fc::ScenarioSpec base = specs.front();
-    const auto k0 = fc::CampaignCache::key(base, cfg);
-
-    fc::ScenarioSpec seed = base;
-    seed.seed += 1;
-    EXPECT_NE(fc::CampaignCache::key(seed, cfg), k0);
-
-    fc::ScenarioSpec label = base;
-    label.label = "AR-64KB";
-    EXPECT_NE(fc::CampaignCache::key(label, cfg), k0);
-
-    fc::ScenarioSpec opts = base;
-    opts.opts.runs_override = *opts.opts.runs_override + 1;
-    EXPECT_NE(fc::CampaignCache::key(opts, cfg), k0);
-
-    fc::ScenarioSpec background = base;
+    KeyInputs in;
+    in.spec.label = "AR-512MB";
+    in.spec.seed = 31;
+    in.spec.devices = 8;
+    in.spec.opts.runs_override = 6;
+    in.spec.opts.margin_override = 0.08;
+    in.spec.opts.target_bin = fs::Duration::micros(120.0);
+    fc::BackgroundLoad kernel;
+    kernel.kernel = "CB-8K-GEMM";
+    kernel.period = fs::Duration::millis(4.0);
     fc::BackgroundLoad demand;
     demand.kind = fc::BackgroundKind::kFabricDemand;
-    demand.demand = 0.4;
-    background.background.push_back(demand);
-    EXPECT_NE(fc::CampaignCache::key(background, cfg), k0);
-
-    auto other_cfg = cfg;
-    other_cfg.node_gpus = cfg.node_gpus / 2;
-    EXPECT_NE(fc::CampaignCache::key(base, other_cfg), k0);
-
-    // A near-miss lookup against a warm cache must miss, not collide.
-    fc::CampaignCache cache;
-    cache.store(base, cfg, fc::CampaignRunner::runOne(base, cfg));
-    EXPECT_TRUE(cache.lookup(base, cfg).has_value());
-    EXPECT_FALSE(cache.lookup(seed, cfg).has_value());
-    EXPECT_FALSE(cache.lookup(base, other_cfg).has_value());
+    in.spec.background = {kernel, demand};
+    return in;
 }
 
-TEST(CampaignCache, KeyIgnoresPlacementOnlyAdvanceThreads)
+/** Change a field to another value of its type. */
+template <typename T>
+void
+perturb(T& v)
 {
-    // advance_threads only places device stepping on threads, so one
-    // campaign must have one key on every host: a store written under 8
-    // threads (or a capped worker count) serves a lookup at 1.
-    const auto spec = fig10Specs().front();
-    const auto at = [](std::size_t threads) {
-        auto cfg = fingrav::sim::mi300xConfig();
-        cfg.advance_threads = threads;
-        return cfg;
-    };
-    const auto k1 = fc::CampaignCache::key(spec, at(1));
-    EXPECT_EQ(fc::CampaignCache::key(spec, at(2)), k1);
-    EXPECT_EQ(fc::CampaignCache::key(spec, at(8)), k1);
-    EXPECT_EQ(fc::CampaignCache::key(spec, fingrav::sim::mi300xConfig()), k1)
-        << "the default config's key must keep its bytes";
+    if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+    } else if constexpr (std::is_enum_v<T>) {
+        v = static_cast<T>(static_cast<int>(v) == 0 ? 1 : 0);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        v = static_cast<T>(v + 1);
+    } else if constexpr (std::is_same_v<T, fs::Duration>) {
+        v = v + fs::Duration::nanos(1);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v += "'";
+    } else {
+        perturb(v.value());  // every optional of richKeyInputs is set
+    }
+}
 
+struct KeyMutation {
+    const char* field;
+    void (*mutate)(KeyInputs&);
+};
+
+#define FINGRAV_FIELD(path) {#path, [](KeyInputs& in) { perturb(in.path); }}
+
+/** One mutator per field of every type the key encodes. */
+const KeyMutation kKeyMutations[] = {
+    FINGRAV_FIELD(spec.label),
+    FINGRAV_FIELD(spec.seed),
+    FINGRAV_FIELD(spec.devices),
+    {"spec.background", [](KeyInputs& in) { in.spec.background.pop_back(); }},
+    FINGRAV_FIELD(spec.opts.device),
+    FINGRAV_FIELD(spec.opts.runs_override),
+    FINGRAV_FIELD(spec.opts.margin_override),
+    FINGRAV_FIELD(spec.opts.sse_executions),
+    FINGRAV_FIELD(spec.opts.timing_reps),
+    FINGRAV_FIELD(spec.opts.min_delay),
+    FINGRAV_FIELD(spec.opts.max_delay),
+    FINGRAV_FIELD(spec.opts.sync_mode),
+    FINGRAV_FIELD(spec.opts.binning),
+    FINGRAV_FIELD(spec.opts.collect_extra_runs),
+    FINGRAV_FIELD(spec.opts.max_extra_run_factor),
+    FINGRAV_FIELD(spec.opts.stability_eps),
+    FINGRAV_FIELD(spec.opts.logger_window),
+    FINGRAV_FIELD(spec.opts.target_bin),
+    FINGRAV_FIELD(spec.background[0].kind),
+    FINGRAV_FIELD(spec.background[0].kernel),
+    FINGRAV_FIELD(spec.background[1].demand),
+    FINGRAV_FIELD(spec.background[0].device),
+    FINGRAV_FIELD(spec.background[0].queue),
+    FINGRAV_FIELD(spec.background[0].offset),
+    FINGRAV_FIELD(spec.background[0].period),
+    FINGRAV_FIELD(spec.background[0].duty_cycle),
+    FINGRAV_FIELD(spec.background[0].cycles),
+    FINGRAV_FIELD(spec.background[0].jitter_sigma),
+    FINGRAV_FIELD(cfg.num_xcds),
+    FINGRAV_FIELD(cfg.cus_per_xcd),
+    FINGRAV_FIELD(cfg.num_iods),
+    FINGRAV_FIELD(cfg.num_hbm_stacks),
+    FINGRAV_FIELD(cfg.peak_matrix_flops),
+    FINGRAV_FIELD(cfg.peak_vector_flops),
+    FINGRAV_FIELD(cfg.hbm_bandwidth),
+    FINGRAV_FIELD(cfg.llc_bandwidth),
+    FINGRAV_FIELD(cfg.llc_capacity),
+    FINGRAV_FIELD(cfg.l2_capacity_per_xcd),
+    FINGRAV_FIELD(cfg.hbm_capacity),
+    FINGRAV_FIELD(cfg.node_gpus),
+    FINGRAV_FIELD(cfg.fabric_links),
+    FINGRAV_FIELD(cfg.fabric_link_bandwidth),
+    FINGRAV_FIELD(cfg.boost_frequency_hz),
+    FINGRAV_FIELD(cfg.nominal_frequency_hz),
+    FINGRAV_FIELD(cfg.idle_frequency_hz),
+    FINGRAV_FIELD(cfg.timestamp_tick),
+    FINGRAV_FIELD(cfg.gpu_clock_drift_ppm),
+    FINGRAV_FIELD(cfg.power_step),
+    FINGRAV_FIELD(cfg.idle_step),
+    FINGRAV_FIELD(cfg.advance_threads),
+    FINGRAV_FIELD(cfg.logger_window),
+    FINGRAV_FIELD(cfg.logger_noise_w),
+    FINGRAV_FIELD(cfg.launch_overhead),
+    FINGRAV_FIELD(cfg.sync_overhead),
+    FINGRAV_FIELD(cfg.timestamp_read_delay),
+    FINGRAV_FIELD(cfg.timestamp_read_jitter),
+    FINGRAV_FIELD(cfg.exec_time_sigma),
+    FINGRAV_FIELD(cfg.outlier_run_probability),
+    FINGRAV_FIELD(cfg.outlier_slowdown_min),
+    FINGRAV_FIELD(cfg.outlier_slowdown_max),
+    FINGRAV_FIELD(cfg.power.xcd_idle_w),
+    FINGRAV_FIELD(cfg.power.iod_idle_w),
+    FINGRAV_FIELD(cfg.power.hbm_idle_w),
+    FINGRAV_FIELD(cfg.power.misc_w),
+    FINGRAV_FIELD(cfg.power.xcd_dyn_w),
+    FINGRAV_FIELD(cfg.power.xcd_residency_weight),
+    FINGRAV_FIELD(cfg.power.xcd_issue_weight),
+    FINGRAV_FIELD(cfg.power.iod_llc_w),
+    FINGRAV_FIELD(cfg.power.iod_hbmphy_w),
+    FINGRAV_FIELD(cfg.power.iod_fabric_w),
+    FINGRAV_FIELD(cfg.power.hbm_dyn_w),
+    FINGRAV_FIELD(cfg.power.leakage_fraction),
+    FINGRAV_FIELD(cfg.power.leakage_temp_coeff),
+    FINGRAV_FIELD(cfg.power.t_ref_c),
+    FINGRAV_FIELD(cfg.power.voltage_floor),
+    FINGRAV_FIELD(cfg.dvfs.boost_ratio),
+    FINGRAV_FIELD(cfg.dvfs.min_ratio),
+    FINGRAV_FIELD(cfg.dvfs.idle_ratio),
+    FINGRAV_FIELD(cfg.dvfs.sustained_limit_w),
+    FINGRAV_FIELD(cfg.dvfs.peak_limit_w),
+    FINGRAV_FIELD(cfg.dvfs.fast_tau),
+    FINGRAV_FIELD(cfg.dvfs.slow_tau),
+    FINGRAV_FIELD(cfg.dvfs.excursion_cut),
+    FINGRAV_FIELD(cfg.dvfs.excursion_hold),
+    FINGRAV_FIELD(cfg.dvfs.kp_per_us),
+    FINGRAV_FIELD(cfg.dvfs.recovery_per_us),
+    FINGRAV_FIELD(cfg.dvfs.idle_park_delay),
+    FINGRAV_FIELD(cfg.dvfs.boost_budget),
+    FINGRAV_FIELD(cfg.dvfs.nominal_ratio),
+    FINGRAV_FIELD(cfg.dvfs.recovery_guard),
+    FINGRAV_FIELD(cfg.thermal.ambient_c),
+    FINGRAV_FIELD(cfg.thermal.resistance_c_per_w),
+    FINGRAV_FIELD(cfg.thermal.time_constant),
+};
+
+#undef FINGRAV_FIELD
+
+}  // namespace
+
+TEST(CampaignCache, KeySeparatesEveryFieldButAdvanceThreads)
+{
+    // Every result-shaping input splits the key, and a near-miss lookup
+    // against a warm cache misses instead of colliding.  advance_threads
+    // only places device stepping on threads, so one campaign has one
+    // key on every host: a store written under 8 threads (or a capped
+    // worker count) serves a lookup at 1.
+    const KeyInputs base = richKeyInputs();
+    const auto k0 = fc::CampaignCache::key(base.spec, base.cfg);
     TempDir dir("fingrav_cache");
     fc::CacheOptions copts;
     copts.dir = dir.path();
-    const auto set = fc::CampaignRunner::runOne(spec, at(8));
-    fc::CampaignCache(copts).store(spec, at(8), set);
+    fc::CampaignCache warm(copts);
+    fc::ProfileSet stored;
+    stored.label = base.spec.label;
+    stored.read_delay_us = -0.0;
+    warm.store(base.spec, base.cfg, stored);
+
+    for (const auto& m : kKeyMutations) {
+        KeyInputs in = base;
+        m.mutate(in);
+        const auto k = fc::CampaignCache::key(in.spec, in.cfg);
+        const bool placement_only =
+            std::string(m.field) == "cfg.advance_threads";
+        EXPECT_EQ(k == k0, placement_only) << m.field;
+        // The mutated value survives the codec, so the key re-derives
+        // from the decoded inputs.
+        const auto spec = fc::codec::encode(in.spec);
+        const auto cfg = fc::codec::encode(in.cfg);
+        EXPECT_EQ(fc::CampaignCache::key(
+                      fc::codec::decode<fc::ScenarioSpec>(spec),
+                      fc::codec::decode<fingrav::sim::MachineConfig>(cfg)),
+                  k)
+            << m.field;
+        EXPECT_EQ(warm.lookup(in.spec, in.cfg).has_value(), placement_only)
+            << m.field;
+    }
+    EXPECT_EQ(k0, fc::CampaignCache::key(base.spec, base.cfg));
+
+    KeyInputs at8 = base;
+    at8.cfg.advance_threads = 8;
     fc::CampaignCache reader(copts);
-    const auto hit = reader.lookup(spec, at(1));
+    const auto hit = reader.lookup(at8.spec, at8.cfg);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(fc::identicalProfileSets(*hit, set));
+    EXPECT_TRUE(fc::identicalProfileSets(*hit, stored));
     EXPECT_EQ(reader.stats().disk_hits, 1u);
-    EXPECT_EQ(reader.stats().misses, 0u);
+    EXPECT_EQ(fc::CampaignCache::key(base.spec, fingrav::sim::mi300xConfig()),
+              fc::CampaignCache::key(base.spec, at8.cfg))
+        << "the default config's key must keep its bytes";
 }
 
 TEST(CampaignCache, ProfileFnSpecsBypassTheCache)

@@ -31,13 +31,8 @@ using namespace fingrav::support::literals;
 
 namespace {
 
+using fingrav::testing::mixedSpecs;
 using fingrav::testing::recordSpec;
-
-std::vector<fc::CampaignSpec>
-mixedSpecs()
-{
-    return fingrav::testing::mixedCampaignSpecs();
-}
 
 }  // namespace
 
@@ -64,7 +59,7 @@ TEST(CampaignRunner, SpecOrderDoesNotPerturbResults)
     // bitwise.
     auto specs = mixedSpecs();
     const auto forward = fc::CampaignRunner(4).run(specs);
-    std::vector<fc::CampaignSpec> reversed(specs.rbegin(), specs.rend());
+    std::vector<fc::ScenarioSpec> reversed(specs.rbegin(), specs.rend());
     const auto backward = fc::CampaignRunner(4).run(reversed);
     ASSERT_EQ(forward.size(), backward.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -74,7 +69,7 @@ TEST(CampaignRunner, SpecOrderDoesNotPerturbResults)
     }
 }
 
-TEST(CampaignRunner, RunnerReplicatesLegacyCampaignPath)
+TEST(CampaignRunner, RunnerReplicatesAnalysisCampaignStreams)
 {
     // runOne mirrors analysis::Campaign construction (runtime rng stream
     // 7, profiler stream 8), so the ported benches reproduce the exact
@@ -88,7 +83,7 @@ TEST(CampaignRunner, RunnerReplicatesLegacyCampaignPath)
         fingrav::kernels::kernelByLabel("CB-2K-GEMM", legacy.config()),
         opts);
 
-    fc::CampaignSpec spec;
+    fc::ScenarioSpec spec;
     spec.label = "CB-2K-GEMM";
     spec.seed = 91;
     spec.opts = opts;

@@ -210,7 +210,7 @@ TEST(Codec, ScenarioSpecRoundTripExact)
     for (int i = 0; i < 25; ++i) {
         const auto spec = randomSpec(rng);
         const auto bytes = codec::encode(spec);
-        const auto decoded = codec::decodeScenarioSpec(bytes);
+        const auto decoded = codec::decode<fc::ScenarioSpec>(bytes);
         expectSpecsEqual(spec, decoded);
         // Canonical: re-encoding the decoded value reproduces the bytes.
         EXPECT_EQ(bytes, codec::encode(decoded));
@@ -231,6 +231,54 @@ TEST(Codec, ProfileSetRoundTripExact)
     }
 }
 
+TEST(Codec, IdenticalProfileSetsIsBitwiseOverEveryField)
+{
+    fs::Rng rng(48);
+    const auto set = randomSet(rng);
+    ASSERT_TRUE(fc::identicalProfileSets(set, set));
+
+    // Guidance fields count like any other encoded field.
+    for (const auto member : {&fc::GuidanceEntry::exec_lo,
+                              &fc::GuidanceEntry::exec_hi,
+                              &fc::GuidanceEntry::loi_per}) {
+        auto other = set;
+        other.guidance.*member =
+            other.guidance.*member + fs::Duration::nanos(1);
+        EXPECT_FALSE(fc::identicalProfileSets(set, other));
+    }
+
+    // Doubles compare as their encodings do: by bit pattern.
+    auto positive = set;
+    auto negative = set;
+    positive.read_delay_us = 0.0;
+    negative.read_delay_us = -0.0;
+    EXPECT_FALSE(fc::identicalProfileSets(positive, negative));
+
+    auto nan_a = set;
+    nan_a.drift_ppm = std::numeric_limits<double>::quiet_NaN();
+    fc::ProfilePoint nan_point;
+    nan_point.sample.total_w = std::numeric_limits<double>::quiet_NaN();
+    nan_a.ssp.add(nan_point);
+    const auto nan_b = nan_a;
+    EXPECT_TRUE(fc::identicalProfileSets(nan_a, nan_b));
+
+    // Any single-byte change that still decodes is a detected change.
+    const auto bytes = codec::encode(set);
+    std::size_t decoded_changes = 0;
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+        auto mutated = bytes;
+        mutated[pos] ^= 0x01;
+        try {
+            const auto decoded = codec::decodeProfileSet(mutated);
+            ++decoded_changes;
+            EXPECT_FALSE(fc::identicalProfileSets(set, decoded))
+                << "byte " << pos;
+        } catch (const fs::FatalError&) {
+        }
+    }
+    EXPECT_GT(decoded_changes, bytes.size() / 2);
+}
+
 TEST(Codec, MachineConfigRoundTripExact)
 {
     auto cfg = fingrav::sim::mi300xConfig();
@@ -239,7 +287,7 @@ TEST(Codec, MachineConfigRoundTripExact)
     cfg.dvfs.boost_budget = fs::Duration::micros(1234.5);
     cfg.thermal.ambient_c = 17.25;
     const auto bytes = codec::encode(cfg);
-    const auto decoded = codec::decodeMachineConfig(bytes);
+    const auto decoded = codec::decode<fingrav::sim::MachineConfig>(bytes);
     EXPECT_EQ(bytes, codec::encode(decoded));
     EXPECT_EQ(decoded.advance_threads, 3u);
     EXPECT_EQ(std::signbit(decoded.logger_noise_w), true);
@@ -263,7 +311,7 @@ TEST(Codec, TrailingBytesRejected)
     fs::Rng rng(42);
     auto bytes = codec::encode(randomSpec(rng));
     bytes.push_back(0xab);
-    EXPECT_THROW(codec::decodeScenarioSpec(bytes), fs::FatalError);
+    EXPECT_THROW(codec::decode<fc::ScenarioSpec>(bytes), fs::FatalError);
 }
 
 TEST(Codec, TruncatedPayloadFailsCleanly)

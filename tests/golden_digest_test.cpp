@@ -13,6 +13,12 @@
  * digests, and a simulator optimisation that claims to be exact must
  * leave every one of them untouched.
  *
+ * A second table pins the wire and cache-key bytes themselves: the
+ * encodings of a config, a spec touching every field, its cache key and
+ * each frame payload that carries them.  A codec refactor that claims to
+ * keep the format must leave those untouched too; a deliberate layout
+ * change bumps codec::kVersion and re-records them.
+ *
  * The digests are products of long double-precision chains and are
  * pinned to the reference toolchain (g++/libstdc++, x86-64, no
  * -ffast-math or forced FMA contraction).  Set FINGRAV_PRINT_GOLDEN=1 to
@@ -24,10 +30,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/codec.hpp"
 #include "fingrav/recorded_campaign.hpp"
@@ -72,6 +81,22 @@ const GoldenDigest kPaperGolden[] = {
 /** recordSpec() recorded at 1/2/10 ms, restitched at the 2 ms window. */
 constexpr std::uint64_t kRestitchGolden = 0x68a13d05937b1ad2ull;
 
+struct WireDigest {
+    const char* name;
+    std::uint64_t digest;
+};
+
+/** Codec bytes of pinnedSpec()/pinnedSet() on the default config. */
+const WireDigest kWireGolden[] = {
+    {"machine-config", 0xfa031d48ae9652bfull},
+    {"scenario-spec", 0x8c61fb7bddf323d8ull},
+    {"cache-key", 0x7946235d11984f5dull},
+    {"shard-request", 0x62e056120b136dd2ull},
+    {"shard-result", 0xedef9e3f12e41488ull},
+    {"cache-entry", 0xb9a917d41440c1c0ull},
+    {"profile-set", 0x4a92ba7787f7b68full},
+};
+
 /**
  * The paper campaign set: every paper kernel on its own, then AR-512MB
  * under 60 % injected fabric demand, seeds 10001 on.
@@ -94,11 +119,108 @@ paperSpecs()
     return specs;
 }
 
+/** A spec with both background-load kinds and every optional set. */
+fc::ScenarioSpec
+pinnedSpec()
+{
+    fc::ScenarioSpec spec;
+    spec.label = "AR-512MB";
+    spec.seed = 77;
+    spec.devices = 8;
+    auto& opts = spec.opts;
+    opts.device = 1;
+    opts.runs_override = 9;
+    opts.margin_override = 0.07;
+    opts.sse_executions = 5;
+    opts.timing_reps = 3;
+    opts.min_delay = 150_us;
+    opts.max_delay = 3_ms;
+    opts.sync_mode = fc::SyncMode::kFinGraVDrift;
+    opts.binning = false;
+    opts.collect_extra_runs = false;
+    opts.max_extra_run_factor = 0.75;
+    opts.stability_eps = 0.02;
+    opts.logger_window = 2_ms;
+    opts.target_bin = 140_us;
+    fc::BackgroundLoad kernel;
+    kernel.kernel = "CB-8K-GEMM";
+    kernel.device = 2;
+    kernel.queue = 3;
+    kernel.offset = 1_ms;
+    kernel.period = 5_ms;
+    kernel.duty_cycle = 0.5;
+    kernel.cycles = 4;
+    kernel.jitter_sigma = 0.2;
+    fc::BackgroundLoad demand;
+    demand.kind = fc::BackgroundKind::kFabricDemand;
+    demand.demand = 0.6;
+    spec.background = {kernel, demand};
+    return spec;
+}
+
+fc::PowerProfile
+pinnedProfile(fc::ProfileKind kind, std::size_t points)
+{
+    fc::PowerProfile profile("AR-512MB", kind);
+    for (std::size_t i = 0; i < points; ++i) {
+        const double x = static_cast<double>(i);
+        fc::ProfilePoint p;
+        p.toi_us = 0.5 * x;
+        p.toi_frac = x / static_cast<double>(points);
+        p.run_time_us = 10.0 + x;
+        p.sample.gpu_timestamp = 1000 + 7 * static_cast<std::int64_t>(i);
+        p.sample.total_w = 600.0 + x;
+        p.sample.xcd_w = 300.0 - x;
+        p.sample.iod_w = 150.0 + 0.25 * x;
+        p.sample.hbm_w = 90.0 - 0.125 * x;
+        p.run_index = i / 4;
+        p.exec_index = i % 4;
+        p.contended = i % 3 == 0;
+        profile.add(p);
+    }
+    return profile;
+}
+
+/** A hand-built set touching every ProfileSet field; the timeline
+ *  crosses a contention-bitmap word boundary. */
+fc::ProfileSet
+pinnedSet()
+{
+    fc::ProfileSet set;
+    set.label = "AR-512MB";
+    set.measured_exec_time = 420_us;
+    set.guidance.exec_lo = 250_us;
+    set.guidance.exec_hi = 500_us;
+    set.guidance.runs = 40;
+    set.guidance.loi_per = 5_us;
+    set.guidance.binning_margin = 0.05;
+    set.runs_executed = 11;
+    set.binning.bin_center = 418_us;
+    set.binning.golden_runs = {0, 2, 3, 7, 10};
+    set.binning.total_runs = 11;
+    set.sse_exec_index = 3;
+    set.ssp_exec_index = 12;
+    set.execs_per_run = 20;
+    set.ssp_exec_time = 421_us;
+    set.loi_target = 84;
+    set.read_delay_us = -0.0;
+    set.drift_ppm = 3.5;
+    set.sse = pinnedProfile(fc::ProfileKind::kSse, 5);
+    set.ssp = pinnedProfile(fc::ProfileKind::kSsp, 0);
+    set.timeline = pinnedProfile(fc::ProfileKind::kTimeline, 70);
+    return set;
+}
+
+std::uint64_t
+digest(const std::vector<std::uint8_t>& bytes)
+{
+    return fc::codec::fnv1a64(bytes.data(), bytes.size());
+}
+
 std::uint64_t
 digest(const fc::ProfileSet& set)
 {
-    const auto bytes = fc::codec::encode(set);
-    return fc::codec::fnv1a64(bytes.data(), bytes.size());
+    return digest(fc::codec::encode(set));
 }
 
 bool
@@ -138,4 +260,30 @@ TEST(GoldenDigest, MultiWindowRestitch)
     if (printing())
         std::printf("restitch 0x%016" PRIx64 "ull\n", d);
     EXPECT_EQ(d, kRestitchGolden);
+}
+
+TEST(GoldenDigest, WireAndCacheKeyBytes)
+{
+    namespace codec = fc::codec;
+    const auto cfg = sim::mi300xConfig();
+    const auto spec = pinnedSpec();
+    const auto set = pinnedSet();
+    const std::string key = fc::CampaignCache::key(spec, cfg);
+    const std::vector<std::uint8_t> encodings[] = {
+        codec::encode(cfg),
+        codec::encode(spec),
+        {key.begin(), key.end()},
+        codec::encode(codec::ShardRequest{cfg, {{5, spec}}}),
+        codec::encode(codec::ShardResult{5, set}),
+        codec::encode(codec::CacheEntry{key, set}),
+        codec::encode(set),
+    };
+    for (std::size_t i = 0; i < std::size(kWireGolden); ++i) {
+        const std::uint64_t d = digest(encodings[i]);
+        if (printing()) {
+            std::printf("    {\"%s\", 0x%016" PRIx64 "ull},\n",
+                        kWireGolden[i].name, d);
+        }
+        EXPECT_EQ(d, kWireGolden[i].digest) << kWireGolden[i].name;
+    }
 }

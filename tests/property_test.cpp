@@ -376,7 +376,7 @@ rejectEveryPrefix(const Bytes& canonical, RoundTrip round_trip,
 Bytes
 roundTripSpec(const Bytes& bytes)
 {
-    return fc::codec::encode(fc::codec::decodeScenarioSpec(bytes));
+    return fc::codec::encode(fc::codec::decode<fc::ScenarioSpec>(bytes));
 }
 
 Bytes
@@ -388,7 +388,7 @@ roundTripProfileSet(const Bytes& bytes)
 Bytes
 roundTripMachineConfig(const Bytes& bytes)
 {
-    return fc::codec::encode(fc::codec::decodeMachineConfig(bytes));
+    return fc::codec::encode(fc::codec::decode<sim::MachineConfig>(bytes));
 }
 
 }  // namespace

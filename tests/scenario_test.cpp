@@ -4,8 +4,8 @@
  * engine.
  *
  * Locks the properties the scenario refactor is only admissible with:
- *  - legacy CampaignSpec descriptions are replicated bitwise by their
- *    scenario lift (an isolated scenario IS the pre-scenario campaign);
+ *  - an isolated scenario replicates analysis::Campaign's construction
+ *    bitwise (an isolated scenario IS the pre-scenario campaign);
  *  - scenario trajectories are deterministic — re-running a spec, and
  *    fanning a spec set over 1/2/8 runner threads, reproduce results
  *    bitwise (background launches ride a dedicated root-RNG stream);
@@ -69,16 +69,11 @@ contendedCollective(std::uint64_t seed)
 
 }  // namespace
 
-TEST(Scenario, LegacyCampaignSpecReplicatedBitwise)
+TEST(Scenario, IsolatedScenarioReplicatesAnalysisCampaign)
 {
     fc::ProfilerOptions opts;
     opts.runs_override = 10;
     opts.collect_extra_runs = false;
-
-    fc::CampaignSpec legacy;
-    legacy.label = "CB-2K-GEMM";
-    legacy.seed = 91;
-    legacy.opts = opts;
 
     // The pre-scenario construction (analysis::Campaign: runtime stream
     // 7, profiler stream 8) is the reference trajectory.
@@ -87,17 +82,11 @@ TEST(Scenario, LegacyCampaignSpecReplicatedBitwise)
         fingrav::kernels::kernelByLabel("CB-2K-GEMM", reference.config()),
         opts);
 
-    // Legacy spec through the runner, its scenario lift, and a hand-built
-    // isolated scenario must all replicate it bitwise.
-    EXPECT_TRUE(fc::identicalProfileSets(
-        expected, fc::CampaignRunner::runOne(legacy)));
-    EXPECT_TRUE(fc::identicalProfileSets(
-        expected,
-        fc::CampaignRunner::runOne(fc::ScenarioSpec::fromCampaign(legacy))));
+    // An isolated scenario through the runner replicates it bitwise.
     fc::ScenarioSpec isolated;
-    isolated.label = legacy.label;
-    isolated.seed = legacy.seed;
-    isolated.opts = legacy.opts;
+    isolated.label = "CB-2K-GEMM";
+    isolated.seed = 91;
+    isolated.opts = opts;
     EXPECT_TRUE(fc::identicalProfileSets(
         expected, fc::CampaignRunner::runOne(isolated)));
 }

@@ -66,18 +66,18 @@ fig10SpecsWithOptions(const core::ProfilerOptions& opts)
 }
 
 /** Small mixed campaign set (compute, memory and collective kernels). */
-inline std::vector<core::CampaignSpec>
-mixedCampaignSpecs()
+inline std::vector<core::ScenarioSpec>
+mixedSpecs()
 {
     core::ProfilerOptions cheap;
     cheap.runs_override = 10;
     cheap.collect_extra_runs = false;
 
-    std::vector<core::CampaignSpec> specs;
+    std::vector<core::ScenarioSpec> specs;
     for (const char* label :
          {"CB-2K-GEMM", "MB-4K-GEMV", "AG-64KB", "CB-4K-GEMM",
           "AR-128KB", "MB-2K-GEMV"}) {
-        core::CampaignSpec spec;
+        core::ScenarioSpec spec;
         spec.label = label;
         spec.seed = 4000 + specs.size();
         spec.opts = cheap;
@@ -87,10 +87,10 @@ mixedCampaignSpecs()
 }
 
 /** The canonical RecordedCampaign spec (run-pool top-up enabled). */
-inline core::CampaignSpec
+inline core::ScenarioSpec
 recordSpec()
 {
-    core::CampaignSpec spec;
+    core::ScenarioSpec spec;
     spec.label = "CB-8K-GEMM";
     spec.seed = 5150;
     spec.opts.runs_override = 8;
