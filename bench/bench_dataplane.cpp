@@ -830,7 +830,6 @@ runCaptureToStitch(tools::BenchReport& report, bool smoke,
         // the 8 windows covers 1/64 of the span.
         for (std::size_t j = 0; j < execs; ++j) {
             fc::ExecObservation ob;
-            ob.label = "bench";
             ob.is_main = true;
             ob.timing.cpu_start_ns =
                 cpu0 + span * static_cast<std::int64_t>(j) /

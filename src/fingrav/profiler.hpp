@@ -204,9 +204,9 @@ class Profiler {
     support::Duration measureExecTime(const kernels::KernelModelPtr& kernel);
 
     // Steps 6-9 (golden selection, LOI/TOI alignment, stitching) live in
-    // ProfileStitcher (fingrav/stitcher.hpp): incremental two-pointer
-    // stitching for the step-8 top-up loop, plus the seed-faithful
-    // quadratic reference used by tests and benchmarks.
+    // ProfileStitcher (fingrav/stitcher.hpp): incremental stitching of
+    // the harvested executions for the step-8 top-up loop, plus the
+    // seed-faithful quadratic reference used by tests and benchmarks.
 
     runtime::HostRuntime& host_;
     ProfilerOptions opts_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "fingrav/differentiation.hpp"
 #include "fingrav/stitcher.hpp"
@@ -103,12 +102,9 @@ RecordedCampaign::record(const ScenarioSpec& spec,
     rc.ssp_exec_index_.resize(rc.windows_.size());
     std::size_t max_span = 0;
     for (std::size_t w = 0; w < rc.windows_.size(); ++w) {
-        const auto& samples =
-            w == 0 ? explore.samples : explore.extra_samples[w - 1];
-        rc.ssp_exec_index_[w] =
-            sspIndexFromExplore(differ, *rc.sync_, explore, samples,
-                                formula[w], opts,
-                                plan.main_execs_per_block);
+        rc.ssp_exec_index_[w] = sspIndexFromExplore(
+            differ, *rc.sync_, explore, explore.windowSamples(w), formula[w],
+            opts, plan.main_execs_per_block);
         max_span = std::max(
             max_span,
             rc.ssp_exec_index_[w] +
@@ -126,38 +122,16 @@ RecordedCampaign::record(const ScenarioSpec& spec,
                   static_cast<double>(rc.base_runs_) *
                   (1.0 + opts.max_extra_run_factor))
             : rc.base_runs_;
-    std::vector<RunRecord> pool;
-    pool.reserve(max_total);
+    rc.runs_.reserve(max_total);
     for (std::size_t r = 0; r < max_total; ++r)
-        pool.push_back(exec.executeRun(plan, r));
+        rc.runs_.push_back(exec.executeRun(plan, r));
 
     // Drift anchor after the pool (the longer the span, the better the
     // ppm estimate) for the kFinGraVDrift sweep point.
     rc.drift_sync_ = rc.sync_;
     rc.drift_sync_->addDriftAnchor(host, opts.device);
-
-    // ---- window-major views ---------------------------------------------
-    // Sample vectors are moved out of the pool (each window's samples are
-    // needed in exactly one view); exec metadata is copied per view.
-    rc.window_runs_.resize(rc.windows_.size());
-    for (std::size_t w = 1; w < rc.windows_.size(); ++w) {
-        auto& view = rc.window_runs_[w];
-        view.reserve(pool.size());
-        for (auto& run : pool) {
-            RunRecord v;
-            v.run_index = run.run_index;
-            v.execs = run.execs;
-            v.main_exec_indices = run.main_exec_indices;
-            v.samples = std::move(run.extra_samples[w - 1]);
-            v.run_start_cpu_ns = run.run_start_cpu_ns;
-            v.log_start_cpu_ns = run.log_start_cpu_ns;
-            v.contended_cpu_ns = run.contended_cpu_ns;
-            view.push_back(std::move(v));
-        }
-    }
-    for (auto& run : pool)
-        run.extra_samples.clear();
-    rc.window_runs_[0] = std::move(pool);
+    // No per-window copies: a restitch at window w reads
+    // RunRecord::windowSamples(w) next to the one copy of each run's execs.
     return rc;
 }
 
@@ -198,15 +172,14 @@ RecordedCampaign::restitch(const SweepPoint& point) const
 
     // Steps 6-9 plus the step-8 top-up decision loop, replayed from the
     // recorded pool through the incremental stitcher.
-    const auto& runs = window_runs_[w];
-    ProfileStitcher stitcher(opts, sync, tick_);
+    ProfileStitcher stitcher(opts, sync, tick_, w);
     std::size_t budget =
-        std::min(point.runs.value_or(base_runs_), runs.size());
-    stitcher.restitch(runs, budget, out);
+        std::min(point.runs.value_or(base_runs_), runs_.size());
+    stitcher.restitch(runs_, budget, out);
     if (!point.runs.has_value() && opts.collect_extra_runs) {
-        while (out.ssp.size() < out.loi_target && budget < runs.size()) {
+        while (out.ssp.size() < out.loi_target && budget < runs_.size()) {
             ++budget;
-            stitcher.restitch(runs, budget, out);
+            stitcher.restitch(runs_, budget, out);
         }
     }
     out.runs_executed = budget;
@@ -246,13 +219,12 @@ RecordedCampaign::autotuneBudget(std::size_t loi_target,
     set.sse_exec_index = opts.sse_executions - 1;
     set.ssp_exec_index = ssp_exec_index_[window_index];
 
-    const auto& runs = window_runs_[window_index];
-    ProfileStitcher stitcher(opts, sync, tick_);
+    ProfileStitcher stitcher(opts, sync, tick_, window_index);
     std::size_t budget = 0;
     std::size_t lois = 0;
-    while (budget < runs.size()) {
+    while (budget < runs_.size()) {
         ++budget;
-        stitcher.restitch(runs, budget, set);
+        stitcher.restitch(runs_, budget, set);
         lois = set.ssp.size();
         if (lois >= out.loi_target)
             break;

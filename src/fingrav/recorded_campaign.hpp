@@ -21,7 +21,9 @@
  *    (RunPlan::extra_windows), so a logger-window sweep re-reads the
  *    recorded samples of each window instead of re-simulating — one
  *    execution observed at several averaging granularities, the setup a
- *    real node runs when amd-smi polls next to the on-GPU logger;
+ *    real node runs when amd-smi polls next to the on-GPU logger.  One
+ *    pool holds every window (RunRecord::samples, then extra_samples);
+ *    a restitch hands the window index to the stitcher;
  *  - per-window SSE/SSP execution indices, derived at record time with
  *    the same formula + stabilization scan the Profiler applies.
  *
@@ -141,7 +143,7 @@ class RecordedCampaign {
     }
 
     /** Executed runs in the pool (the maximum top-up budget). */
-    std::size_t runCount() const { return window_runs_.front().size(); }
+    std::size_t runCount() const { return runs_.size(); }
 
     /** Base (pre-top-up) run budget of the recorded options. */
     std::size_t baseRuns() const { return base_runs_; }
@@ -166,8 +168,8 @@ class RecordedCampaign {
     std::size_t execs_per_run_ = 0;
     std::vector<support::Duration> windows_;
     std::vector<std::size_t> ssp_exec_index_;  ///< per window
-    /** Per window: the full run pool with that window's samples. */
-    std::vector<std::vector<RunRecord>> window_runs_;
+    /** The run pool; every window's log rides each run. */
+    std::vector<RunRecord> runs_;
     std::optional<TimeSync> sync_;          ///< full S2 calibration
     std::optional<TimeSync> nodelay_sync_;  ///< Lang-style, delay-blind
     std::optional<TimeSync> drift_sync_;    ///< + post-campaign drift anchor

@@ -134,7 +134,6 @@ RunExecutor::executeRun(const RunPlan& plan, std::size_t run_index,
         const auto work =
             sampleWork(model, appearances(&model), alloc);
         ExecObservation obs;
-        obs.label = work.label;
         obs.is_main = is_main;
         // Collectives execute node-wide; timing is observed on the
         // profiled device as usual.

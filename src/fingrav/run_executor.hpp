@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,7 +65,6 @@ struct RunPlan {
 /** One observed kernel execution (CPU-domain bounds). */
 struct ExecObservation {
     runtime::HostTiming timing;
-    std::string label;
     bool is_main = false;  ///< true for executions of the profiled kernel
 };
 
@@ -88,6 +86,12 @@ struct RunRecord {
      * The stitcher annotates each LOI against these intervals.
      */
     std::vector<std::pair<std::int64_t, std::int64_t>> contended_cpu_ns;
+
+    /** Window w's log: 0 = samples, w > 0 = extra_samples[w - 1]. */
+    const sim::SampleColumns& windowSamples(std::size_t w) const
+    {
+        return w == 0 ? samples : extra_samples[w - 1];
+    }
 
     /** CPU-measured duration of the i-th main execution. */
     support::Duration mainExecDuration(std::size_t i) const;

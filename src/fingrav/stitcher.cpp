@@ -1,7 +1,6 @@
 #include "fingrav/stitcher.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "fingrav/binning.hpp"
 #include "support/logging.hpp"
@@ -47,8 +46,8 @@ translateSample(const ProfilerOptions& opts, const TimeSync& sync,
 
 ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
                                  const TimeSync& sync,
-                                 support::Duration tick)
-    : opts_(opts), sync_(&sync), tick_(tick)
+                                 support::Duration tick, std::size_t window)
+    : opts_(opts), sync_(&sync), tick_(tick), window_(window)
 {
 }
 
@@ -56,9 +55,10 @@ void
 ProfileStitcher::translateSamples(const RunRecord& run,
                                   std::vector<std::int64_t>& out) const
 {
-    const std::size_t m = run.samples.size();
+    const auto& samples = run.windowSamples(window_);
+    const std::size_t m = samples.size();
     out.resize(m);
-    const std::int64_t* ts = run.samples.gpu_timestamp.data();
+    const std::int64_t* ts = samples.gpu_timestamp.data();
     if (opts_.sync_mode == SyncMode::kCoarseAlign) {
         const std::int64_t t0 = m > 0 ? ts[0] : 0;
         const std::int64_t base = run.log_start_cpu_ns;
@@ -76,29 +76,33 @@ ProfileStitcher::translateSamples(const RunRecord& run,
 
 namespace {
 
-/** Step-6 golden selection over the first `n` runs (see header). */
+/**
+ * Step-6 binning input: run `i`'s representative time, appended with its
+ * index.  Runs that recorded zero main executions cannot provide one
+ * (indexing size-1 underflowed before); they are excluded from binning
+ * and count as outliers.
+ */
 void
-selectGoldenPrefix(const ProfilerOptions& opts,
-                   const std::vector<RunRecord>& runs, std::size_t n,
-                   ProfileSet& out)
+addBinningInput(const RunRecord& run, std::size_t i, const ProfileSet& out,
+                std::vector<Duration>& rep_times,
+                std::vector<std::size_t>& eligible)
 {
-    // Runs that recorded zero main executions cannot provide a
-    // representative execution time (indexing size-1 underflowed before);
-    // they are excluded from binning and count as outliers.
-    std::vector<Duration> rep_times;
-    std::vector<std::size_t> eligible;
-    rep_times.reserve(n);
-    eligible.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (runs[i].main_exec_indices.empty()) {
-            support::warn("stitch: run ", runs[i].run_index,
-                          " recorded no main executions; skipping");
-            continue;
-        }
-        rep_times.push_back(repTime(runs[i], out));
-        eligible.push_back(i);
+    if (run.main_exec_indices.empty()) {
+        support::warn("stitch: run ", run.run_index,
+                      " recorded no main executions; skipping");
+        return;
     }
+    rep_times.push_back(repTime(run, out));
+    eligible.push_back(i);
+}
 
+/** Step-6 golden selection over `n` runs (see header). */
+void
+selectGolden(const ProfilerOptions& opts,
+             const std::vector<Duration>& rep_times,
+             const std::vector<std::size_t>& eligible, std::size_t n,
+             ProfileSet& out)
+{
     const double margin =
         opts.margin_override.value_or(out.guidance.binning_margin);
     if (opts.target_bin.has_value()) {
@@ -129,7 +133,11 @@ ProfileStitcher::selectGoldenRuns(const ProfilerOptions& opts,
                                   const std::vector<RunRecord>& runs,
                                   ProfileSet& out)
 {
-    selectGoldenPrefix(opts, runs, runs.size(), out);
+    std::vector<Duration> rep_times;
+    std::vector<std::size_t> eligible;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        addBinningInput(runs[i], i, out, rep_times, eligible);
+    selectGolden(opts, rep_times, eligible, runs.size(), out);
 }
 
 void
@@ -140,12 +148,12 @@ ProfileStitcher::updateCaches(const std::vector<RunRecord>& runs,
                    "restitch: runs shrank between calls");
     FINGRAV_ASSERT(n <= runs.size(), "restitch: prefix beyond runs");
     for (std::size_t i = run_caches_.size(); i < n; ++i) {
-        RunCache rc;
-        rc.eligible = !runs[i].main_exec_indices.empty();
-        if (rc.eligible)
-            rc.rep_time = repTime(runs[i], out);
-        run_caches_.push_back(std::move(rc));
+        FINGRAV_ASSERT(window_ <= runs[i].extra_samples.size(),
+                       "restitch: run ", runs[i].run_index,
+                       " recorded no window ", window_);
+        addBinningInput(runs[i], i, out, rep_times_, eligible_);
     }
+    run_caches_.resize(n);
 }
 
 void
@@ -153,8 +161,9 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
                            ProfileSet& out)
 {
     RunCache& rc = run_caches_[run_idx];
+    const auto& samples = run.windowSamples(window_);
     if (!rc.aligned) {
-        const std::size_t m = run.samples.size();
+        const std::size_t m = samples.size();
         translateSamples(run, rc.sample_cpu_ns);
         // Contention flags in the same pass discipline: sample times
         // ascend and the contention intervals are merged and ascending,
@@ -176,12 +185,16 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
     const auto& cpu = rc.sample_cpu_ns;
     const std::size_t n = cpu.size();
 
-    // Executions are chronological and samples ascend in CPU time, so one
-    // forward sweep aligns them: O(execs + samples) instead of the seed's
-    // O(execs × samples) with a translation per pair.  Points land in the
-    // profile columns directly (addRow) — no ProfilePoint staging.
+    // Visit only the executions that yield points: SSE (first, when it
+    // precedes the SSP index), then every j >= ssp.  Starts never decrease
+    // (header precondition) and samples ascend, so the cursor jumped to a
+    // visited start lands where a walk over every execution would.  Points
+    // land in the profile columns directly (addRow) — no staging.
+    const std::size_t sse = out.sse_exec_index;
+    const std::size_t ssp = out.ssp_exec_index;
     std::size_t si = 0;
-    for (std::size_t j = 0; j < run.main_exec_indices.size(); ++j) {
+    for (std::size_t j = std::min(sse, ssp); j < run.main_exec_indices.size();
+         j = std::max(j + 1, ssp)) {
         const auto& timing = run.execs[run.main_exec_indices[j]].timing;
         const double dur_ns = static_cast<double>(
             timing.cpu_end_ns - timing.cpu_start_ns);
@@ -191,10 +204,8 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
         // advance (scalar fallback under FINGRAV_SIMD_SCALAR): same
         // indices as the former advance-while-less loops, `cpu` ascends.
         si = support::simd::scanGe(cpu.data(), si, n, timing.cpu_start_ns);
-        const bool is_sse = j == out.sse_exec_index;
-        const bool is_ssp = j >= out.ssp_exec_index;
-        if (!is_sse && !is_ssp)
-            continue;
+        const bool is_sse = j == sse;
+        const bool is_ssp = j >= ssp;
         const std::size_t ke =
             support::simd::scanGt(cpu.data(), si, n, timing.cpu_end_ns);
         for (std::size_t k = si; k < ke; ++k) {
@@ -206,17 +217,17 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
                 static_cast<double>(cpu[k] - run.run_start_cpu_ns) / 1e3;
             const bool contended = rc.contended[k] != 0;
             if (is_sse)
-                out.sse.addRow(toi_us, toi_frac, run_time_us,
-                               run.samples[k], run.run_index, j, contended);
+                out.sse.addRow(toi_us, toi_frac, run_time_us, samples[k],
+                               run.run_index, j, contended);
             if (is_ssp)
-                out.ssp.addRow(toi_us, toi_frac, run_time_us,
-                               run.samples[k], run.run_index, j, contended);
+                out.ssp.addRow(toi_us, toi_frac, run_time_us, samples[k],
+                               run.run_index, j, contended);
         }
     }
 
     // Timeline view: every sample of the run in run-relative time,
     // bulk-copied capture columns → profile columns (no transpose).
-    out.timeline.appendTimelineRun(run.samples, cpu.data(),
+    out.timeline.appendTimelineRun(samples, cpu.data(),
                                    rc.contended.data(),
                                    run.run_start_cpu_ns, run.run_index);
 }
@@ -233,7 +244,7 @@ ProfileStitcher::restitch(const std::vector<RunRecord>& runs, std::size_t n,
                           ProfileSet& out)
 {
     updateCaches(runs, n, out);
-    selectGoldenPrefix(opts_, runs, n, out);
+    selectGolden(opts_, rep_times_, eligible_, n, out);
     const auto& golden = out.binning.golden_runs;
 
     // Incremental iff every previously stitched run is still golden, in
@@ -258,11 +269,11 @@ ProfileStitcher::restitch(const std::vector<RunRecord>& runs, std::size_t n,
     // so the per-run bulk appends never re-allocate the profile columns.
     std::size_t extra = 0;
     for (std::size_t g = from; g < golden.size(); ++g)
-        extra += runs[golden[g]].samples.size();
+        extra += runs[golden[g]].windowSamples(window_).size();
     out.timeline.reserve(out.timeline.size() + extra);
     for (std::size_t g = from; g < golden.size(); ++g) {
         const std::size_t idx = golden[g];
-        ssp_time_us_.add(run_caches_[idx].rep_time.toMicros());
+        ssp_time_us_.add(repTime(runs[idx], out).toMicros());
         appendRun(runs[idx], idx, out);
     }
 

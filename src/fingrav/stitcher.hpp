@@ -12,9 +12,12 @@
  * every appended run, quadratic in run count.  ProfileStitcher fixes both
  * hot paths:
  *
- *  - per run, sample CPU timestamps are translated once and cached; the
- *    time-sorted samples are then aligned to the (chronological)
- *    executions with a two-pointer sweep — O(execs + samples);
+ *  - per run, sample CPU timestamps are translated once and cached; a
+ *    forward cursor then jumps to the start of each execution that yields
+ *    points (the SSE one and every one from the SSP index on):
+ *    O(harvested execs + samples), however deep a long logger window puts
+ *    the SSP index.  Golden selection bins representative times cached
+ *    when each run is first seen;
  *  - restitch() is incremental: when appended runs leave the golden-bin
  *    membership of previously stitched runs unchanged (the common case —
  *    modalCluster returns ascending indices, so unchanged membership
@@ -22,10 +25,15 @@
  *    runs are scanned; a full rebuild happens only when the modal bin
  *    shifts.
  *
+ * Precondition: within a run, each execution starts at or after the
+ * previous one ends (RunExecutor synchronizes every timed run before the
+ * next launch).  The cursor jump is exact only under it.
+ *
  * stitchReference() preserves the seed's from-scratch quadratic loop; it
  * is the verification oracle (tests/stitch_incremental_test.cpp) and the
  * baseline for bench/bench_hotpath.cpp.  Both paths produce bit-identical
- * ProfileSets on the same inputs.
+ * ProfileSets on the same inputs (the reference stitches
+ * RunRecord::samples, i.e. window 0).
  */
 
 #include <cstdint>
@@ -45,9 +53,11 @@ class ProfileStitcher {
      * @param sync  Calibrated CPU-GPU translation; must outlive the
      *              stitcher and not gain anchors between restitch calls.
      * @param tick  GPU timestamp-counter tick (coarse-align mode only).
+     * @param window  Recorded log to stitch (RunRecord::windowSamples):
+     *                0 = samples, w = extra_samples[w - 1].
      */
     ProfileStitcher(const ProfilerOptions& opts, const TimeSync& sync,
-                    support::Duration tick);
+                    support::Duration tick, std::size_t window = 0);
 
     /**
      * (Re)stitch `runs` into `out`.
@@ -82,9 +92,10 @@ class ProfileStitcher {
                                 ProfileSet& out);
 
     /**
-     * Step 6: golden-run selection shared by both paths.  Runs that
-     * recorded no main execution are skipped (they cannot be binned and
-     * previously underflowed the representative-execution index).
+     * Step 6: golden-run selection (restitch bins its cached input the
+     * same way).  Runs that recorded no main execution are skipped (they
+     * cannot be binned and previously underflowed the
+     * representative-execution index).
      */
     static void selectGoldenRuns(const ProfilerOptions& opts,
                                  const std::vector<RunRecord>& runs,
@@ -92,9 +103,7 @@ class ProfileStitcher {
 
   private:
     struct RunCache {
-        support::Duration rep_time;
-        bool eligible = false;  ///< recorded at least one main execution
-        bool aligned = false;   ///< sample_cpu_ns / contended filled
+        bool aligned = false;  ///< sample_cpu_ns / contended filled
         std::vector<std::int64_t> sample_cpu_ns;  ///< ascending
         /**
          * Per-sample contention flag (0/1), resolved once per run by
@@ -113,19 +122,22 @@ class ProfileStitcher {
     void translateSamples(const RunRecord& run,
                           std::vector<std::int64_t>& out) const;
 
-    /** Extend per-run caches to cover the first `n` runs. */
+    /** Extend per-run caches and the binning input to the first `n` runs. */
     void updateCaches(const std::vector<RunRecord>& runs, std::size_t n,
                       const ProfileSet& out);
 
-    /** Append one golden run's points to the profiles (two-pointer). */
+    /** Append one golden run's points to the profiles (cursor jumps). */
     void appendRun(const RunRecord& run, std::size_t run_idx,
                    ProfileSet& out);
 
     ProfilerOptions opts_;
     const TimeSync* sync_;
     support::Duration tick_;
+    std::size_t window_;
 
     std::vector<RunCache> run_caches_;
+    std::vector<support::Duration> rep_times_;  ///< of the eligible_ runs
+    std::vector<std::size_t> eligible_;  ///< runs with main executions
     std::vector<std::size_t> stitched_golden_;
     support::RunningStats ssp_time_us_;
     bool stitched_once_ = false;

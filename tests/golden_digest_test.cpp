@@ -8,7 +8,8 @@
  * *builds*.  It pins the FNV-1a-64 digest of the canonical codec bytes of
  * every ProfileSet of the paper campaign set (the fourteen paper kernels
  * plus AR-512MB under injected fabric demand, bench_fig10's seeds 10001
- * on) and of one multi-window RecordedCampaign restitch.  The Release,
+ * on), of one multi-window RecordedCampaign restitch, and of a grid of
+ * restitch points and budget autotunes over two recordings.  The Release,
  * forced-scalar SIMD and sanitizer builds must all reproduce the same
  * digests, and a simulator optimisation that claims to be exact must
  * leave every one of them untouched.
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -80,6 +82,10 @@ const GoldenDigest kPaperGolden[] = {
 
 /** recordSpec() recorded at 1/2/10 ms, restitched at the 2 ms window. */
 constexpr std::uint64_t kRestitchGolden = 0x68a13d05937b1ad2ull;
+
+/** restitchGridDigest() over recordSpec() at 1/2/10 ms and
+ *  longWindowSpec() at 1/10 ms. */
+constexpr std::uint64_t kRestitchGridGolden = 0x42c8f5eab8d0f1e1ull;
 
 struct WireDigest {
     const char* name;
@@ -223,6 +229,64 @@ digest(const fc::ProfileSet& set)
     return digest(fc::codec::encode(set));
 }
 
+/**
+ * A short-exec recording whose 10 ms window puts the SSP index deep into
+ * every run, so a restitch there skips most recorded executions.
+ */
+fc::ScenarioSpec
+longWindowSpec()
+{
+    fc::ScenarioSpec spec;
+    spec.label = "MB-2K-GEMV";
+    spec.seed = 5151;
+    spec.opts.runs_override = 24;
+    spec.opts.max_extra_run_factor = 0.5;
+    return spec;
+}
+
+/**
+ * One digest over a recording's sweep surface: every window x every
+ * sync mode x {default, 0.10} margin x binning {default, off} x target
+ * bin {none, the measured execution time} x run budget {default + top-up,
+ * half the base}, then each window's budget autotune, field by field.
+ */
+std::uint64_t
+restitchGridDigest(const fc::RecordedCampaign& recorded)
+{
+    const fc::SyncMode modes[] = {
+        fc::SyncMode::kFinGraV, fc::SyncMode::kFinGraVDrift,
+        fc::SyncMode::kNoDelayAccounting, fc::SyncMode::kCoarseAlign};
+    std::vector<std::uint64_t> words;
+    for (std::size_t w = 0; w < recorded.windows().size(); ++w) {
+        for (const auto mode : modes) {
+            for (unsigned mask = 0; mask < 16; ++mask) {
+                fc::SweepPoint point;
+                point.window_index = w;
+                point.sync_mode = mode;
+                if (mask & 1u)
+                    point.margin = 0.10;
+                if (mask & 2u)
+                    point.binning = false;
+                if (mask & 4u)
+                    point.target_bin = recorded.measuredExecTime();
+                if (mask & 8u)
+                    point.runs = recorded.baseRuns() / 2;
+                words.push_back(digest(recorded.restitch(point)));
+            }
+        }
+        const auto tuned = recorded.autotuneBudget(0, w);
+        std::uint64_t yield_bits = 0;
+        std::memcpy(&yield_bits, &tuned.achieved_yield, sizeof yield_bits);
+        words.insert(words.end(),
+                     {tuned.loi_target, tuned.runs_needed,
+                      tuned.target_met ? 1u : 0u, tuned.recommended_runs,
+                      tuned.pool_runs, yield_bits, tuned.window_index});
+    }
+    return fc::codec::fnv1a64(
+        reinterpret_cast<const std::uint8_t*>(words.data()),
+        words.size() * sizeof(std::uint64_t));
+}
+
 bool
 printing()
 {
@@ -260,6 +324,21 @@ TEST(GoldenDigest, MultiWindowRestitch)
     if (printing())
         std::printf("restitch 0x%016" PRIx64 "ull\n", d);
     EXPECT_EQ(d, kRestitchGolden);
+}
+
+TEST(GoldenDigest, RestitchGrid)
+{
+    const auto pinned = fc::RecordedCampaign::record(
+        fingrav::testing::recordSpec(), {2_ms, 10_ms});
+    const auto long_window =
+        fc::RecordedCampaign::record(longWindowSpec(), {10_ms});
+    const std::uint64_t words[] = {restitchGridDigest(pinned),
+                                   restitchGridDigest(long_window)};
+    const std::uint64_t d = fc::codec::fnv1a64(
+        reinterpret_cast<const std::uint8_t*>(words), sizeof words);
+    if (printing())
+        std::printf("restitch grid 0x%016" PRIx64 "ull\n", d);
+    EXPECT_EQ(d, kRestitchGridGolden);
 }
 
 TEST(GoldenDigest, WireAndCacheKeyBytes)

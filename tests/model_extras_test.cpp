@@ -102,6 +102,21 @@ struct Node {
     }
 };
 
+/**
+ * Each execution starts at or after the previous one ends: every timed
+ * run synchronizes before the next launch.  ProfileStitcher relies on it
+ * to jump its sample cursor over the executions it does not harvest.
+ */
+void
+expectExecsInOrder(const fc::RunRecord& rec)
+{
+    for (std::size_t i = 1; i < rec.execs.size(); ++i) {
+        EXPECT_GE(rec.execs[i].timing.cpu_start_ns,
+                  rec.execs[i - 1].timing.cpu_end_ns)
+            << i;
+    }
+}
+
 }  // namespace
 
 TEST(RunExecutor, RecordsExecutionsInOrderWithPower)
@@ -115,10 +130,7 @@ TEST(RunExecutor, RecordsExecutionsInOrderWithPower)
     EXPECT_EQ(rec.run_index, 3u);
     ASSERT_EQ(rec.execs.size(), 6u);
     ASSERT_EQ(rec.main_exec_indices.size(), 6u);
-    for (std::size_t i = 1; i < rec.execs.size(); ++i) {
-        EXPECT_GE(rec.execs[i].timing.cpu_start_ns,
-                  rec.execs[i - 1].timing.cpu_end_ns);
-    }
+    expectExecsInOrder(rec);
     EXPECT_FALSE(rec.samples.empty());
     EXPECT_EQ(rec.run_start_cpu_ns, rec.execs[0].timing.cpu_start_ns);
     EXPECT_LT(rec.log_start_cpu_ns, rec.run_start_cpu_ns);
@@ -144,6 +156,28 @@ TEST(RunExecutor, PreludeExecutesBeforeMainPerBlock)
     for (std::size_t i = 0; i < rec.execs.size(); ++i) {
         EXPECT_EQ(rec.execs[i].is_main, i == 3u || i == 7u) << i;
     }
+    expectExecsInOrder(rec);
+}
+
+TEST(RunExecutor, CollectiveAndPreludeExecutionsRunInOrder)
+{
+    // Node-wide collective main executions behind a single-device prelude,
+    // with power capture on: the collective timing is taken on the
+    // profiled device while the other seven GPUs run it too.
+    const auto cfg = sim::mi300xConfig();
+    sim::Simulation s(cfg, 904);
+    rt::HostRuntime host(s, s.forkRng(7));
+    fc::RunExecutor exec(host, s.forkRng(9));
+    fc::RunPlan plan;
+    plan.main = fk::makeCollective(fk::CollectiveOp::kAllReduce, 32_MB, cfg);
+    plan.prelude = {{fk::makeGemv(4096, cfg), 2}};
+    plan.blocks = 3;
+    plan.main_execs_per_block = 4;
+    const auto rec = exec.executeRun(plan, 0);
+    ASSERT_EQ(rec.execs.size(), 18u);  // 3 x (2 prelude + 4 main)
+    ASSERT_EQ(rec.main_exec_indices.size(), 12u);
+    EXPECT_FALSE(rec.samples.empty());
+    expectExecsInOrder(rec);
 }
 
 TEST(RunExecutor, PlanValidation)

@@ -6,11 +6,17 @@
  * vector — including across modal-bin shifts that force a rebuild — and
  * runs that recorded zero main executions must be skipped instead of
  * underflowing the representative-execution index (the seed crashed
- * computing `main_exec_indices.size() - 1`).
+ * computing `main_exec_indices.size() - 1`).  Long runs whose SSP index
+ * sits deep in the run (the stitcher visits only the harvested
+ * executions) and multi-window pools are checked against the same
+ * reference.
  */
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,7 +97,6 @@ syntheticRun(std::size_t idx, double rep_us, std::size_t execs = 12)
     const auto dur = static_cast<std::int64_t>(rep_us * 1e3);
     for (std::size_t j = 0; j < execs; ++j) {
         fc::ExecObservation ob;
-        ob.label = "synthetic";
         ob.is_main = true;
         ob.timing.cpu_start_ns =
             base + static_cast<std::int64_t>(j) * (dur + 20'000);
@@ -112,6 +117,109 @@ syntheticRun(std::size_t idx, double rep_us, std::size_t execs = 12)
     }
     return r;
 }
+
+/** Main executions of longSyntheticRun(). */
+constexpr std::size_t kLongMains = 320;
+
+/** Samples every `period_ns` over [ts0, ts0 + span_ns) in GPU ticks. */
+sim::SampleColumns
+periodicSamples(std::int64_t ts0, std::int64_t period_ns,
+                std::int64_t span_ns, std::int64_t tick_ns, double base_w)
+{
+    sim::SampleColumns out;
+    for (std::int64_t k = 0; k * period_ns < span_ns; ++k) {
+        sim::PowerSample s;
+        s.gpu_timestamp = ts0 + k * period_ns / tick_ns;
+        s.total_w = base_w + static_cast<double>(k % 97);
+        s.xcd_w = 0.5 * s.total_w;
+        s.iod_w = 25.0;
+        s.hbm_w = 20.0 + static_cast<double>(k % 7);
+        out.push_back(s);
+    }
+    return out;
+}
+
+/**
+ * Long variant of syntheticRun: three prelude (non-main) executions, then
+ * kLongMains main executions of `rep_us` with a non-main execution after
+ * every 40th, and zero-duration main executions at 50, 51, 200 (inside
+ * the stretch a deep SSP index skips) and 310.  Samples every 53 us (the
+ * primary log) and every 211 us and 1009 us (two extra windows) start at
+ * the run's calibrated CPU origin, so the coarse-align and the TimeSync
+ * mappings put them in the same executions.  Two contention intervals
+ * overlap the run.
+ */
+fc::RunRecord
+longSyntheticRun(std::size_t idx, double rep_us, const fc::TimeSync& sync,
+                 fs::Duration tick)
+{
+    fc::RunRecord r;
+    r.run_index = idx;
+    const std::int64_t ts0 =
+        1'000'000 + static_cast<std::int64_t>(idx) * 5'000'000;
+    const std::int64_t cpu0 = sync.gpuCounterToCpuNs(ts0);
+    r.log_start_cpu_ns = cpu0;
+    std::int64_t t = cpu0 + 40'000;
+    auto add = [&](bool is_main, std::int64_t dur_ns) {
+        fc::ExecObservation ob;
+        ob.is_main = is_main;
+        ob.timing.cpu_start_ns = t;
+        ob.timing.cpu_end_ns = t + dur_ns;
+        t = ob.timing.cpu_end_ns + 20'000;
+        if (is_main)
+            r.main_exec_indices.push_back(r.execs.size());
+        r.execs.push_back(ob);
+    };
+    for (int i = 0; i < 3; ++i)
+        add(false, 30'000);
+    const auto dur = static_cast<std::int64_t>(rep_us * 1e3);
+    for (std::size_t j = 0; j < kLongMains; ++j) {
+        if (j > 0 && j % 40 == 0)
+            add(false, 30'000);
+        const bool zero = j == 50 || j == 51 || j == 200 || j == 310;
+        add(true, zero ? 0 : dur);
+    }
+    r.run_start_cpu_ns = r.execs.front().timing.cpu_start_ns;
+    const std::int64_t span = t - cpu0;
+    const std::int64_t tick_ns = tick.nanos();
+    r.samples = periodicSamples(ts0, 53'000, span, tick_ns, 300.0);
+    r.extra_samples.push_back(
+        periodicSamples(ts0, 211'000, span, tick_ns, 310.0));
+    r.extra_samples.push_back(
+        periodicSamples(ts0, 1'009'000, span, tick_ns, 320.0));
+    r.contended_cpu_ns = {{cpu0 + span / 3, cpu0 + span / 2},
+                          {t - 2'000'000, t}};
+    return r;
+}
+
+/** Long runs with one execution-time outlier (run 3). */
+std::vector<fc::RunRecord>
+longPool(const fc::TimeSync& sync, fs::Duration tick)
+{
+    std::vector<fc::RunRecord> runs;
+    const double reps[] = {100.0, 100.3, 99.8, 130.0, 100.1};
+    for (std::size_t i = 0; i < std::size(reps); ++i)
+        runs.push_back(longSyntheticRun(i, reps[i], sync, tick));
+    return runs;
+}
+
+/** The same runs carrying window `w`'s log in RunRecord::samples. */
+std::vector<fc::RunRecord>
+windowMajor(const std::vector<fc::RunRecord>& runs, std::size_t w)
+{
+    std::vector<fc::RunRecord> out;
+    for (const auto& run : runs) {
+        fc::RunRecord copy = run;
+        copy.samples = run.windowSamples(w);
+        copy.extra_samples.clear();
+        out.push_back(std::move(copy));
+    }
+    return out;
+}
+
+const fc::SyncMode kAllSyncModes[] = {
+    fc::SyncMode::kFinGraV, fc::SyncMode::kFinGraVDrift,
+    fc::SyncMode::kNoDelayAccounting, fc::SyncMode::kCoarseAlign};
 
 }  // namespace
 
@@ -198,7 +306,17 @@ TEST(StitchIncremental, ZeroExecRunsAreSkippedNotUnderflowed)
 
     auto incremental = skeleton("synthetic", 3, 4);
     fc::ProfileStitcher stitcher(opts, sync, b.host->timestampTick());
+    // The skip is warned once, when the run is first seen, however often
+    // the growing pool is restitched (std::cerr is unbuffered).
+    ::testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(stitcher.restitch(runs, 2, incremental));
     EXPECT_NO_THROW(stitcher.restitch(runs, incremental));
+    EXPECT_NO_THROW(stitcher.restitch(runs, incremental));
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    const std::string skip = "run 1 recorded no main executions";
+    const auto first = warned.find(skip);
+    EXPECT_NE(first, std::string::npos) << warned;
+    EXPECT_EQ(warned.find(skip, first + 1), std::string::npos) << warned;
     EXPECT_EQ(incremental.binning.golden_runs,
               (std::vector<std::size_t>{0, 2}));
     EXPECT_EQ(incremental.binning.total_runs, 3u);
@@ -217,4 +335,77 @@ TEST(StitchIncremental, ZeroExecRunsAreSkippedNotUnderflowed)
     EXPECT_NO_THROW(fc::ProfileStitcher::stitchReference(
         no_binning, sync, b.host->timestampTick(), all_empty, degenerate));
     EXPECT_TRUE(degenerate.binning.golden_runs.empty());
+}
+
+TEST(StitchIncremental, LongRunsMatchReferenceAtEveryIndexSplit)
+{
+    Bench b(34);
+    const auto sync = fc::TimeSync::calibrate(*b.host);
+    const auto tick = b.host->timestampTick();
+    const auto runs = longPool(sync, tick);
+    ASSERT_EQ(runs.front().main_exec_indices.size(), kLongMains);
+
+    struct Split {
+        std::size_t sse, ssp;
+    };
+    const Split splits[] = {
+        {3, 300},    // sse < ssp: the SSE execution, then a jump
+        {50, 300},   // the SSE execution has zero duration
+        {305, 300},  // sse >= ssp: SSE inside the SSP region
+        {3, kLongMains},  // ssp == mains: SSE points only
+        {3, 400},         // ssp > mains
+        {400, 300},  // sse >= mains: SSP points only
+    };
+    for (const auto mode : kAllSyncModes) {
+        fc::ProfilerOptions opts;
+        opts.sync_mode = mode;
+        opts.margin_override = 0.05;
+        for (const auto& split : splits) {
+            SCOPED_TRACE(::testing::Message()
+                         << fc::toString(mode) << " sse " << split.sse
+                         << " ssp " << split.ssp);
+            auto incremental = skeleton("synthetic", split.sse, split.ssp);
+            fc::ProfileStitcher stitcher(opts, sync, tick);
+            for (std::size_t n = 1; n <= runs.size(); ++n)
+                stitcher.restitch(runs, n, incremental);
+
+            auto reference = skeleton("synthetic", split.sse, split.ssp);
+            fc::ProfileStitcher::stitchReference(opts, sync, tick, runs,
+                                                 reference);
+            EXPECT_EQ(reference.binning.golden_runs,
+                      (std::vector<std::size_t>{0, 1, 2, 4}));
+            EXPECT_EQ(reference.sse.empty(), split.sse >= kLongMains ||
+                                                 split.sse == 50);
+            EXPECT_EQ(reference.ssp.empty(), split.ssp >= kLongMains);
+            expectSetsEqual(incremental, reference);
+        }
+    }
+}
+
+TEST(StitchIncremental, EachWindowOfOnePoolMatchesWindowMajorReference)
+{
+    Bench b(35);
+    const auto sync = fc::TimeSync::calibrate(*b.host);
+    const auto tick = b.host->timestampTick();
+    const auto runs = longPool(sync, tick);
+    for (const auto mode : kAllSyncModes) {
+        fc::ProfilerOptions opts;
+        opts.sync_mode = mode;
+        opts.margin_override = 0.05;
+        for (std::size_t w = 0; w <= runs.front().extra_samples.size();
+             ++w) {
+            SCOPED_TRACE(::testing::Message()
+                         << fc::toString(mode) << " window " << w);
+            auto shared = skeleton("synthetic", 3, 300);
+            fc::ProfileStitcher stitcher(opts, sync, tick, w);
+            stitcher.restitch(runs, 2, shared);
+            stitcher.restitch(runs, shared);
+
+            auto reference = skeleton("synthetic", 3, 300);
+            fc::ProfileStitcher::stitchReference(
+                opts, sync, tick, windowMajor(runs, w), reference);
+            ASSERT_FALSE(reference.ssp.empty());
+            expectSetsEqual(shared, reference);
+        }
+    }
 }
