@@ -1,9 +1,11 @@
 #include "fingrav/campaign_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,35 +21,42 @@ namespace stdfs = std::filesystem;
 
 namespace {
 
-/** Read a whole file as bytes; nullopt when it cannot be opened. */
-std::optional<std::vector<std::uint8_t>>
+/** A whole file in one buffer, which only the read writes. */
+struct FileBytes {
+    std::unique_ptr<std::uint8_t[]> data;
+    std::size_t size = 0;
+};
+
+/** Read a whole file with one read sized from its length; nullopt when
+ *  it cannot be opened or read. */
+std::optional<FileBytes>
 readAll(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return std::nullopt;
-    std::vector<std::uint8_t> bytes;
-    char buf[1 << 16];
-    while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-        bytes.insert(bytes.end(), buf, buf + in.gcount());
-        if (!in)
-            break;
-    }
-    if (in.bad())
+    const std::streamsize size = in.tellg();
+    if (size < 0 || !in.seekg(0))
+        return std::nullopt;
+    FileBytes bytes{std::make_unique_for_overwrite<std::uint8_t[]>(
+                        static_cast<std::size_t>(size)),
+                    static_cast<std::size_t>(size)};
+    if (!in.read(reinterpret_cast<char*>(bytes.data.get()), size))
         return std::nullopt;
     return bytes;
 }
 
 /**
- * Decode one on-disk blob back to its (key bytes, ProfileSet) entry.
- * Throws support::FatalError on ANY inconsistency — truncation, bit flip
+ * Decode one on-disk blob back to its (key bytes, ProfileSet) entry,
+ * validating and decoding the frame in place in `bytes`.  Throws
+ * support::FatalError on ANY inconsistency — truncation, bit flip
  * (checksum), foreign version, wrong frame type, trailing bytes — which
  * callers translate into a miss.
  */
 fscodec::CacheEntry
-decodeEntry(const std::vector<std::uint8_t>& bytes)
+decodeEntry(const FileBytes& bytes)
 {
-    const auto frame = fscodec::parseFrame(bytes);
+    const auto frame = fscodec::parseFrame({bytes.data.get(), bytes.size});
     if (frame.type != fscodec::FrameType::kCacheEntry) {
         support::fatal("campaign cache: blob holds a ",
                        fscodec::toString(frame.type),
@@ -143,10 +152,10 @@ CampaignCache::lookup(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
             support::fatal("campaign cache: blob key does not match "
                            "the probed content key");
         }
-        memoryInsert(k, set, bytes->size());
+        memoryInsert(k, set, bytes->size);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.disk_hits;
-        stats_.disk_bytes_read += bytes->size();
+        stats_.disk_bytes_read += bytes->size;
         return std::move(set);
     } catch (const std::exception& e) {
         // The caller simply re-executes and the subsequent store
@@ -169,9 +178,11 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
         return;
     fscodec::CacheEntry entry{key(spec, cfg), set};
     const std::string& k = entry.key;
-    const auto frame = fscodec::encodeFrame(fscodec::FrameType::kCacheEntry,
-                                            fscodec::encode(entry));
-    memoryInsert(k, std::move(entry.set), frame.size());
+    const auto payload = fscodec::encode(entry);
+    const auto header =
+        fscodec::encodeFrameHeader(fscodec::FrameType::kCacheEntry, payload);
+    const std::size_t blob_bytes = header.size() + payload.size();
+    memoryInsert(k, std::move(entry.set), blob_bytes);
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.stores;
@@ -197,6 +208,15 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
     const std::string temp =
         path + ".tmp." + std::to_string(::getpid()) + "." +
         std::to_string(temp_seq.fetch_add(1, std::memory_order_relaxed));
+    // The first `n` bytes of the blob, header then payload, written
+    // straight from both buffers.
+    const auto writeBlob = [&](std::ofstream& out, std::size_t n) {
+        const std::size_t from_header = std::min(n, header.size());
+        out.write(reinterpret_cast<const char*>(header.data()),
+                  static_cast<std::streamsize>(from_header));
+        out.write(reinterpret_cast<const char*>(payload.data()),
+                  static_cast<std::streamsize>(n - from_header));
+    };
     {
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
         if (!out) {
@@ -209,16 +229,14 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
         // removed, nothing is published, the failure is counted and
         // journaled — so lookups can never see the partial blob.
         if (injector_.armed() && injector_.onStoreWrite()) {
-            out.write(reinterpret_cast<const char*>(frame.data()),
-                      static_cast<std::streamsize>(frame.size() / 2));
+            writeBlob(out, blob_bytes / 2);
             out.flush();
             out.close();
             stdfs::remove(temp, ec);
             fail("injected short write, ENOSPC-style");
             return;
         }
-        out.write(reinterpret_cast<const char*>(frame.data()),
-                  static_cast<std::streamsize>(frame.size()));
+        writeBlob(out, blob_bytes);
         out.flush();
         if (!out) {
             out.close();
@@ -234,7 +252,7 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
         return;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.disk_bytes_written += frame.size();
+    stats_.disk_bytes_written += blob_bytes;
 }
 
 CacheStats

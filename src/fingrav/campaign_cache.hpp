@@ -25,10 +25,18 @@
  *
  *  - an optional on-disk store of codec-framed blobs,
  *    `<dir>/<hash:016x>.fgc`, each a kCacheEntry frame carrying the
- *    *full* key bytes plus the encoded ProfileSet.  Writes go to a
- *    process-unique temp file and are published by atomic rename, so
- *    concurrent writers (threads, worker processes, other machines on a
- *    shared filesystem) can never expose a half-written entry.
+ *    *full* key bytes plus the encoded ProfileSet, guarded by the
+ *    frame's CRC-32C payload checksum.  FNV-1a-64 only names the blob;
+ *    the checksum and the full key comparison decide whether it serves.
+ *    Writes go to a process-unique temp file and are published by atomic
+ *    rename, so concurrent writers (threads, worker processes, other
+ *    machines on a shared filesystem) can never expose a half-written
+ *    entry.
+ *
+ * A disk hit costs about one pass over the blob at memory speed: one
+ * sized read into one buffer, then the header, checksum and payload are
+ * checked and decoded in place.  A store writes the frame header and the
+ * encoded payload without concatenating them first.
  *
  * Durability contract — the load-bearing property the fault-injection
  * suite (tests/cache_fault_test.cpp) attacks: a lookup NEVER surfaces an
@@ -67,8 +75,8 @@ namespace fingrav::core {
 
 /** CampaignCache configuration. */
 struct CacheOptions {
-    /** On-disk store directory; empty = in-memory tier only.  Created
-     *  (one level) on first store if absent. */
+    /** On-disk store directory; empty = in-memory tier only.  Every
+     *  store creates it, parents included, if it is absent. */
     std::string dir;
 
     /** In-memory LRU bound, in canonical-encoding bytes.  0 disables

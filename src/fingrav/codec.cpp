@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "support/crc32c.hpp"
 #include "support/logging.hpp"
 
 namespace fingrav::core::codec {
@@ -664,9 +665,9 @@ encode(const T& value)
 
 template <typename T>
 T
-decode(const std::vector<std::uint8_t>& payload)
+decode(std::span<const std::uint8_t> payload)
 {
-    Decoder dec(payload);
+    Decoder dec(payload.data(), payload.size());
     T value{};
     get(dec, value);
     dec.expectEnd("payload");
@@ -681,14 +682,14 @@ template std::vector<std::uint8_t> encode(const ShardResult&);
 template std::vector<std::uint8_t> encode(const CacheEntry&);
 template std::vector<std::uint8_t> encode(const std::uint32_t&);
 template std::vector<std::uint8_t> encode(const std::string&);
-template ScenarioSpec decode(const std::vector<std::uint8_t>&);
-template ProfileSet decode(const std::vector<std::uint8_t>&);
-template sim::MachineConfig decode(const std::vector<std::uint8_t>&);
-template ShardRequest decode(const std::vector<std::uint8_t>&);
-template ShardResult decode(const std::vector<std::uint8_t>&);
-template CacheEntry decode(const std::vector<std::uint8_t>&);
-template std::uint32_t decode(const std::vector<std::uint8_t>&);
-template std::string decode(const std::vector<std::uint8_t>&);
+template ScenarioSpec decode(std::span<const std::uint8_t>);
+template ProfileSet decode(std::span<const std::uint8_t>);
+template sim::MachineConfig decode(std::span<const std::uint8_t>);
+template ShardRequest decode(std::span<const std::uint8_t>);
+template ShardResult decode(std::span<const std::uint8_t>);
+template CacheEntry decode(std::span<const std::uint8_t>);
+template std::uint32_t decode(std::span<const std::uint8_t>);
+template std::string decode(std::span<const std::uint8_t>);
 
 std::string
 cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
@@ -715,16 +716,27 @@ fnv1a64(const std::uint8_t* data, std::size_t size)
     return hash;
 }
 
+std::array<std::uint8_t, kFrameHeaderBytes>
+encodeFrameHeader(FrameType type, std::span<const std::uint8_t> payload)
+{
+    Encoder enc;
+    enc.u32(kMagic);
+    enc.u16(kVersion);
+    enc.u16(static_cast<std::uint16_t>(type));
+    enc.u64(payload.size());
+    enc.u64(support::crc32c(payload.data(), payload.size()));
+    std::array<std::uint8_t, kFrameHeaderBytes> header;
+    std::copy(enc.bytes().begin(), enc.bytes().end(), header.begin());
+    return header;
+}
+
 std::vector<std::uint8_t>
 encodeFrame(FrameType type, const std::vector<std::uint8_t>& payload)
 {
-    Encoder header;
-    header.u32(kMagic);
-    header.u16(kVersion);
-    header.u16(static_cast<std::uint16_t>(type));
-    header.u64(payload.size());
-    header.u64(fnv1a64(payload.data(), payload.size()));
-    std::vector<std::uint8_t> out = header.bytes();
+    const auto header = encodeFrameHeader(type, payload);
+    std::vector<std::uint8_t> out;
+    out.reserve(header.size() + payload.size());
+    out.insert(out.end(), header.begin(), header.end());
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
 }
@@ -758,8 +770,9 @@ decodeFrameHeader(const std::uint8_t* data)
 void
 verifyFramePayload(const FrameHeader& header, const std::uint8_t* payload)
 {
+    // The stored field is 8 bytes wide: a set high half is corruption too.
     const std::uint64_t sum =
-        fnv1a64(payload, static_cast<std::size_t>(header.payload_len));
+        support::crc32c(payload, static_cast<std::size_t>(header.payload_len));
     if (sum != header.checksum) {
         support::fatal("codec: ", toString(header.type),
                        " frame payload checksum mismatch (corrupt or "
@@ -771,9 +784,11 @@ bool
 writeFrame(std::ostream& out, FrameType type,
            const std::vector<std::uint8_t>& payload)
 {
-    const auto wire = encodeFrame(type, payload);
-    out.write(reinterpret_cast<const char*>(wire.data()),
-              static_cast<std::streamsize>(wire.size()));
+    const auto header = encodeFrameHeader(type, payload);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+    out.write(reinterpret_cast<const char*>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
     out.flush();
     return static_cast<bool>(out);
 }
@@ -803,21 +818,19 @@ readFrame(std::istream& in)
     return frame;
 }
 
-Frame
-parseFrame(const std::vector<std::uint8_t>& bytes)
+FrameView
+parseFrame(std::span<const std::uint8_t> bytes)
 {
     if (bytes.size() < kFrameHeaderBytes)
         support::fatal("codec: frame shorter than its header");
     const auto header = decodeFrameHeader(bytes.data());
-    if (bytes.size() - kFrameHeaderBytes != header.payload_len)
+    const auto payload = bytes.subspan(kFrameHeaderBytes);
+    if (payload.size() != header.payload_len)
         support::fatal("codec: frame length mismatch (header claims ",
                        header.payload_len, " payload bytes, buffer has ",
-                       bytes.size() - kFrameHeaderBytes, ")");
-    Frame frame;
-    frame.type = header.type;
-    frame.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
-    verifyFramePayload(header, frame.payload.data());
-    return frame;
+                       payload.size(), ")");
+    verifyFramePayload(header, payload.data());
+    return {header.type, payload};
 }
 
 }  // namespace fingrav::core::codec

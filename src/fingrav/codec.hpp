@@ -20,12 +20,18 @@
  *    little-endian integers, length-prefixed strings and vectors, fields
  *    in declaration order, no padding, no optional representations.
  *
- *  - *Versioned framing.*  Every frame carries the codec version and an
- *    FNV-1a payload checksum; a reader confronted with a foreign
- *    version, a corrupt header or a truncated/mangled payload fails
- *    cleanly (support::FatalError) instead of decoding garbage.
- *    Any change to any encoded layout MUST bump kVersion — there is
- *    deliberately no per-field tagging; the version is the schema.
+ *  - *Versioned framing.*  Every frame carries the codec version and a
+ *    CRC-32C payload checksum (support/crc32c.hpp: the SSE4.2
+ *    instruction where the CPU has it, a table elsewhere); a reader
+ *    confronted with a foreign version, a corrupt header or a
+ *    truncated/mangled payload fails cleanly (support::FatalError)
+ *    instead of decoding garbage.  Any change to any encoded layout or
+ *    to the framing MUST bump kVersion — there is deliberately no
+ *    per-field tagging; the version is the schema.
+ *
+ * FNV-1a-64 (fnv1a64) checks no frame: it names the on-disk cache blobs
+ * (CampaignCache::keyHash) and is the digest the golden tables pin, so
+ * its bits never change.
  *
  * One field list per serialized type (codec.cpp) drives encode, decode
  * and the bitwise equality gate core::identicalProfileSets alike; each
@@ -43,10 +49,12 @@
  * in-process path.
  */
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,8 +76,12 @@ inline constexpr std::uint32_t kMagic = 0x56524746u;
  * field-interleaved per-point records.
  * v3: control frames for persistent workers — kPing/kPong keepalive and
  * kShutdown — extend the frame-type range a v2 reader would reject.
+ * v4: the frame payload checksum is CRC-32C, zero-extended into the
+ * header's 8-byte field, instead of FNV-1a-64.  Payload layouts are
+ * unchanged; a v3 peer is refused at the version check, and v3 cache
+ * blobs live at other addresses (the cache key embeds kVersion).
  */
-inline constexpr std::uint16_t kVersion = 3;
+inline constexpr std::uint16_t kVersion = 4;
 
 /** Frame payload types. */
 enum class FrameType : std::uint16_t {
@@ -218,11 +230,11 @@ std::vector<std::uint8_t> encode(const T& value);
  * byte.
  */
 template <typename T>
-T decode(const std::vector<std::uint8_t>& payload);
+T decode(std::span<const std::uint8_t> payload);
 
 /** Shorthand for decode<ProfileSet>. */
 inline ProfileSet
-decodeProfileSet(const std::vector<std::uint8_t>& bytes)
+decodeProfileSet(std::span<const std::uint8_t> bytes)
 {
     return decode<ProfileSet>(bytes);
 }
@@ -248,7 +260,7 @@ struct FrameHeader {
     std::uint64_t checksum = 0;
 };
 
-/** FNV-1a 64-bit payload checksum. */
+/** FNV-1a 64-bit hash: the cache blob address and the golden digest. */
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 
 /**
@@ -257,6 +269,10 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
  * Every count the codec decodes passes through it.
  */
 std::uint64_t checkedCount(std::uint64_t n, const char* what);
+
+/** The header of a frame carrying `payload`, whose CRC-32C it holds. */
+std::array<std::uint8_t, kFrameHeaderBytes> encodeFrameHeader(
+    FrameType type, std::span<const std::uint8_t> payload);
 
 /** Serialize header + payload into one wire buffer. */
 std::vector<std::uint8_t> encodeFrame(
@@ -279,7 +295,15 @@ struct Frame {
     std::vector<std::uint8_t> payload;
 };
 
-/** Write one frame; returns false on stream failure. */
+/** A frame validated in place: its payload views the parsed buffer and
+ *  is valid only while that buffer lives. */
+struct FrameView {
+    FrameType type = FrameType::kShardDone;
+    std::span<const std::uint8_t> payload;
+};
+
+/** Write header and payload (no concatenated copy); returns false on
+ *  stream failure. */
 bool writeFrame(std::ostream& out, FrameType type,
                 const std::vector<std::uint8_t>& payload);
 
@@ -290,8 +314,12 @@ bool writeFrame(std::ostream& out, FrameType type,
  */
 std::optional<Frame> readFrame(std::istream& in);
 
-/** Parse a whole in-memory frame (header + payload, exact size). */
-Frame parseFrame(const std::vector<std::uint8_t>& bytes);
+/**
+ * Validate a whole in-memory frame (header + payload, exact size) in
+ * place: magic, version, type, length and checksum, copying no byte.
+ * Fatal on any mismatch, like readFrame.
+ */
+FrameView parseFrame(std::span<const std::uint8_t> bytes);
 
 }  // namespace fingrav::core::codec
 

@@ -438,7 +438,6 @@ GpuDevice::stepLoop(support::SimTime limit, bool stop_on_idle)
         // ---- logger feed: one bulk slice per stretch --------------------
         for (auto& logger : loggers_)
             logger->addSlice(now_, dt, rails);
-        ++step_stats_.slices;
 
         // ---- integrate the stretch --------------------------------------
         governor_.update(dt, rails.total(), active);

@@ -90,8 +90,9 @@ class GpuDevice {
 
     /** Advancement-cost counters (see bench/bench_hotpath.cpp). */
     struct StepStats {
-        std::uint64_t stretches = 0;  ///< constant-power intervals integrated
-        std::uint64_t slices = 0;     ///< logger-feed slices (== stretches)
+        /** Constant-power intervals integrated; each feeds every logger
+         *  one slice. */
+        std::uint64_t stretches = 0;
     };
 
     /**

@@ -9,6 +9,8 @@
  * infinities) through the codec and require exact equality, then attack
  * the framing with truncation, corruption and a foreign version, all of
  * which must fail with support::FatalError rather than decode garbage.
+ * The frame checksum, CRC-32C, is held to known answers and its SSE4.2
+ * instruction path to the table path it must equal bit for bit.
  */
 
 #include <bit>
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "fingrav/codec.hpp"
 #include "fingrav/scenario.hpp"
 #include "sim/machine_config.hpp"
+#include "support/crc32c.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/time_types.hpp"
@@ -494,5 +498,130 @@ TEST(Codec, ColumnarRoundTripPreservesBitmapAcrossWordBoundaries)
         EXPECT_EQ(bytes, codec::encode(decoded)) << n;
         EXPECT_EQ(decoded.timeline.contendedCount(),
                   set.timeline.contendedCount());
+    }
+}
+
+// ---- v4 frame checksum: CRC-32C ------------------------------------------
+
+namespace {
+
+/** A CRC-32C known answer: the input bytes and their checksum. */
+struct Crc32cVector {
+    std::vector<std::uint8_t> bytes;
+    std::uint32_t crc;
+};
+
+/** "123456789", the empty input, and the four 32-byte iSCSI vectors
+ *  (RFC 3720, B.4), which run the eight-byte loops of both paths. */
+std::vector<Crc32cVector>
+crc32cKnownAnswers()
+{
+    std::vector<Crc32cVector> out;
+    const std::string check = "123456789";
+    out.push_back({{check.begin(), check.end()}, 0xE3069283u});
+    out.push_back({{}, 0u});
+    out.push_back({std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu});
+    out.push_back({std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u});
+    Crc32cVector up{{}, 0x46DD794Eu};
+    Crc32cVector down{{}, 0x113FDB5Cu};
+    for (int i = 0; i < 32; ++i) {
+        up.bytes.push_back(static_cast<std::uint8_t>(i));
+        down.bytes.push_back(static_cast<std::uint8_t>(31 - i));
+    }
+    out.push_back(up);
+    out.push_back(down);
+    return out;
+}
+
+std::vector<std::uint8_t>
+randomBytes(fs::Rng& rng, std::size_t n)
+{
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes)
+        b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    return bytes;
+}
+
+}  // namespace
+
+TEST(Crc32c, TableKnownAnswers)
+{
+    for (const auto& v : crc32cKnownAnswers()) {
+        EXPECT_EQ(fs::crc32cTable(v.bytes.data(), v.bytes.size()), v.crc)
+            << v.bytes.size() << " bytes";
+        // The dispatching entry point agrees, whichever path it takes.
+        EXPECT_EQ(fs::crc32c(v.bytes.data(), v.bytes.size()), v.crc);
+    }
+}
+
+TEST(Crc32c, HardwareKnownAnswers)
+{
+    if (!fs::crc32cHardwareAvailable())
+        GTEST_SKIP() << "no SSE4.2 crc32 instruction on this build or CPU";
+    for (const auto& v : crc32cKnownAnswers()) {
+        EXPECT_EQ(fs::crc32cHardware(v.bytes.data(), v.bytes.size()), v.crc)
+            << v.bytes.size() << " bytes";
+    }
+}
+
+TEST(Crc32c, HardwareMatchesTableAtEveryLengthAndOffset)
+{
+    if (!fs::crc32cHardwareAvailable())
+        GTEST_SKIP() << "no SSE4.2 crc32 instruction on this build or CPU";
+    fs::Rng rng(61);
+    // Offsets 0-7 from an allocation's start cover every alignment of the
+    // first word load; lengths 0-1024 every head, word and tail split.
+    const auto buf = randomBytes(rng, 1024 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const std::uint8_t* p = buf.data() + offset;
+            ASSERT_EQ(fs::crc32cHardware(p, len), fs::crc32cTable(p, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+    const auto big = randomBytes(rng, std::size_t{1} << 20);
+    EXPECT_EQ(fs::crc32cHardware(big.data(), big.size()),
+              fs::crc32cTable(big.data(), big.size()));
+}
+
+TEST(Codec, FrameChecksumIsZeroExtendedCrc32c)
+{
+    fs::Rng rng(62);
+    const auto payload = randomBytes(rng, 100);
+    const auto wire =
+        codec::encodeFrame(codec::FrameType::kProfileSet, payload);
+    auto header = codec::decodeFrameHeader(wire.data());
+    EXPECT_EQ(header.checksum,
+              std::uint64_t{fs::crc32cTable(payload.data(), payload.size())});
+    // A set bit in the field's unused high half is corruption too.
+    header.checksum |= std::uint64_t{1} << 40;
+    EXPECT_THROW(codec::verifyFramePayload(header, payload.data()),
+                 fs::FatalError);
+}
+
+TEST(Codec, FrameChecksumRejectsEveryBitFlipAndAlignedBurst)
+{
+    // CRC-32C detects every single-bit error and every burst of up to 32
+    // bits; hold the frame check to both on a ~256-byte payload.
+    fs::Rng rng(63);
+    const auto payload = randomBytes(rng, 257);
+    const auto wire =
+        codec::encodeFrame(codec::FrameType::kProfileSet, payload);
+    const auto header = codec::decodeFrameHeader(wire.data());
+    EXPECT_NO_THROW(codec::verifyFramePayload(header, payload.data()));
+    for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+        auto mutated = payload;
+        mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(codec::verifyFramePayload(header, mutated.data()),
+                     fs::FatalError)
+            << "bit " << bit;
+    }
+    for (std::size_t pos = 0; pos + 4 <= payload.size(); pos += 4) {
+        auto mutated = payload;
+        for (std::size_t i = pos; i < pos + 4; ++i)
+            mutated[i] ^= 0xFF;
+        EXPECT_THROW(codec::verifyFramePayload(header, mutated.data()),
+                     fs::FatalError)
+            << "burst at byte " << pos;
     }
 }

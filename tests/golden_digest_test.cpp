@@ -15,9 +15,11 @@
  * leave every one of them untouched.
  *
  * A second table pins the wire and cache-key bytes themselves: the
- * encodings of a config, a spec touching every field, its cache key and
- * each frame payload that carries them.  A codec refactor that claims to
- * keep the format must leave those untouched too; a deliberate layout
+ * encodings of a config, a spec touching every field, its cache key,
+ * each frame payload that carries them, and one whole frame (header and
+ * payload of the on-disk cache entry), which pins the header layout and
+ * the checksum algorithm.  A codec refactor that claims to keep the
+ * format must leave those untouched too; a deliberate layout or framing
  * change bumps codec::kVersion and re-records them.
  *
  * The digests are products of long double-precision chains and are
@@ -96,10 +98,11 @@ struct WireDigest {
 const WireDigest kWireGolden[] = {
     {"machine-config", 0xfa031d48ae9652bfull},
     {"scenario-spec", 0x8c61fb7bddf323d8ull},
-    {"cache-key", 0x7946235d11984f5dull},
+    {"cache-key", 0x974b3b9b0311513eull},
     {"shard-request", 0x62e056120b136dd2ull},
     {"shard-result", 0xedef9e3f12e41488ull},
-    {"cache-entry", 0xb9a917d41440c1c0ull},
+    {"cache-entry", 0xc843f12b187409b1ull},
+    {"cache-entry-frame", 0x5aea9bceca0052adull},
     {"profile-set", 0x4a92ba7787f7b68full},
 };
 
@@ -348,15 +351,18 @@ TEST(GoldenDigest, WireAndCacheKeyBytes)
     const auto spec = pinnedSpec();
     const auto set = pinnedSet();
     const std::string key = fc::CampaignCache::key(spec, cfg);
+    const auto entry = codec::encode(codec::CacheEntry{key, set});
     const std::vector<std::uint8_t> encodings[] = {
         codec::encode(cfg),
         codec::encode(spec),
         {key.begin(), key.end()},
         codec::encode(codec::ShardRequest{cfg, {{5, spec}}}),
         codec::encode(codec::ShardResult{5, set}),
-        codec::encode(codec::CacheEntry{key, set}),
+        entry,
+        codec::encodeFrame(codec::FrameType::kCacheEntry, entry),
         codec::encode(set),
     };
+    static_assert(std::size(encodings) == std::size(kWireGolden));
     for (std::size_t i = 0; i < std::size(kWireGolden); ++i) {
         const std::uint64_t d = digest(encodings[i]);
         if (printing()) {

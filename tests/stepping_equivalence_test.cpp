@@ -199,8 +199,7 @@ TEST(SteppingGolden, DeviceScenarioMatchesRecordedOutputs)
                   << "// fast first/last gpu ts "
                   << r.samples_fast.front().gpu_timestamp << " "
                   << r.samples_fast.back().gpu_timestamp << "\n"
-                  << "// stretches " << r.stats.stretches << " slices "
-                  << r.stats.slices << "\n";
+                  << "// stretches " << r.stats.stretches << "\n";
     }
 
     // Recorded at kQuantum retirement time, when the event engine was
@@ -252,9 +251,6 @@ TEST(SteppingGolden, DeviceScenarioMatchesRecordedOutputs)
     EXPECT_EQ(r.samples_fast.front().gpu_timestamp, kGoldenFastFirstTs);
     EXPECT_EQ(r.samples_fast.back().gpu_timestamp, kGoldenFastLastTs);
     EXPECT_EQ(r.stats.stretches, kGoldenStretches);
-    // With the sub-sliced legacy feed gone, the engine delivers exactly
-    // one logger slice per stretch.
-    EXPECT_EQ(r.stats.slices, r.stats.stretches);
 }
 
 TEST(SteppingGolden, DeviceScenarioDeterministic)
@@ -288,13 +284,13 @@ TEST(SteppingGolden, IdleHeavyLongWindowSliceEconomy)
     dev.advanceTo(fs::SimTime::fromNanos(600'000'000));
 
     const auto stats = dev.stepStats();
-    EXPECT_EQ(stats.slices, stats.stretches);
     // 600 ms of mostly idle: the legacy feed would have paid at least
     // sim_time / idle_step slices (more while kernels ran); the event
-    // engine pays a slice per 10 ms window boundary or state event.
+    // engine pays one slice per stretch, a stretch per 10 ms window
+    // boundary or state event.
     const std::uint64_t legacy_floor =
         static_cast<std::uint64_t>(600'000'000 / cfg.idle_step.nanos());
-    EXPECT_GT(legacy_floor, 20 * stats.slices);
+    EXPECT_GT(legacy_floor, 20 * stats.stretches);
     EXPECT_EQ(logger.samples().size(), 59u);
 }
 
