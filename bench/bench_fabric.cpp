@@ -191,9 +191,8 @@ identical(const CampaignResult& a, const CampaignResult& b)
         for (std::size_t i = 0; i < a.logs[d].size(); ++i) {
             const auto& x = a.logs[d][i];
             const auto& y = b.logs[d][i];
-            if (x.id != y.id || x.label != y.label ||
-                x.start.nanos() != y.start.nanos() ||
-                x.end.nanos() != y.end.nanos())
+            if (x.id != y.id || x.start.nanos() != y.start.nanos() ||
+                x.end.nanos() != y.end.nanos() || x.queue != y.queue)
                 return false;
         }
     }

@@ -79,7 +79,6 @@ IdleHeavyResult
 runIdleHeavy(int bursts, int repetitions)
 {
     sim::KernelWork work;
-    work.label = "burst";
     work.nominal_duration = 200_us;
     work.freq_sensitivity = 0.6;
     work.util.xcd_occupancy = 0.4;
@@ -124,8 +123,7 @@ identicalOutputs(const IdleHeavyResult& a, const IdleHeavyResult& b)
         a.samples.size() != b.samples.size())
         return false;
     for (std::size_t i = 0; i < a.log.size(); ++i) {
-        if (a.log[i].id != b.log[i].id || a.log[i].label != b.log[i].label ||
-            a.log[i].start != b.log[i].start ||
+        if (a.log[i].id != b.log[i].id || a.log[i].start != b.log[i].start ||
             a.log[i].end != b.log[i].end || a.log[i].queue != b.log[i].queue)
             return false;
     }

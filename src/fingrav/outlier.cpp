@@ -114,7 +114,6 @@ sim::KernelWork
 PhaseSlice::workAt(double warmth) const
 {
     sim::KernelWork work = base_->workAt(warmth);
-    work.label = label();
     // The slice executes its share of the workgroups; utilization is that
     // of the base kernel while resident.  The artificial termination adds
     // a small drain/relaunch overhead at the cut (idle wavefront drain).

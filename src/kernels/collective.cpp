@@ -85,7 +85,6 @@ CollectiveKernel::workAt(double warmth) const
     const auto dur = base * factor;
 
     sim::KernelWork out;
-    out.label = label();
     out.nominal_duration = dur;
     // Fabric- and memory-bound: the engine clock barely matters.
     out.freq_sensitivity = 0.05;

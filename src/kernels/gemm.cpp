@@ -140,7 +140,6 @@ GemmKernel::workAt(double warmth) const
 {
     const double w = std::clamp(warmth, 0.0, 1.0);
     sim::KernelWork out;
-    out.label = label();
 
     if (isGemv()) {
         // ---- GEMV path: stream the matrix through the LLC --------------

@@ -42,8 +42,8 @@ class KernelModel {
 
     /**
      * Paper-style label, e.g. "CB-4K-GEMM" or "AG-1GB".  Formatted once,
-     * by the derived constructor; workAt() copies it into every
-     * invocation.
+     * by the derived constructor; the invocations workAt() builds do not
+     * carry it.
      */
     const std::string& label() const { return label_; }
 

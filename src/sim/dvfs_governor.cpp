@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "support/logging.hpp"
-#include "support/memo_exp.hpp"
+#include "support/memo_decay.hpp"
 
 namespace fingrav::sim {
 
@@ -36,16 +36,16 @@ DvfsGovernor::update(support::Duration dt, double power_w, bool active)
 
     // EMA power estimates (exact exponential decay for step independence).
     // Stretch lengths repeat (the power_step quantum, collective
-    // siblings), so the decay factors come through the exact exp memo.
+    // siblings), so the decay factors come through the exact decay memo.
     if (!estimates_primed_) {
         fast_w_ = power_w;
         slow_w_ = power_w;
         estimates_primed_ = true;
     } else {
-        const double af = 1.0 - support::memoExp(-dt.toSeconds() /
-                                                 p_.fast_tau.toSeconds());
-        const double as = 1.0 - support::memoExp(-dt.toSeconds() /
-                                                 p_.slow_tau.toSeconds());
+        const double af =
+            1.0 - support::memoDecay(dt.nanos(), p_.fast_tau.nanos());
+        const double as =
+            1.0 - support::memoDecay(dt.nanos(), p_.slow_tau.nanos());
         fast_w_ += af * (power_w - fast_w_);
         slow_w_ += as * (power_w - slow_w_);
     }

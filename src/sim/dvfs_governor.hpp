@@ -106,12 +106,6 @@ class DvfsGovernor {
     /** Current engine-clock ratio (f / f_nominal). */
     double frequencyRatio() const { return ratio_; }
 
-    /** Fast (excursion-detector) power estimate, watts. */
-    double fastPower() const { return fast_w_; }
-
-    /** Slow (sustained-loop) power estimate, watts. */
-    double slowPower() const { return slow_w_; }
-
     /** True while the excursion response is holding the clock down. */
     bool inExcursion() const { return hold_remaining_.nanos() > 0; }
 

@@ -85,7 +85,8 @@ NodeFabric::NodeFabric(const MachineConfig& cfg, std::size_t devices)
     // One demand slot per device plus the host-injection slot (index
     // `devices`), so injected background demand rides the same
     // pending/committed epoch machinery as kernel demand.
-    : devices_(devices), pending_(devices + 1), committed_(devices + 1)
+    : devices_(devices), pending_(devices + 1), posted_(devices + 1, 0),
+      committed_(devices + 1)
 {
     if (devices == 0)
         support::fatal("NodeFabric: node must contain at least one GPU");
@@ -100,12 +101,14 @@ NodeFabric::postDemand(std::size_t device,
     FINGRAV_ASSERT(device < devices_,
                    "NodeFabric: device index out of range");
     pending_[device] = demands;
+    posted_[device] = 1;
 }
 
 void
 NodeFabric::injectDemand(const std::vector<FabricDemand>& demands)
 {
     pending_[devices_] = demands;
+    posted_[devices_] = 1;
     injected_ = !demands.empty();
 }
 
@@ -116,6 +119,13 @@ NodeFabric::distinctDemand(std::size_t exclude_device,
     double total = 0.0;
     for (const auto& d : own)
         total += d.demand;
+    // Every committed transfer among `own`: the scan below skips them all.
+    const auto owned = [&own](std::uint64_t g) {
+        return std::any_of(own.begin(), own.end(),
+                           [g](const auto& o) { return o.group == g; });
+    };
+    if (std::all_of(committed_groups_.begin(), committed_groups_.end(), owned))
+        return total;
     // Committed demands of the non-excluded devices, one contribution
     // per distinct transfer.  Copies of a transfer carry equal demand,
     // so the first sighting stands in for the group.  The seen-list is
@@ -161,16 +171,27 @@ NodeFabric::sharedDemand(std::size_t device,
 bool
 NodeFabric::commit()
 {
+    // A slot nobody posted to still equals its committed list.
     bool changed = false;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i] != committed_[i]) {
+        if (posted_[i] && pending_[i] != committed_[i]) {
             committed_[i] = pending_[i];
             changed = true;
         }
+        posted_[i] = 0;
     }
-    if (changed)
-        ++epoch_;
-    return changed;
+    if (!changed)
+        return false;
+    ++epoch_;
+    committed_groups_.clear();
+    for (const auto& slot : committed_) {
+        for (const auto& d : slot) {
+            if (std::find(committed_groups_.begin(), committed_groups_.end(),
+                          d.group) == committed_groups_.end())
+                committed_groups_.push_back(d.group);
+        }
+    }
+    return true;
 }
 
 double

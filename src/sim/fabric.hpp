@@ -103,11 +103,13 @@ struct FabricDemand {
  * Node-level shared-fabric bandwidth arbiter (owned by Simulation).
  *
  * Devices post the demand of their running node-fabric kernels into a
- * per-device *pending* slot (postDemand); Simulation copies pending to the
- * *committed* view at epoch barriers (commit), bumping the epoch counter
- * when anything changed.  Between commits the committed view is immutable,
- * so devices advancing in parallel read a consistent snapshot and the
- * result is bit-identical to serial advancement in any order.
+ * per-device *pending* slot (postDemand) whenever that list changes;
+ * Simulation copies pending to the *committed* view at epoch barriers
+ * (commit), comparing only the slots posted since the last commit and
+ * bumping the epoch counter when anything changed.  Between commits the
+ * committed view is immutable, so devices advancing in parallel read a
+ * consistent snapshot and the result is bit-identical to serial
+ * advancement in any order.
  *
  * Thread-safety contract (parallel node stepping): during an epoch each
  * device may call postDemand on its own slot, and sharedDemand / epoch /
@@ -175,7 +177,9 @@ class NodeFabric {
      * Total node demand seen by `device`: its own (live, uncommitted)
      * demands plus the committed demands of other devices, counting each
      * distinct transfer once — remote copies of a transfer the device
-     * itself runs are the same bytes and are skipped.
+     * itself runs are the same bytes and are skipped.  When every
+     * committed transfer is one of the device's own (a lone collective),
+     * that is the own total, returned without scanning the slots.
      */
     double sharedDemand(std::size_t device,
                         const std::vector<FabricDemand>& own) const;
@@ -206,7 +210,12 @@ class NodeFabric {
     std::optional<FabricModel> model_;
     std::size_t devices_ = 0;  ///< device slot count (slot devices_ = injection)
     std::vector<std::vector<FabricDemand>> pending_;
+    /** Slots posted since the last commit.  One byte per slot (not
+     *  vector<bool>): devices set their own flags concurrently. */
+    std::vector<char> posted_;
     std::vector<std::vector<FabricDemand>> committed_;
+    /** Distinct transfer ids in the committed view. */
+    std::vector<std::uint64_t> committed_groups_;
     std::uint64_t epoch_ = 0;
     std::uint64_t next_group_ = 1;
     std::atomic<std::int64_t> outstanding_{0};

@@ -42,6 +42,7 @@ GpuDevice::GpuDevice(const MachineConfig& cfg, support::Rng rng,
           support::Duration::seconds(rng_.uniform(1e3, 9e4)),
           cfg.gpu_clock_drift_ppm, cfg.timestamp_tick),
       power_(cfg.power), governor_(cfg.dvfs), thermal_(cfg.thermal),
+      thermal_cap_num_(cfg.thermal.time_constant.toSeconds() * kThermalEpsC),
       queues_(1)
 {
 }
@@ -51,14 +52,16 @@ GpuDevice::submit(const KernelWork& work, support::SimTime ready_at,
                   std::size_t queue)
 {
     if (work.nominal_duration.nanos() <= 0)
-        support::fatal("GpuDevice::submit: kernel '", work.label,
-                       "' has non-positive duration");
+        support::fatal("GpuDevice::submit: device ", device_id_, " queue ",
+                       queue, ": non-positive kernel duration (",
+                       work.nominal_duration.nanos(), " ns)");
     if (queue >= 16)
         support::fatal("GpuDevice::submit: queue ", queue,
                        " out of range (max 16 hardware queues)");
     if (queue >= queues_.size())
         queues_.resize(queue + 1);
 
+    const bool front = queues_[queue].empty();
     QueueEntry& entry = queues_[queue].emplace_back();
     entry.id = next_id_++;
     entry.work = work;
@@ -75,6 +78,8 @@ GpuDevice::submit(const KernelWork& work, support::SimTime ready_at,
     }
     // Work cannot start before the device's own present.
     entry.ready_at = std::max(ready_at, now_);
+    if (front)
+        next_start_ = std::min(next_start_, entry.ready_at);
     entry.remaining_s = work.nominal_duration.toSeconds();
     queue_state_.dirty = true;
     return entry.id;
@@ -93,24 +98,31 @@ GpuDevice::idle() const
 void
 GpuDevice::startReady()
 {
+    if (now_ < next_start_)
+        return;  // no unstarted front is due yet
     bool was_idle = true;
     for (const auto& q : queues_) {
         if (!q.empty() && q.front().started)
             was_idle = false;
     }
+    next_start_ = kNever;
     for (auto& q : queues_) {
-        if (q.empty())
+        if (q.empty() || q.front().started)
             continue;
         QueueEntry& front = q.front();
-        if (!front.started && front.ready_at <= now_) {
-            front.started = now_;
-            front.rate = 0.0;  // force rate/due computation
-            front.rate_anchor = now_;
-            queue_state_.dirty = true;
-            if (was_idle) {
-                governor_.wake();
-                was_idle = false;
-            }
+        if (front.ready_at > now_) {
+            next_start_ = std::min(next_start_, front.ready_at);
+            continue;
+        }
+        front.started = now_;
+        front.rate = 0.0;  // force rate/due computation
+        front.rate_anchor = now_;
+        queue_state_.dirty = true;
+        if (front.work.fabric_group != 0)
+            demands_stale_ = true;
+        if (was_idle) {
+            governor_.wake();
+            was_idle = false;
         }
     }
 }
@@ -185,6 +197,11 @@ GpuDevice::refreshQueueState()
 void
 GpuDevice::postFabricDemands()
 {
+    // The pending slot keeps the last posted list, which only a
+    // node-fabric start or retirement can change.
+    if (!demands_stale_)
+        return;
+    demands_stale_ = false;
     fabric_demands_.clear();
     for (const auto& q : queues_) {
         if (!q.empty() && q.front().started &&
@@ -193,12 +210,8 @@ GpuDevice::postFabricDemands()
                 {q.front().work.fabric_group, q.front().work.util.fabric_bw});
         }
     }
-    // The pending slot keeps the last posted list: post only a change.
-    if (fabric_demands_ != posted_demands_) {
-        fabric_->postDemand(device_id_, fabric_demands_);
-        posted_demands_ = fabric_demands_;
-        price_stale_ = true;
-    }
+    fabric_->postDemand(device_id_, fabric_demands_);
+    price_stale_ = true;
 }
 
 void
@@ -211,7 +224,7 @@ GpuDevice::noteFabricEpoch()
         fabric_epoch_seen_ = e;
         // Only running transfers price the committed view; without any,
         // the fabric stretch is 1 whatever the epoch.
-        if (!posted_demands_.empty())
+        if (!fabric_demands_.empty())
             queue_state_.dirty = true;
     }
 }
@@ -220,10 +233,10 @@ void
 GpuDevice::pollFabricDemand()
 {
     startReady();
-    // Only the posted transfers matter to the coming commit (a clean
-    // queue state has posted them already).  Contention is priced when
-    // the device next steps, against the view that commit publishes.
-    if (fabric_ != nullptr && queue_state_.dirty)
+    // Only the posted transfers matter to the coming commit.  Contention
+    // is priced when the device next steps, against the view that commit
+    // publishes.
+    if (fabric_ != nullptr)
         postFabricDemands();
 }
 
@@ -416,15 +429,14 @@ GpuDevice::stepLoop(support::SimTime limit, bool stop_on_idle)
         // power, so a stretch may only run as far as temperature can
         // drift by kThermalEpsC.  dT over dt is (target - T) * dt / tau
         // to first order; the cap therefore loosens as the RC converges
-        // and never cuts finer than the legacy idle quantum.
+        // and never cuts finer than the legacy idle quantum — so a stretch
+        // already within that quantum skips the division.
         const double gap_c =
             std::abs(thermal_.steadyState(rails.total()) -
                      thermal_.temperature());
-        if (gap_c > kThermalEpsC) {
-            const double bound_s = std::min(
-                kThermalBoundMaxS,
-                cfg_.thermal.time_constant.toSeconds() * kThermalEpsC /
-                    gap_c);
+        if (gap_c > kThermalEpsC && now_ + cfg_.idle_step < t_end) {
+            const double bound_s =
+                std::min(kThermalBoundMaxS, thermal_cap_num_ / gap_c);
             const Duration bound =
                 std::max(cfg_.idle_step, Duration::seconds(bound_s));
             if (now_ + bound < t_end)
@@ -452,19 +464,18 @@ GpuDevice::stepLoop(support::SimTime limit, bool stop_on_idle)
                 continue;
             QueueEntry& front = q.front();
             if (front.completion_due <= now_) {
-                ExecutionRecord& rec = execution_log_.emplace_back();
-                rec.id = front.id;
-                rec.label = std::move(front.work.label);
-                rec.start = *front.started;
-                rec.end = now_;
-                rec.queue = qi;
+                execution_log_.push_back(
+                    {front.id, *front.started, now_, qi});
                 if (front.work.fabric_group != 0) {
                     --fabric_kernels_;
+                    demands_stale_ = true;
                     if (fabric_ != nullptr)
                         fabric_->noteRetired();
                 }
                 q.pop_front();
                 queue_state_.dirty = true;
+                if (!q.empty())
+                    next_start_ = std::min(next_start_, q.front().ready_at);
             }
         }
 

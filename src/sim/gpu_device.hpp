@@ -49,7 +49,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sim/clock_domain.hpp"
@@ -79,10 +78,9 @@ class GpuDevice {
     GpuDevice(const GpuDevice&) = delete;
     GpuDevice& operator=(const GpuDevice&) = delete;
 
-    /** Completed-execution record with exact master-time bounds. */
+    /** Completed execution, named by its submit() id, exact bounds. */
     struct ExecutionRecord {
         std::uint64_t id = 0;
-        std::string label;
         support::SimTime start;  ///< first cycle of execution (master time)
         support::SimTime end;    ///< completion (master time)
         std::size_t queue = 0;
@@ -169,9 +167,6 @@ class GpuDevice {
         return execution_log_;
     }
 
-    /** Forget completed-execution records (queues are unaffected). */
-    void clearExecutionLog() { execution_log_.clear(); }
-
     /** Governor introspection (read-only). */
     const DvfsGovernor& governor() const { return governor_; }
 
@@ -191,6 +186,9 @@ class GpuDevice {
     const StepStats& stepStats() const { return step_stats_; }
 
   private:
+    static constexpr support::SimTime kNever =
+        support::SimTime::fromNanos(std::numeric_limits<std::int64_t>::max());
+
     struct QueueEntry {
         std::uint64_t id;
         KernelWork work;
@@ -248,13 +246,13 @@ class GpuDevice {
         bool active = false;
     };
 
-    /** Start any queue-front kernels whose ready time has arrived. */
+    /** Start the queue fronts that are due (none before next_start_). */
     void startReady();
 
     /** Mark queue state dirty when the fabric epoch moved since last seen. */
     void noteFabricEpoch();
 
-    /** Collect the running transfers; post them when the list changed. */
+    /** Re-post the running transfers after a node-fabric start/retire. */
     void postFabricDemands();
 
     /** One pass over the queue fronts: utilization, contention, activity. */
@@ -286,10 +284,12 @@ class GpuDevice {
     NodeFabric* fabric_ = nullptr;        ///< owned by Simulation
     std::uint64_t fabric_epoch_seen_ = 0; ///< last committed view priced
     std::size_t fabric_kernels_ = 0;      ///< queued+running, this device
-    std::vector<FabricDemand> fabric_demands_;  ///< scratch: running transfers
-    /** The list in this device's pending fabric slot (empty at start). */
-    std::vector<FabricDemand> posted_demands_;
-    /** Fair-share stretch of posted_demands_ at priced_epoch_, unless a
+    /** Running transfers in queue order: the list in this device's
+     *  pending fabric slot, unless demands_stale_. */
+    std::vector<FabricDemand> fabric_demands_;
+    /** A node-fabric front started or retired since the last post. */
+    bool demands_stale_ = false;
+    /** Fair-share stretch of fabric_demands_ at priced_epoch_, unless a
      *  new list was posted since (price_stale_). */
     double priced_stretch_ = 1.0;
     std::uint64_t priced_epoch_ = 0;
@@ -298,7 +298,11 @@ class GpuDevice {
      *  (set whenever the queue state is refreshed). */
     double progress_f_ = std::numeric_limits<double>::quiet_NaN();
 
+    double thermal_cap_num_;  ///< thermal tau (s) x kThermalEpsC (C)
+
     support::SimTime now_;
+    /** Earliest ready time of an unstarted queue front (kNever: none). */
+    support::SimTime next_start_ = kNever;
     std::vector<HwQueue> queues_;
     QueueState queue_state_;
     std::vector<ExecutionRecord> execution_log_;

@@ -15,19 +15,18 @@
  */
 
 #include <cstdint>
-#include <string>
 
 #include "sim/utilization.hpp"
 #include "support/time_types.hpp"
 
 namespace fingrav::sim {
 
-/** A kernel invocation as seen by the device. */
+/** A kernel invocation as seen by the device: plain numbers, no name
+ *  (the label lives on kernels::KernelModel). */
 struct KernelWork {
     /** Sentinel fabric_group: allocate a fresh transfer id at launch. */
     static constexpr std::uint64_t kAutoFabricGroup = ~std::uint64_t{0};
 
-    std::string label;                   ///< e.g. "CB-4K-GEMM"
     support::Duration nominal_duration;  ///< execution time at f/fn == 1.0
     double freq_sensitivity = 0.9;       ///< clock-scaled share of the work
     UtilizationVector util;              ///< resource load while resident

@@ -95,13 +95,6 @@ class PowerLogger {
      */
     support::SimTime nextWindowEndMaster(support::SimTime master_now);
 
-    /** Pre-grow the sample columns by `n` additional samples. */
-    void
-    reserveSamples(std::size_t n)
-    {
-        samples_.reserve(samples_.size() + n);
-    }
-
     /** Enable capture; samples are appended from the next window boundary. */
     void start(support::SimTime master_now);
 

@@ -1,7 +1,7 @@
 #include "sim/thermal.hpp"
 
 #include "support/logging.hpp"
-#include "support/memo_exp.hpp"
+#include "support/memo_decay.hpp"
 
 namespace fingrav::sim {
 
@@ -13,9 +13,9 @@ ThermalModel::update(support::Duration dt, double power_w)
         return;
     const double target = steadyState(power_w);
     // Stretch lengths repeat, so the RC factor comes through the exact
-    // exp memo (bitwise std::exp).
+    // decay memo (bitwise the seconds-based std::exp).
     const double alpha =
-        support::memoExp(-dt.toSeconds() / p_.time_constant.toSeconds());
+        support::memoDecay(dt.nanos(), p_.time_constant.nanos());
     temp_c_ = target + (temp_c_ - target) * alpha;
 }
 

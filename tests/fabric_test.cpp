@@ -384,7 +384,6 @@ TEST(NodeFabric, QueuedCollectiveBehindComputeTerminatesRemoteStretch)
         static_cast<double>(runTransfer(solo, w, 1, t0).nanos());
 
     sim::KernelWork filler;
-    filler.label = "filler";
     filler.nominal_duration = fs::Duration::micros(200.0);
     filler.freq_sensitivity = 0.0;
     filler.util.xcd_occupancy = 0.3;

@@ -43,13 +43,17 @@
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/codec.hpp"
+#include "fingrav/concurrency.hpp"
+#include "fingrav/profiler.hpp"
 #include "fingrav/recorded_campaign.hpp"
 #include "fingrav/scenario.hpp"
+#include "kernels/workloads.hpp"
 #include "sim/machine_config.hpp"
 #include "support/time_types.hpp"
 #include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
+namespace fk = fingrav::kernels;
 namespace sim = fingrav::sim;
 using namespace fingrav::support::literals;
 
@@ -61,25 +65,41 @@ constexpr std::size_t kRuns = 10;
 struct GoldenDigest {
     const char* label;
     std::uint64_t digest;
+    /** Work of the campaign, each summed over the node's devices: a
+     *  change here is a change in work, even when the bits hold. */
+    std::uint64_t stretches;
+    std::uint64_t executions;
 };
 
 /** The paper campaign set, in spec order. */
 const GoldenDigest kPaperGolden[] = {
-    {"CB-8K-GEMM", 0xce98d2ff6ea86395ull},
-    {"CB-4K-GEMM", 0xef01fd2bc3b51a33ull},
-    {"CB-2K-GEMM", 0x8342fc950927c100ull},
-    {"MB-8K-GEMV", 0xf09c8967686998beull},
-    {"MB-4K-GEMV", 0xa63c41d1176a1425ull},
-    {"MB-2K-GEMV", 0x211b596d27eb3401ull},
-    {"AG-64KB", 0x89fec26110f212e7ull},
-    {"AG-128KB", 0x005183e41c868aa8ull},
-    {"AG-512MB", 0xc8861c7d48a13517ull},
-    {"AG-1GB", 0x299907441fe74127ull},
-    {"AR-64KB", 0x53c5ae4a04253b2aull},
-    {"AR-128KB", 0xb9b8f87c5215bb6cull},
-    {"AR-512MB", 0x3d7f48db9cfc2cd8ull},
-    {"AR-1GB", 0x7013ead3cb42c122ull},
-    {"AR-512MB", 0x627c124c3944b860ull},  // under 0.6 injected demand
+    {"CB-8K-GEMM", 0xce98d2ff6ea86395ull, 106099, 449},
+    {"CB-4K-GEMM", 0xef01fd2bc3b51a33ull, 1467, 340},
+    {"CB-2K-GEMM", 0x8342fc950927c100ull, 3231, 1482},
+    {"MB-8K-GEMV", 0xf09c8967686998beull, 3155, 1492},
+    {"MB-4K-GEMV", 0xa63c41d1176a1425ull, 6262, 3070},
+    {"MB-2K-GEMV", 0x211b596d27eb3401ull, 8749, 4313},
+    {"AG-64KB", 0x89fec26110f212e7ull, 25998, 12624},
+    {"AG-128KB", 0x005183e41c868aa8ull, 32095, 15696},
+    {"AG-512MB", 0xc8861c7d48a13517ull, 14873, 3592},
+    {"AG-1GB", 0x299907441fe74127ull, 17619, 3592},
+    {"AR-64KB", 0x53c5ae4a04253b2aull, 19977, 9632},
+    {"AR-128KB", 0xb9b8f87c5215bb6cull, 19834, 9552},
+    {"AR-512MB", 0x3d7f48db9cfc2cd8ull, 18292, 3592},
+    {"AR-1GB", 0x7013ead3cb42c122ull, 20508, 3592},
+    // AR-512MB under 0.6 injected demand:
+    {"AR-512MB", 0x627c124c3944b860ull, 21618, 3592},
+};
+
+/**
+ * The simulator paths the paper set never reaches (scenarioPaths(), in
+ * order), with the same work counts.
+ */
+const GoldenDigest kScenarioGolden[] = {
+    {"queue1-burst", 0x218efd98572d090dull, 6510, 3275},
+    {"remote-transfer", 0xd94e347ec85f641full, 15680, 3595},
+    {"interleaved", 0x551c6b913f5fb7efull, 83614, 609},
+    {"coschedule", 0xacf5dbff210521cbull, 1449, 168},
 };
 
 /** recordSpec() recorded at 1/2/10 ms, restitched at the 2 ms window. */
@@ -106,6 +126,17 @@ const WireDigest kWireGolden[] = {
     {"profile-set", 0x4a92ba7787f7b68full},
 };
 
+/** A kernel profiled on its own at the pinned run budget. */
+fc::ScenarioSpec
+campaignSpec(const char* label, std::uint64_t seed)
+{
+    fc::ScenarioSpec spec;
+    spec.label = label;
+    spec.seed = seed;
+    spec.opts.runs_override = kRuns;
+    return spec;
+}
+
 /**
  * The paper campaign set: every paper kernel on its own, then AR-512MB
  * under 60 % injected fabric demand, seeds 10001 on.
@@ -114,13 +145,8 @@ std::vector<fc::ScenarioSpec>
 paperSpecs()
 {
     std::vector<fc::ScenarioSpec> specs;
-    for (const auto& golden : kPaperGolden) {
-        fc::ScenarioSpec spec;
-        spec.label = golden.label;
-        spec.seed = 10001 + specs.size();
-        spec.opts.runs_override = kRuns;
-        specs.push_back(std::move(spec));
-    }
+    for (const auto& golden : kPaperGolden)
+        specs.push_back(campaignSpec(golden.label, 10001 + specs.size()));
     fc::BackgroundLoad demand;
     demand.kind = fc::BackgroundKind::kFabricDemand;
     demand.demand = 0.6;
@@ -232,6 +258,117 @@ digest(const fc::ProfileSet& set)
     return digest(fc::codec::encode(set));
 }
 
+/** Stretches and device-executions, each summed over a node's devices. */
+struct Work {
+    std::uint64_t stretches = 0;
+    std::uint64_t executions = 0;
+};
+
+Work
+nodeWork(fc::CampaignNode& node)
+{
+    Work work;
+    auto& simulation = node.simulation();
+    for (std::size_t d = 0; d < simulation.deviceCount(); ++d) {
+        const auto& device = simulation.device(d);
+        work.stretches += device.stepStats().stretches;
+        work.executions += device.executionLog().size();
+    }
+    return work;
+}
+
+/** One pinned run: the digest of its output and the work it took. */
+struct Pinned {
+    std::uint64_t digest = 0;
+    Work work;
+};
+
+/**
+ * Profile `spec` on a fresh node exactly as CampaignRunner::runOne does
+ * (CampaignNode + Profiler::profile), keeping the node to count its work.
+ */
+Pinned
+profileOnNode(const fc::ScenarioSpec& spec, const sim::MachineConfig& cfg)
+{
+    fc::CampaignNode node(spec, cfg);
+    const auto set = fc::Profiler(node.host(), spec.opts, node.profilerRng())
+                         .profile(node.kernel());
+    EXPECT_FALSE(set.ssp.empty()) << spec.label;
+    return {digest(set), nodeWork(node)};
+}
+
+/** Digest of a co-schedule report's measured fields, bit for bit. */
+std::uint64_t
+digest(const fc::CoScheduleReport& rep)
+{
+    const double fields[] = {rep.complementarity,   rep.serial_ms,
+                             rep.concurrent_ms,     rep.speedup,
+                             rep.serial_avg_w,      rep.concurrent_avg_w,
+                             rep.peak_w,            rep.serial_energy_j,
+                             rep.concurrent_energy_j};
+    return fc::codec::fnv1a64(reinterpret_cast<const std::uint8_t*>(fields),
+                              sizeof fields);
+}
+
+/**
+ * The kScenarioGolden paths, in order: a compute burst on queue 1 of the
+ * profiled device (two-queue contention, starts across queues), an
+ * AR-512MB transfer launched from device 2 under a foreground collective
+ * (a kernel-borne remote transfer priced against the whole committed
+ * view), interleaved preludes, and one concurrency-advisor evaluation.
+ */
+std::vector<Pinned>
+scenarioPaths(const sim::MachineConfig& cfg)
+{
+    std::vector<Pinned> out;
+
+    auto burst = campaignSpec("MB-4K-GEMV", 20001);
+    fc::BackgroundLoad compute;
+    compute.kernel = "CB-2K-GEMM";
+    compute.device = 0;
+    compute.queue = 1;
+    compute.offset = 1_ms;
+    compute.period = 4_ms;
+    compute.duty_cycle = 0.5;
+    compute.cycles = 3;
+    burst.background.push_back(compute);
+    out.push_back(profileOnNode(burst, cfg));
+
+    auto remote = campaignSpec("AG-512MB", 20002);
+    fc::BackgroundLoad transfer;
+    transfer.kernel = "AR-512MB";
+    transfer.device = 2;
+    transfer.offset = 2_ms;
+    transfer.period = 6_ms;
+    transfer.duty_cycle = 0.5;
+    transfer.cycles = 3;
+    remote.background.push_back(transfer);
+    out.push_back(profileOnNode(remote, cfg));
+
+    {
+        const auto spec = campaignSpec("CB-2K-GEMM", 20003);
+        fc::CampaignNode node(spec, cfg);
+        const std::vector<fc::InterleaveItem> prelude{
+            {fk::kernelByLabel("MB-4K-GEMV", cfg), 3},
+            {fk::kernelByLabel("CB-8K-GEMM", cfg), 1}};
+        const auto set =
+            fc::Profiler(node.host(), spec.opts, node.profilerRng())
+                .profileInterleaved(node.kernel(), prelude, 6);
+        EXPECT_FALSE(set.ssp.empty()) << "interleaved";
+        out.push_back({digest(set), nodeWork(node)});
+    }
+
+    {
+        const auto spec = campaignSpec("CB-4K-GEMM", 20004);
+        fc::CampaignNode node(spec, cfg);
+        fc::ConcurrencyAdvisor advisor(node.host(), node.profilerRng());
+        const auto rep = advisor.evaluate(
+            node.kernel(), fk::kernelByLabel("MB-8K-GEMV", cfg), 12, 1, 6);
+        out.push_back({digest(rep), nodeWork(node)});
+    }
+    return out;
+}
+
 /**
  * A short-exec recording whose 10 ms window puts the SSP index deep into
  * every run, so a restitch there skips most recorded executions.
@@ -298,21 +435,39 @@ printing()
 
 }  // namespace
 
+/** Check one pinned run against its table row (or print the row). */
+void
+expectPinned(const Pinned& got, const GoldenDigest& want,
+             const std::string& what)
+{
+    if (printing()) {
+        std::printf("    {\"%s\", 0x%016" PRIx64 "ull, %" PRIu64 ", %" PRIu64
+                    "},\n",
+                    want.label, got.digest, got.work.stretches,
+                    got.work.executions);
+    }
+    EXPECT_EQ(got.digest, want.digest) << what;
+    EXPECT_EQ(got.work.stretches, want.stretches) << what;
+    EXPECT_EQ(got.work.executions, want.executions) << what;
+}
+
 TEST(GoldenDigest, PaperCampaignSet)
 {
     const auto cfg = sim::mi300xConfig();
     const auto specs = paperSpecs();
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        const auto set = fc::CampaignRunner::runOne(specs[i], cfg);
-        ASSERT_FALSE(set.ssp.empty()) << specs[i].label;
-        const std::uint64_t d = digest(set);
-        if (printing()) {
-            std::printf("    {\"%s\", 0x%016" PRIx64 "ull},\n",
-                        specs[i].label.c_str(), d);
-        }
-        EXPECT_EQ(d, kPaperGolden[i].digest)
-            << specs[i].label << " (seed " << specs[i].seed << ")";
+        expectPinned(profileOnNode(specs[i], cfg), kPaperGolden[i],
+                     specs[i].label + " (seed " +
+                         std::to_string(specs[i].seed) + ")");
     }
+}
+
+TEST(GoldenDigest, ScenarioPaths)
+{
+    const auto paths = scenarioPaths(sim::mi300xConfig());
+    ASSERT_EQ(paths.size(), std::size(kScenarioGolden));
+    for (std::size_t i = 0; i < paths.size(); ++i)
+        expectPinned(paths[i], kScenarioGolden[i], kScenarioGolden[i].label);
 }
 
 TEST(GoldenDigest, MultiWindowRestitch)

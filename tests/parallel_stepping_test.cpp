@@ -94,7 +94,7 @@ expectIdentical(const NodeTrace& a, const NodeTrace& b)
         ASSERT_EQ(a.logs[d].size(), b.logs[d].size()) << "dev " << d;
         for (std::size_t i = 0; i < a.logs[d].size(); ++i) {
             EXPECT_EQ(a.logs[d][i].id, b.logs[d][i].id);
-            EXPECT_EQ(a.logs[d][i].label, b.logs[d][i].label);
+            EXPECT_EQ(a.logs[d][i].queue, b.logs[d][i].queue);
             EXPECT_EQ(a.logs[d][i].start.nanos(), b.logs[d][i].start.nanos())
                 << "dev " << d << " exec " << i;
             EXPECT_EQ(a.logs[d][i].end.nanos(), b.logs[d][i].end.nanos())

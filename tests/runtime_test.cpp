@@ -176,11 +176,13 @@ TEST(HostRuntime, CollectiveRunsOnAllDevices)
     ASSERT_EQ(s.deviceCount(), 8u);
     rt::HostRuntime host(s, s.forkRng(1));
     const auto k = fk::kernelByLabel("AG-1GB", cfg);
-    host.launchOnAllDevices(k->workAt(1.0));
+    const auto id = host.launchOnAllDevices(k->workAt(1.0));
     host.synchronizeAll();
     for (std::size_t d = 0; d < s.deviceCount(); ++d) {
         ASSERT_EQ(host.deviceExecutionLog(d).size(), 1u) << d;
-        EXPECT_EQ(host.deviceExecutionLog(d).front().label, "AG-1GB");
+        // Each device's first submit: the copy carries device 0's id.
+        EXPECT_EQ(host.deviceExecutionLog(d).front().id, id) << d;
+        EXPECT_EQ(host.deviceExecutionLog(d).front().queue, 0u) << d;
     }
     // Executions overlap across devices (same ready time).
     const auto& a = host.deviceExecutionLog(0).front();

@@ -40,7 +40,6 @@ sim::KernelWork
 fixedKernel(fs::Duration d)
 {
     sim::KernelWork w;
-    w.label = "fixed";
     w.nominal_duration = d;
     w.freq_sensitivity = 0.0;
     w.util.xcd_occupancy = 0.2;
@@ -55,7 +54,6 @@ sim::KernelWork
 computeKernel(fs::Duration d)
 {
     sim::KernelWork w;
-    w.label = "compute";
     w.nominal_duration = d;
     w.freq_sensitivity = 0.95;
     w.util.xcd_occupancy = 0.95;
@@ -171,7 +169,7 @@ TEST(GpuDevice, ConcurrentQueuesOverlapAndContend)
     ASSERT_EQ(dev.executionLog().size(), 2u);
     for (const auto& rec : dev.executionLog()) {
         EXPECT_NEAR((rec.end - rec.start).toMicros(), 140.0, 2.0)
-            << rec.label;
+            << "queue " << rec.queue;
     }
     // And they genuinely overlapped.
     const auto& a = dev.executionLog()[0];

@@ -49,7 +49,6 @@ sim::KernelWork
 computeKernel(fs::Duration d)
 {
     sim::KernelWork w;
-    w.label = "compute";
     w.nominal_duration = d;
     w.freq_sensitivity = 0.95;
     w.util.xcd_occupancy = 0.95;
@@ -63,7 +62,6 @@ sim::KernelWork
 memoryKernel(fs::Duration d)
 {
     sim::KernelWork w;
-    w.label = "memory";
     w.nominal_duration = d;
     w.freq_sensitivity = 0.05;
     w.util.xcd_occupancy = 0.30;
@@ -77,7 +75,6 @@ sim::KernelWork
 lightKernel(fs::Duration d)
 {
     sim::KernelWork w;
-    w.label = "light";
     w.nominal_duration = d;
     w.freq_sensitivity = 0.60;
     w.util.xcd_occupancy = 0.35;
@@ -141,7 +138,6 @@ runDeviceScenario()
 /** One recorded golden execution record. */
 struct GoldenExec {
     std::uint64_t id;
-    const char* label;
     std::int64_t start_ns;
     std::int64_t end_ns;
     std::size_t queue;
@@ -162,7 +158,6 @@ expectIdentical(const ScenarioResult& a, const ScenarioResult& b)
     ASSERT_EQ(a.log.size(), b.log.size());
     for (std::size_t i = 0; i < a.log.size(); ++i) {
         EXPECT_EQ(a.log[i].id, b.log[i].id) << i;
-        EXPECT_EQ(a.log[i].label, b.log[i].label) << i;
         EXPECT_EQ(a.log[i].start.nanos(), b.log[i].start.nanos()) << i;
         EXPECT_EQ(a.log[i].end.nanos(), b.log[i].end.nanos()) << i;
         EXPECT_EQ(a.log[i].queue, b.log[i].queue) << i;
@@ -185,9 +180,8 @@ TEST(SteppingGolden, DeviceScenarioMatchesRecordedOutputs)
         std::cout.precision(17);
         std::cout << "// golden execution log\n";
         for (const auto& e : r.log) {
-            std::cout << "    {" << e.id << ", \"" << e.label << "\", "
-                      << e.start.nanos() << ", " << e.end.nanos() << ", "
-                      << e.queue << "},\n";
+            std::cout << "    {" << e.id << ", " << e.start.nanos() << ", "
+                      << e.end.nanos() << ", " << e.queue << "},\n";
         }
         std::cout << "// slow " << r.samples_slow.size() << " samples, sum "
                   << sumTotalW(r.samples_slow) << "\n"
@@ -211,16 +205,16 @@ TEST(SteppingGolden, DeviceScenarioMatchesRecordedOutputs)
     // engine or toolchain, regenerate with FINGRAV_PRINT_GOLDEN=1 after
     // re-validating determinism.
     static const GoldenExec kGoldenLog[] = {
-        {7, "memory", 3200000, 3823644, 1},
-        {1, "compute", 3000000, 3912648, 0},
-        {9, "light", 4000000, 4297800, 2},
-        {2, "compute", 3912648, 4971582, 0},
-        {3, "compute", 4971582, 5929040, 0},
-        {4, "compute", 5929040, 6856675, 0},
-        {5, "compute", 6856675, 7757111, 0},
-        {6, "compute", 7757111, 8632609, 0},
-        {8, "memory", 9000000, 9299252, 1},
-        {10, "compute", 91000000, 91954654, 0},
+        {7, 3200000, 3823644, 1},
+        {1, 3000000, 3912648, 0},
+        {9, 4000000, 4297800, 2},
+        {2, 3912648, 4971582, 0},
+        {3, 4971582, 5929040, 0},
+        {4, 5929040, 6856675, 0},
+        {5, 6856675, 7757111, 0},
+        {6, 7757111, 8632609, 0},
+        {8, 9000000, 9299252, 1},
+        {10, 91000000, 91954654, 0},
     };
     const std::size_t kGoldenSlowSamples = 124;
     const std::size_t kGoldenFastSamples = 415;
@@ -235,7 +229,6 @@ TEST(SteppingGolden, DeviceScenarioMatchesRecordedOutputs)
     ASSERT_EQ(r.log.size(), std::size(kGoldenLog));
     for (std::size_t i = 0; i < r.log.size(); ++i) {
         EXPECT_EQ(r.log[i].id, kGoldenLog[i].id) << i;
-        EXPECT_EQ(r.log[i].label, kGoldenLog[i].label) << i;
         EXPECT_EQ(r.log[i].start.nanos(), kGoldenLog[i].start_ns) << i;
         EXPECT_EQ(r.log[i].end.nanos(), kGoldenLog[i].end_ns) << i;
         EXPECT_EQ(r.log[i].queue, kGoldenLog[i].queue) << i;

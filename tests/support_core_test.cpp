@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the support core: logging severities, strong time types,
- * unit literals, the deterministic RNG, the exact exp memo, the fault
+ * unit literals, the deterministic RNG, the exact decay memo, the fault
  * plan grammar and the degradation journal.
  */
 
@@ -12,13 +12,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/fault_injector.hpp"
 #include "support/logging.hpp"
-#include "support/memo_exp.hpp"
+#include "support/memo_decay.hpp"
 #include "support/rng.hpp"
 #include "support/run_journal.hpp"
 #include "support/table.hpp"
@@ -36,35 +37,51 @@ sameBits(double a, double b)
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/**
- * Arguments the memo must reproduce bit for bit: both zeros, subnormals
- * of both signs, the simulator's decay factors, the -700..0 range it
- * covers, and some repeats so every value is also served from a hit.
- */
-std::vector<double>
-memoExpProbe()
+/** A decay key: stretch length and time constant, nanoseconds. */
+using DecayKey = std::pair<std::int64_t, std::int64_t>;
+
+/** The factor memoDecay must reproduce, computed without the memo. */
+double
+decayWant(const DecayKey& k)
 {
-    using limits = std::numeric_limits<double>;
-    std::vector<double> xs = {0.0,
-                              -0.0,
-                              limits::denorm_min(),
-                              -limits::denorm_min(),
-                              limits::min() / 4.0,
-                              -limits::min() / 4.0,
-                              limits::min(),
-                              -limits::min(),
-                              -1e-300,
-                              -1.3333333333333333e-06,
-                              -0.005,
-                              -0.05,
-                              -1.0,
-                              -700.0};
+    return std::exp(-(static_cast<double>(k.first) / 1e9) /
+                    (static_cast<double>(k.second) / 1e9));
+}
+
+/**
+ * Keys the memo must reproduce bit for bit: the entry every slot starts
+ * out holding, the simulator's time constants (governor EMAs 40 and
+ * 400 us, thermal RC 1.5 s) at the 2 us quantum and at random stretch
+ * lengths, factors that round to 1 or underflow to 0, the extremes of
+ * both counts, random pairs, and repeats so every key is also served
+ * from a hit.
+ */
+std::vector<DecayKey>
+memoDecayProbe()
+{
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t taus[] = {40'000, 400'000, 1'500'000'000};
+    std::vector<DecayKey> keys = {
+        {0, 1},       {1, 1},
+        {1, kMax},    {kMax, 1},
+        {kMax, kMax}, {1, 1'500'000'000},
+        {700'000'000'000, 1'000'000'000},
+        {746'000'000'000, 1'000'000'000}};
+    for (const auto tau : taus) {
+        keys.push_back({0, tau});
+        keys.push_back({2'000, tau});
+        keys.push_back({tau, tau});
+    }
     fs::Rng rng(77);
-    for (int i = 0; i < 20000; ++i)
-        xs.push_back(-rng.uniform(0.0, 700.0));
+    for (int i = 0; i < 20000; ++i) {
+        const auto dt = rng.uniformInt(1, 10'000'000'000);
+        const auto tau = i % 2 == 0 ? taus[i % 3]
+                                    : rng.uniformInt(1, 10'000'000'000);
+        keys.push_back({dt, tau});
+    }
     for (int i = 0; i < 500; ++i)
-        xs.push_back(xs[static_cast<std::size_t>(i) * 7]);
-    return xs;
+        keys.push_back(keys[static_cast<std::size_t>(i) * 7]);
+    return keys;
 }
 
 }  // namespace
@@ -175,55 +192,65 @@ TEST(Rng, UniformIntBounds)
     }
 }
 
-TEST(MemoExp, BitwiseEqualToStdExp)
+TEST(MemoDecay, BitwiseEqualToStdExp)
 {
-    for (const double x : memoExpProbe()) {
-        const double want = std::exp(x);
-        EXPECT_TRUE(sameBits(fs::memoExp(x), want)) << x;
-        EXPECT_TRUE(sameBits(fs::memoExp(x), want)) << x << " (repeat)";
+    for (const auto& k : memoDecayProbe()) {
+        const double want = decayWant(k);
+        EXPECT_TRUE(sameBits(fs::memoDecay(k.first, k.second), want))
+            << k.first << "/" << k.second;
+        EXPECT_TRUE(sameBits(fs::memoDecay(k.first, k.second), want))
+            << k.first << "/" << k.second << " (repeat)";
     }
 }
 
-TEST(MemoExp, SlotCollisionsEvictExactly)
+TEST(MemoDecay, SlotCollisionsEvictExactly)
 {
-    // Arguments sharing one slot, called in turn, so every call evicts
-    // the previous occupant: once around a governor decay argument, and
-    // once in the slot of +0.0, the pair every slot starts out holding.
-    for (const double anchor : {-0.05, 0.0}) {
-        const std::size_t slot = fs::expMemoSlot(anchor);
-        std::vector<double> same_slot = {anchor};
-        for (double x = -1e-3; same_slot.size() < 8;
-             x = std::nextafter(x, -1.0)) {
-            if (fs::expMemoSlot(x) == slot)
-                same_slot.push_back(x);
+    // Keys sharing one slot, called in turn, so every call evicts the
+    // previous occupant: once around a governor quantum key, and once in
+    // the slot of (0, 1), the entry every slot starts out holding.  The
+    // colliders vary the length, the time constant, or both.
+    for (const DecayKey anchor : {DecayKey{2'000, 40'000}, DecayKey{0, 1}}) {
+        const std::size_t slot = fs::decayMemoSlot(anchor.first, anchor.second);
+        std::vector<DecayKey> same_slot = {anchor};
+        for (std::int64_t n = 1; same_slot.size() < 12; ++n) {
+            for (const DecayKey k : {DecayKey{anchor.first + n, anchor.second},
+                                     DecayKey{anchor.first, anchor.second + n},
+                                     DecayKey{n, 400'000 + n}}) {
+                if (fs::decayMemoSlot(k.first, k.second) == slot)
+                    same_slot.push_back(k);
+            }
         }
         for (int round = 0; round < 4; ++round) {
-            for (const double x : same_slot)
-                EXPECT_TRUE(sameBits(fs::memoExp(x), std::exp(x))) << x;
+            for (const auto& k : same_slot) {
+                EXPECT_TRUE(
+                    sameBits(fs::memoDecay(k.first, k.second), decayWant(k)))
+                    << k.first << "/" << k.second;
+            }
         }
     }
 }
 
-TEST(MemoExp, ThreadsKeepPrivateExactTables)
+TEST(MemoDecay, ThreadsKeepPrivateExactTables)
 {
     // Four threads walk the probe from different starting points, so
     // their tables hold different occupants at every moment; each must
-    // still see exactly std::exp.
-    const auto xs = memoExpProbe();
+    // still see exactly the unmemoized factor.
+    const auto keys = memoDecayProbe();
     std::vector<double> want;
-    want.reserve(xs.size());
-    for (const double x : xs)
-        want.push_back(std::exp(x));
+    want.reserve(keys.size());
+    for (const auto& k : keys)
+        want.push_back(decayWant(k));
     constexpr std::size_t kThreads = 4;
     std::vector<std::size_t> mismatches(kThreads, 0);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             for (int pass = 0; pass < 3; ++pass) {
-                for (std::size_t k = 0; k < xs.size(); ++k) {
+                for (std::size_t j = 0; j < keys.size(); ++j) {
                     const std::size_t i =
-                        (k + t * xs.size() / kThreads) % xs.size();
-                    if (!sameBits(fs::memoExp(xs[i]), want[i]))
+                        (j + t * keys.size() / kThreads) % keys.size();
+                    if (!sameBits(fs::memoDecay(keys[i].first, keys[i].second),
+                                  want[i]))
                         ++mismatches[t];
                 }
             }
