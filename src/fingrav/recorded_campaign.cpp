@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "fingrav/differentiation.hpp"
-#include "fingrav/stitcher.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
 #include "sim/simulation.hpp"
@@ -130,9 +129,34 @@ RecordedCampaign::record(const ScenarioSpec& spec,
     // ppm estimate) for the kFinGraVDrift sweep point.
     rc.drift_sync_ = rc.sync_;
     rc.drift_sync_->addDriftAnchor(host, opts.device);
-    // No per-window copies: a restitch at window w reads
-    // RunRecord::windowSamples(w) next to the one copy of each run's execs.
+
+    // No per-window copies of the runs: a restitch at window w reads
+    // RunRecord::windowSamples(w) next to the one copy of each run's
+    // execs, and the alignment of each (window, sync mode) made here, so
+    // no sweep point aligns a run again.
+    static_assert(static_cast<std::size_t>(SyncMode::kCoarseAlign) + 1 ==
+                      kSyncModes,
+                  "one aligned table per SyncMode enumerator");
+    rc.aligned_.resize(rc.windows_.size() * kSyncModes);
+    for (std::size_t w = 0; w < rc.windows_.size(); ++w) {
+        for (std::size_t m = 0; m < kSyncModes; ++m) {
+            const auto mode = static_cast<SyncMode>(m);
+            auto& table = rc.aligned_[w * kSyncModes + m];
+            table.reserve(rc.runs_.size());
+            for (const auto& run : rc.runs_)
+                table.push_back(alignRun(run, w, mode, rc.syncFor(mode),
+                                         rc.tick_));
+        }
+    }
     return rc;
+}
+
+const TimeSync&
+RecordedCampaign::syncFor(SyncMode mode) const
+{
+    return mode == SyncMode::kNoDelayAccounting ? *nodelay_sync_
+           : mode == SyncMode::kFinGraVDrift    ? *drift_sync_
+                                                : *sync_;
 }
 
 ProfileSet
@@ -153,10 +177,7 @@ RecordedCampaign::restitch(const SweepPoint& point) const
         support::fatal("RecordedCampaign::restitch: window index ", w,
                        " out of range (", windows_.size(), " recorded)");
 
-    const TimeSync& sync =
-        opts.sync_mode == SyncMode::kNoDelayAccounting ? *nodelay_sync_
-        : opts.sync_mode == SyncMode::kFinGraVDrift    ? *drift_sync_
-                                                       : *sync_;
+    const TimeSync& sync = syncFor(opts.sync_mode);
 
     ProfileSet out;
     out.label = spec_.label;
@@ -172,7 +193,7 @@ RecordedCampaign::restitch(const SweepPoint& point) const
 
     // Steps 6-9 plus the step-8 top-up decision loop, replayed from the
     // recorded pool through the incremental stitcher.
-    ProfileStitcher stitcher(opts, sync, tick_, w);
+    ProfileStitcher stitcher(opts, alignedRuns(w, opts.sync_mode), w);
     std::size_t budget =
         std::min(point.runs.value_or(base_runs_), runs_.size());
     stitcher.restitch(runs_, budget, out);
@@ -195,10 +216,6 @@ RecordedCampaign::autotuneBudget(std::size_t loi_target,
                        window_index, " out of range (", windows_.size(),
                        " recorded)");
     const ProfilerOptions& opts = spec_.opts;
-    const TimeSync& sync =
-        opts.sync_mode == SyncMode::kNoDelayAccounting ? *nodelay_sync_
-        : opts.sync_mode == SyncMode::kFinGraVDrift    ? *drift_sync_
-                                                       : *sync_;
 
     AutotuneResult out;
     out.loi_target = loi_target > 0
@@ -219,7 +236,8 @@ RecordedCampaign::autotuneBudget(std::size_t loi_target,
     set.sse_exec_index = opts.sse_executions - 1;
     set.ssp_exec_index = ssp_exec_index_[window_index];
 
-    ProfileStitcher stitcher(opts, sync, tick_, window_index);
+    ProfileStitcher stitcher(opts, alignedRuns(window_index, opts.sync_mode),
+                             window_index);
     std::size_t budget = 0;
     std::size_t lois = 0;
     while (budget < runs_.size()) {

@@ -25,14 +25,19 @@
  *    pool holds every window (RunRecord::samples, then extra_samples);
  *    a restitch hands the window index to the stitcher;
  *  - per-window SSE/SSP execution indices, derived at record time with
- *    the same formula + stabilization scan the Profiler applies.
+ *    the same formula + stabilization scan the Profiler applies;
+ *  - every run aligned once per (window, sync mode) through alignRun:
+ *    its samples in CPU time and their contention flags, the inputs
+ *    every restitch at that window and mode reads unchanged.
  *
  * restitch(SweepPoint) then replays steps 6-9 (golden selection, LOI/TOI
  * alignment, stitching, and the step-8 top-up decision loop) from the
- * recorded pool through the incremental ProfileStitcher.  Because the
- * recording pipeline is deterministic, a restitch is bit-identical to
- * re-executing the recorded plan from scratch and stitching at that
- * sweep point — the property bench_campaign hard-fails on.
+ * recorded pool through the incremental ProfileStitcher, which reads
+ * the immutable aligned table (restitch is const and needs no lock).
+ * Because the recording pipeline is deterministic, a restitch is
+ * bit-identical to re-executing the recorded plan from scratch and
+ * stitching at that sweep point — the property bench_campaign
+ * hard-fails on.
  */
 
 #include <cstdint>
@@ -42,6 +47,7 @@
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/run_executor.hpp"
+#include "fingrav/stitcher.hpp"
 #include "fingrav/time_sync.hpp"
 #include "sim/machine_config.hpp"
 #include "support/time_types.hpp"
@@ -160,6 +166,19 @@ class RecordedCampaign {
   private:
     RecordedCampaign() = default;
 
+    /** Sync modes a sweep point can select (SyncMode's enumerators). */
+    static constexpr std::size_t kSyncModes = 4;
+
+    /** The calibration `mode` translates through. */
+    const TimeSync& syncFor(SyncMode mode) const;
+
+    /** The pool aligned at window `w` under `mode`, one entry per run. */
+    const std::vector<AlignedRun>& alignedRuns(std::size_t w,
+                                               SyncMode mode) const
+    {
+        return aligned_[w * kSyncModes + static_cast<std::size_t>(mode)];
+    }
+
     ScenarioSpec spec_;
     support::Duration measured_exec_time_;
     GuidanceEntry guidance_;
@@ -173,6 +192,8 @@ class RecordedCampaign {
     std::optional<TimeSync> sync_;          ///< full S2 calibration
     std::optional<TimeSync> nodelay_sync_;  ///< Lang-style, delay-blind
     std::optional<TimeSync> drift_sync_;    ///< + post-campaign drift anchor
+    /** alignRun of every run, per (window, sync mode): alignedRuns(). */
+    std::vector<std::vector<AlignedRun>> aligned_;
 };
 
 }  // namespace fingrav::core

@@ -44,6 +44,42 @@ translateSample(const ProfilerOptions& opts, const TimeSync& sync,
 
 }  // namespace
 
+AlignedRun
+alignRun(const RunRecord& run, std::size_t window, SyncMode mode,
+         const TimeSync& sync, Duration tick)
+{
+    const auto& samples = run.windowSamples(window);
+    const std::size_t m = samples.size();
+    AlignedRun out;
+    out.cpu_ns.resize(m);
+    const std::int64_t* ts = samples.gpu_timestamp.data();
+    std::int64_t* o = out.cpu_ns.data();
+    if (mode == SyncMode::kCoarseAlign) {
+        const std::int64_t t0 = m > 0 ? ts[0] : 0;
+        const std::int64_t base = run.log_start_cpu_ns;
+        const std::int64_t tick_ns = tick.nanos();
+        FINGRAV_SIMD_LOOP
+        for (std::size_t k = 0; k < m; ++k)
+            o[k] = base + (ts[k] - t0) * tick_ns;
+    } else {
+        // Whole-column translation (one call, vectorized element-exact
+        // math) instead of one gpuCounterToCpuNs call per sample.
+        sync.translateColumn(ts, m, o);
+    }
+    // Sample times ascend and the contention intervals are merged and
+    // ascending, so one forward merge resolves every flag ([first,
+    // second), as RunRecord::contendedAt).
+    out.contended.assign(m, 0);
+    const auto& ivs = run.contended_cpu_ns;
+    std::size_t ii = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+        while (ii < ivs.size() && o[k] >= ivs[ii].second)
+            ++ii;
+        out.contended[k] = (ii < ivs.size() && o[k] >= ivs[ii].first) ? 1 : 0;
+    }
+    return out;
+}
+
 ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
                                  const TimeSync& sync,
                                  support::Duration tick, std::size_t window)
@@ -51,27 +87,11 @@ ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
 {
 }
 
-void
-ProfileStitcher::translateSamples(const RunRecord& run,
-                                  std::vector<std::int64_t>& out) const
+ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
+                                 const std::vector<AlignedRun>& aligned,
+                                 std::size_t window)
+    : opts_(opts), window_(window), table_(&aligned)
 {
-    const auto& samples = run.windowSamples(window_);
-    const std::size_t m = samples.size();
-    out.resize(m);
-    const std::int64_t* ts = samples.gpu_timestamp.data();
-    if (opts_.sync_mode == SyncMode::kCoarseAlign) {
-        const std::int64_t t0 = m > 0 ? ts[0] : 0;
-        const std::int64_t base = run.log_start_cpu_ns;
-        const std::int64_t tick = tick_.nanos();
-        std::int64_t* o = out.data();
-        FINGRAV_SIMD_LOOP
-        for (std::size_t k = 0; k < m; ++k)
-            o[k] = base + (ts[k] - t0) * tick;
-        return;
-    }
-    // Whole-column translation (one call, vectorized element-exact math)
-    // instead of one gpuCounterToCpuNs call per sample.
-    sync_->translateColumn(ts, m, out.data());
 }
 
 namespace {
@@ -80,9 +100,9 @@ namespace {
  * Step-6 binning input: run `i`'s representative time, appended with its
  * index.  Runs that recorded zero main executions cannot provide one
  * (indexing size-1 underflowed before); they are excluded from binning
- * and count as outliers.
+ * and count as outliers.  Returns whether the run was appended.
  */
-void
+bool
 addBinningInput(const RunRecord& run, std::size_t i, const ProfileSet& out,
                 std::vector<Duration>& rep_times,
                 std::vector<std::size_t>& eligible)
@@ -90,10 +110,46 @@ addBinningInput(const RunRecord& run, std::size_t i, const ProfileSet& out,
     if (run.main_exec_indices.empty()) {
         support::warn("stitch: run ", run.run_index,
                       " recorded no main executions; skipping");
-        return;
+        return false;
     }
     rep_times.push_back(repTime(run, out));
     eligible.push_back(i);
+    return true;
+}
+
+/**
+ * First main execution x in [from, mains) with start(x) >= t, or mains:
+ * a galloping lower bound over the run's execution starts, which never
+ * decrease (header precondition).  O(log distance), one probe when x is
+ * `from` itself.
+ */
+std::size_t
+firstStartAtOrAfter(const RunRecord& run, std::size_t from, std::int64_t t)
+{
+    const std::size_t mains = run.main_exec_indices.size();
+    const auto start = [&run](std::size_t x) {
+        return run.execs[run.main_exec_indices[x]].timing.cpu_start_ns;
+    };
+    if (from >= mains || start(from) >= t)
+        return from;
+    // Invariant: start(lo) < t, and hi == mains or start(hi) >= t.
+    std::size_t lo = from;
+    std::size_t hi = mains;
+    for (std::size_t step = 1; lo + step < mains; step *= 2) {
+        if (start(lo + step) >= t) {
+            hi = lo + step;
+            break;
+        }
+        lo += step;
+    }
+    while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (start(mid) < t)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return hi;
 }
 
 /** Step-6 golden selection over `n` runs (see header). */
@@ -144,57 +200,62 @@ void
 ProfileStitcher::updateCaches(const std::vector<RunRecord>& runs,
                               std::size_t n, const ProfileSet& out)
 {
-    FINGRAV_ASSERT(n >= run_caches_.size(),
+    FINGRAV_ASSERT(n >= run_rep_times_.size(),
                    "restitch: runs shrank between calls");
     FINGRAV_ASSERT(n <= runs.size(), "restitch: prefix beyond runs");
-    for (std::size_t i = run_caches_.size(); i < n; ++i) {
+    FINGRAV_ASSERT(table_ == nullptr || n <= table_->size(),
+                   "restitch: prefix beyond the aligned runs");
+    for (std::size_t i = run_rep_times_.size(); i < n; ++i) {
         FINGRAV_ASSERT(window_ <= runs[i].extra_samples.size(),
                        "restitch: run ", runs[i].run_index,
                        " recorded no window ", window_);
-        addBinningInput(runs[i], i, out, rep_times_, eligible_);
+        const bool eligible =
+            addBinningInput(runs[i], i, out, rep_times_, eligible_);
+        run_rep_times_.push_back(eligible ? rep_times_.back() : Duration());
     }
-    run_caches_.resize(n);
+    if (table_ == nullptr)
+        own_.resize(n);
+}
+
+const AlignedRun&
+ProfileStitcher::alignedRun(const RunRecord& run, std::size_t run_idx)
+{
+    if (table_ != nullptr)
+        return (*table_)[run_idx];
+    auto& slot = own_[run_idx];
+    if (!slot.has_value())
+        slot = alignRun(run, window_, opts_.sync_mode, *sync_, tick_);
+    return *slot;
 }
 
 void
 ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
                            ProfileSet& out)
 {
-    RunCache& rc = run_caches_[run_idx];
+    const AlignedRun& aligned = alignedRun(run, run_idx);
     const auto& samples = run.windowSamples(window_);
-    if (!rc.aligned) {
-        const std::size_t m = samples.size();
-        translateSamples(run, rc.sample_cpu_ns);
-        // Contention flags in the same pass discipline: sample times
-        // ascend and the contention intervals are merged and ascending,
-        // so one forward merge resolves every flag — same containment
-        // predicate as RunRecord::contendedAt ([first, second)), without
-        // a binary search per sample.
-        rc.contended.assign(m, 0);
-        const auto& ivs = run.contended_cpu_ns;
-        std::size_t ii = 0;
-        for (std::size_t k = 0; k < m; ++k) {
-            const std::int64_t t = rc.sample_cpu_ns[k];
-            while (ii < ivs.size() && t >= ivs[ii].second)
-                ++ii;
-            rc.contended[k] =
-                (ii < ivs.size() && t >= ivs[ii].first) ? 1 : 0;
-        }
-        rc.aligned = true;
-    }
-    const auto& cpu = rc.sample_cpu_ns;
-    const std::size_t n = cpu.size();
+    const std::int64_t* cpu = aligned.cpu_ns.data();
+    const std::size_t n = aligned.cpu_ns.size();
 
     // Visit only the executions that yield points: SSE (first, when it
-    // precedes the SSP index), then every j >= ssp.  Starts never decrease
-    // (header precondition) and samples ascend, so the cursor jumped to a
-    // visited start lands where a walk over every execution would.  Points
-    // land in the profile columns directly (addRow) — no staging.
+    // precedes the SSP index), then the j >= ssp that can hold a sample,
+    // until every sample is behind the cursor (si == n).  Starts never
+    // decrease (header precondition) and samples ascend, so the cursor
+    // jumped to a visited start lands where a walk over every execution
+    // would.  Points land in the profile columns directly (addRow) — no
+    // staging.
     const std::size_t sse = out.sse_exec_index;
     const std::size_t ssp = out.ssp_exec_index;
+    const std::size_t mains = run.main_exec_indices.size();
     std::size_t si = 0;
-    for (std::size_t j = std::min(sse, ssp); j < run.main_exec_indices.size();
+    for (std::size_t j = std::min(sse, ssp); j < mains && si < n;
          j = std::max(j + 1, ssp)) {
+        // Skip every execution whose successor starts before cpu[si]: it
+        // ends before that sample, and every sample before si precedes
+        // the last scanned start, so it holds none.  A walk would not
+        // move the cursor across it either (scanGe stops at si).
+        if (j >= ssp)
+            j = firstStartAtOrAfter(run, j + 1, cpu[si]) - 1;
         const auto& timing = run.execs[run.main_exec_indices[j]].timing;
         const double dur_ns = static_cast<double>(
             timing.cpu_end_ns - timing.cpu_start_ns);
@@ -203,11 +264,11 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
         // Boundary scans through the SIMD shim's 4-wide branchless
         // advance (scalar fallback under FINGRAV_SIMD_SCALAR): same
         // indices as the former advance-while-less loops, `cpu` ascends.
-        si = support::simd::scanGe(cpu.data(), si, n, timing.cpu_start_ns);
+        si = support::simd::scanGe(cpu, si, n, timing.cpu_start_ns);
         const bool is_sse = j == sse;
         const bool is_ssp = j >= ssp;
         const std::size_t ke =
-            support::simd::scanGt(cpu.data(), si, n, timing.cpu_end_ns);
+            support::simd::scanGt(cpu, si, n, timing.cpu_end_ns);
         for (std::size_t k = si; k < ke; ++k) {
             const double toi_ns =
                 static_cast<double>(cpu[k] - timing.cpu_start_ns);
@@ -215,7 +276,7 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
             const double toi_frac = toi_ns / dur_ns;
             const double run_time_us =
                 static_cast<double>(cpu[k] - run.run_start_cpu_ns) / 1e3;
-            const bool contended = rc.contended[k] != 0;
+            const bool contended = aligned.contended[k] != 0;
             if (is_sse)
                 out.sse.addRow(toi_us, toi_frac, run_time_us, samples[k],
                                run.run_index, j, contended);
@@ -227,8 +288,7 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
 
     // Timeline view: every sample of the run in run-relative time,
     // bulk-copied capture columns → profile columns (no transpose).
-    out.timeline.appendTimelineRun(samples, cpu.data(),
-                                   rc.contended.data(),
+    out.timeline.appendTimelineRun(samples, cpu, aligned.contended.data(),
                                    run.run_start_cpu_ns, run.run_index);
 }
 
@@ -273,7 +333,7 @@ ProfileStitcher::restitch(const std::vector<RunRecord>& runs, std::size_t n,
     out.timeline.reserve(out.timeline.size() + extra);
     for (std::size_t g = from; g < golden.size(); ++g) {
         const std::size_t idx = golden[g];
-        ssp_time_us_.add(repTime(runs[idx], out).toMicros());
+        ssp_time_us_.add(run_rep_times_[idx].toMicros());
         appendRun(runs[idx], idx, out);
     }
 

@@ -8,11 +8,12 @@
  * *builds*.  It pins the FNV-1a-64 digest of the canonical codec bytes of
  * every ProfileSet of the paper campaign set (the fourteen paper kernels
  * plus AR-512MB under injected fabric demand, bench_fig10's seeds 10001
- * on), of one multi-window RecordedCampaign restitch, and of a grid of
- * restitch points and budget autotunes over two recordings.  The Release,
- * forced-scalar SIMD and sanitizer builds must all reproduce the same
- * digests, and a simulator optimisation that claims to be exact must
- * leave every one of them untouched.
+ * on), of one multi-window RecordedCampaign restitch, and of grids of
+ * restitch points and budget autotunes over two isolated recordings and
+ * one contended recording.  The Release, forced-scalar SIMD and
+ * sanitizer builds must all reproduce the same digests, and a simulator
+ * optimisation that claims to be exact must leave every one of them
+ * untouched.
  *
  * A second table pins the wire and cache-key bytes themselves: the
  * encodings of a config, a spec touching every field, its cache key,
@@ -108,6 +109,9 @@ constexpr std::uint64_t kRestitchGolden = 0x68a13d05937b1ad2ull;
 /** restitchGridDigest() over recordSpec() at 1/2/10 ms and
  *  longWindowSpec() at 1/10 ms. */
 constexpr std::uint64_t kRestitchGridGolden = 0x42c8f5eab8d0f1e1ull;
+
+/** restitchGridDigest() over contendedSpec() at 1/2 ms. */
+constexpr std::uint64_t kContendedRestitchGridGolden = 0xcfe43b8b4a712f7dull;
 
 struct WireDigest {
     const char* name;
@@ -385,6 +389,29 @@ longWindowSpec()
 }
 
 /**
+ * AR-512MB recorded under 0.6 injected fabric demand, switched on for
+ * half of every 6 ms so each run holds contended and uncontended
+ * samples: a restitch's LOIs carry flags from both sides of an interval
+ * boundary, under every sync mode's translation.
+ */
+fc::ScenarioSpec
+contendedSpec()
+{
+    fc::ScenarioSpec spec;
+    spec.label = "AR-512MB";
+    spec.seed = 5152;
+    spec.opts.runs_override = 8;
+    spec.opts.max_extra_run_factor = 0.5;
+    fc::BackgroundLoad demand;
+    demand.kind = fc::BackgroundKind::kFabricDemand;
+    demand.demand = 0.6;
+    demand.period = 6_ms;
+    demand.duty_cycle = 0.5;
+    spec.background.push_back(demand);
+    return spec;
+}
+
+/**
  * One digest over a recording's sweep surface: every window x every
  * sync mode x {default, 0.10} margin x binning {default, off} x target
  * bin {none, the measured execution time} x run budget {default + top-up,
@@ -497,6 +524,20 @@ TEST(GoldenDigest, RestitchGrid)
     if (printing())
         std::printf("restitch grid 0x%016" PRIx64 "ull\n", d);
     EXPECT_EQ(d, kRestitchGridGolden);
+}
+
+TEST(GoldenDigest, ContendedRestitchGrid)
+{
+    const auto recorded =
+        fc::RecordedCampaign::record(contendedSpec(), {2_ms});
+    const auto set = recorded.restitch();
+    ASSERT_FALSE(set.ssp.empty());
+    EXPECT_GT(set.ssp.contendedCount(), 0u);
+    EXPECT_LT(set.ssp.contendedCount(), set.ssp.size());
+    const std::uint64_t d = restitchGridDigest(recorded);
+    if (printing())
+        std::printf("contended restitch grid 0x%016" PRIx64 "ull\n", d);
+    EXPECT_EQ(d, kContendedRestitchGridGolden);
 }
 
 TEST(GoldenDigest, WireAndCacheKeyBytes)

@@ -8,10 +8,13 @@
  * underflowing the representative-execution index (the seed crashed
  * computing `main_exec_indices.size() - 1`).  Long runs whose SSP index
  * sits deep in the run (the stitcher visits only the harvested
- * executions) and multi-window pools are checked against the same
- * reference.
+ * executions and skips those that cannot hold a sample) and
+ * multi-window pools are checked against the same reference, with the
+ * inputs where a skip could part from a walk over every execution.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -121,15 +124,18 @@ syntheticRun(std::size_t idx, double rep_us, std::size_t execs = 12)
 /** Main executions of longSyntheticRun(). */
 constexpr std::size_t kLongMains = 320;
 
-/** Samples every `period_ns` over [ts0, ts0 + span_ns) in GPU ticks. */
+/**
+ * A log with one sample at each CPU offset in `at` (ascending) from the
+ * run's origin, which sits at GPU counter `ts0`.
+ */
 sim::SampleColumns
-periodicSamples(std::int64_t ts0, std::int64_t period_ns,
-                std::int64_t span_ns, std::int64_t tick_ns, double base_w)
+samplesAt(std::int64_t ts0, const std::vector<std::int64_t>& at,
+          std::int64_t tick_ns, double base_w)
 {
     sim::SampleColumns out;
-    for (std::int64_t k = 0; k * period_ns < span_ns; ++k) {
+    for (std::size_t k = 0; k < at.size(); ++k) {
         sim::PowerSample s;
-        s.gpu_timestamp = ts0 + k * period_ns / tick_ns;
+        s.gpu_timestamp = ts0 + at[k] / tick_ns;
         s.total_w = base_w + static_cast<double>(k % 97);
         s.xcd_w = 0.5 * s.total_w;
         s.iod_w = 25.0;
@@ -139,6 +145,12 @@ periodicSamples(std::int64_t ts0, std::int64_t period_ns,
     return out;
 }
 
+/** Run index of longPool() whose logs stop before its last execution. */
+constexpr std::size_t kShortLogRun = 4;
+
+/** Per longPool() run: length of its sample-free stretch from main 308. */
+constexpr std::size_t kQuiet[] = {5, 8, 6, 7, 4};
+
 /**
  * Long variant of syntheticRun: three prelude (non-main) executions, then
  * kLongMains main executions of `rep_us` with a non-main execution after
@@ -146,8 +158,21 @@ periodicSamples(std::int64_t ts0, std::int64_t period_ns,
  * the stretch a deep SSP index skips) and 310.  Samples every 53 us (the
  * primary log) and every 211 us and 1009 us (two extra windows) start at
  * the run's calibrated CPU origin, so the coarse-align and the TimeSync
- * mappings put them in the same executions.  Two contention intervals
+ * mappings put them at the same CPU times.  Two contention intervals
  * overlap the run.
+ *
+ * Every log also carries the cases where skipping sample-free executions
+ * could part from a walk over every execution:
+ *  - mains 3-4 and 302-304 run back to back, and a sample lands on each
+ *    shared boundary (end(j) == start(j + 1)), so it belongs to both;
+ *  - the 302/303 boundary carries two samples with the same timestamp;
+ *  - mains 308 to 308 + q - 1 hold no sample (q = kQuiet[idx]), so the
+ *    zero-duration main 310 sits between sample-free executions, and
+ *    the first sample after them lies on the boundary of back-to-back
+ *    mains 308 + q and 309 + q: the skip must stop at 308 + q, reached
+ *    by a different probe of its search in each run;
+ *  - run kShortLogRun's logs stop inside main 316, before its last
+ *    execution.
  */
 fc::RunRecord
 longSyntheticRun(std::size_t idx, double rep_us, const fc::TimeSync& sync,
@@ -159,36 +184,62 @@ longSyntheticRun(std::size_t idx, double rep_us, const fc::TimeSync& sync,
         1'000'000 + static_cast<std::int64_t>(idx) * 5'000'000;
     const std::int64_t cpu0 = sync.gpuCounterToCpuNs(ts0);
     r.log_start_cpu_ns = cpu0;
-    std::int64_t t = cpu0 + 40'000;
-    auto add = [&](bool is_main, std::int64_t dur_ns) {
+    // Offsets from cpu0, all whole GPU ticks so boundary samples are
+    // exact under every mapping.
+    std::int64_t t = 40'000;
+    std::vector<std::int64_t> start, end;  // of each main execution
+    auto add = [&](bool is_main, std::int64_t dur_ns, std::int64_t gap_ns) {
         fc::ExecObservation ob;
         ob.is_main = is_main;
-        ob.timing.cpu_start_ns = t;
-        ob.timing.cpu_end_ns = t + dur_ns;
-        t = ob.timing.cpu_end_ns + 20'000;
-        if (is_main)
+        ob.timing.cpu_start_ns = cpu0 + t;
+        ob.timing.cpu_end_ns = cpu0 + t + dur_ns;
+        if (is_main) {
+            start.push_back(t);
+            end.push_back(t + dur_ns);
             r.main_exec_indices.push_back(r.execs.size());
+        }
+        t += dur_ns + gap_ns;
         r.execs.push_back(ob);
     };
     for (int i = 0; i < 3; ++i)
-        add(false, 30'000);
-    const auto dur = static_cast<std::int64_t>(rep_us * 1e3);
+        add(false, 30'000, 20'000);
+    const std::int64_t dur = std::llround(rep_us * 1e3);
     for (std::size_t j = 0; j < kLongMains; ++j) {
         if (j > 0 && j % 40 == 0)
-            add(false, 30'000);
+            add(false, 30'000, 20'000);
         const bool zero = j == 50 || j == 51 || j == 200 || j == 310;
-        add(true, zero ? 0 : dur);
+        const bool back_to_back =
+            j == 3 || j == 302 || j == 303 || j == 308 + kQuiet[idx];
+        add(true, zero ? 0 : dur, back_to_back ? 0 : 20'000);
     }
     r.run_start_cpu_ns = r.execs.front().timing.cpu_start_ns;
-    const std::int64_t span = t - cpu0;
+    const std::int64_t span = t;
+
     const std::int64_t tick_ns = tick.nanos();
-    r.samples = periodicSamples(ts0, 53'000, span, tick_ns, 300.0);
-    r.extra_samples.push_back(
-        periodicSamples(ts0, 211'000, span, tick_ns, 310.0));
-    r.extra_samples.push_back(
-        periodicSamples(ts0, 1'009'000, span, tick_ns, 320.0));
+    auto log = [&](std::int64_t period_ns, double base_w) {
+        std::vector<std::int64_t> at;
+        const std::size_t quiet_end = 308 + kQuiet[idx];
+        for (std::int64_t o = 0; o < span; o += period_ns) {
+            if (o < start[308] || o > end[quiet_end])
+                at.push_back(o);
+        }
+        for (const std::size_t j : {std::size_t{3}, std::size_t{302},
+                                    std::size_t{302}, std::size_t{303},
+                                    quiet_end})
+            at.push_back(end[j]);
+        std::sort(at.begin(), at.end());
+        if (idx == kShortLogRun) {
+            at.erase(std::upper_bound(at.begin(), at.end(),
+                                      start[316] + dur / 2),
+                     at.end());
+        }
+        return samplesAt(ts0, at, tick_ns, base_w);
+    };
+    r.samples = log(53'000, 300.0);
+    r.extra_samples.push_back(log(211'000, 310.0));
+    r.extra_samples.push_back(log(1'009'000, 320.0));
     r.contended_cpu_ns = {{cpu0 + span / 3, cpu0 + span / 2},
-                          {t - 2'000'000, t}};
+                          {cpu0 + span - 2'000'000, cpu0 + span}};
     return r;
 }
 
@@ -360,24 +411,33 @@ TEST(StitchIncremental, LongRunsMatchReferenceAtEveryIndexSplit)
         fc::ProfilerOptions opts;
         opts.sync_mode = mode;
         opts.margin_override = 0.05;
-        for (const auto& split : splits) {
-            SCOPED_TRACE(::testing::Message()
-                         << fc::toString(mode) << " sse " << split.sse
-                         << " ssp " << split.ssp);
-            auto incremental = skeleton("synthetic", split.sse, split.ssp);
-            fc::ProfileStitcher stitcher(opts, sync, tick);
-            for (std::size_t n = 1; n <= runs.size(); ++n)
-                stitcher.restitch(runs, n, incremental);
+        for (std::size_t w = 0; w <= runs.front().extra_samples.size();
+             ++w) {
+            const auto window_major = windowMajor(runs, w);
+            for (const auto& split : splits) {
+                SCOPED_TRACE(::testing::Message()
+                             << fc::toString(mode) << " window " << w
+                             << " sse " << split.sse << " ssp "
+                             << split.ssp);
+                auto incremental =
+                    skeleton("synthetic", split.sse, split.ssp);
+                fc::ProfileStitcher stitcher(opts, sync, tick, w);
+                for (std::size_t n = 1; n <= runs.size(); ++n)
+                    stitcher.restitch(runs, n, incremental);
 
-            auto reference = skeleton("synthetic", split.sse, split.ssp);
-            fc::ProfileStitcher::stitchReference(opts, sync, tick, runs,
-                                                 reference);
-            EXPECT_EQ(reference.binning.golden_runs,
-                      (std::vector<std::size_t>{0, 1, 2, 4}));
-            EXPECT_EQ(reference.sse.empty(), split.sse >= kLongMains ||
-                                                 split.sse == 50);
-            EXPECT_EQ(reference.ssp.empty(), split.ssp >= kLongMains);
-            expectSetsEqual(incremental, reference);
+                auto reference = skeleton("synthetic", split.sse, split.ssp);
+                fc::ProfileStitcher::stitchReference(opts, sync, tick,
+                                                     window_major, reference);
+                EXPECT_EQ(reference.binning.golden_runs,
+                          (std::vector<std::size_t>{0, 1, 2, 4}));
+                EXPECT_EQ(reference.ssp.empty(), split.ssp >= kLongMains);
+                // The 1009 us log (window 2) places no sample in main 305.
+                if (w < 2) {
+                    EXPECT_EQ(reference.sse.empty(),
+                              split.sse >= kLongMains || split.sse == 50);
+                }
+                expectSetsEqual(incremental, reference);
+            }
         }
     }
 }
@@ -406,6 +466,30 @@ TEST(StitchIncremental, EachWindowOfOnePoolMatchesWindowMajorReference)
                 opts, sync, tick, windowMajor(runs, w), reference);
             ASSERT_FALSE(reference.ssp.empty());
             expectSetsEqual(shared, reference);
+
+            // The edge cases are really there: run 0 places the two
+            // same-timestamp samples at the end of main 302 and the start
+            // of 303, the 303/304 and 313/314 boundary samples in both
+            // executions, and nothing in its sample-free stretch 308-312.
+            std::size_t at_end_302 = 0, at_start_303 = 0, at_304 = 0,
+                        at_313 = 0, at_314 = 0, in_quiet = 0;
+            for (std::size_t i = 0; i < reference.ssp.size(); ++i) {
+                const auto p = reference.ssp.point(i);
+                if (p.run_index != 0)
+                    continue;
+                at_end_302 += p.exec_index == 302 && p.toi_frac == 1.0;
+                at_start_303 += p.exec_index == 303 && p.toi_us == 0.0;
+                at_304 += p.exec_index == 304 && p.toi_us == 0.0;
+                at_313 += p.exec_index == 313 && p.toi_frac == 1.0;
+                at_314 += p.exec_index == 314 && p.toi_us == 0.0;
+                in_quiet += p.exec_index >= 308 && p.exec_index <= 312;
+            }
+            EXPECT_EQ(at_end_302, 2u);
+            EXPECT_EQ(at_start_303, 2u);
+            EXPECT_EQ(at_304, 1u);
+            EXPECT_EQ(at_313, 1u);
+            EXPECT_EQ(at_314, 1u);
+            EXPECT_EQ(in_quiet, 0u);
         }
     }
 }
