@@ -17,10 +17,9 @@
  * Every sweep restitches one RecordedCampaign instead of re-executing the
  * simulation per point (sweeps 1-3 share a single 400-run recording;
  * sweep 4 uses a multi-window recording that captures 1/10/50 ms loggers
- * around the *same* executions).  Beyond the speedup — bench_campaign
- * tracks it — this is the methodologically cleaner design: every sweep
- * point sees the identical workload draws, so the swept parameter is the
- * only variable.
+ * around the *same* executions).  Beyond the speedup, this is the
+ * methodologically cleaner design: every sweep point sees the identical
+ * workload draws, so the swept parameter is the only variable.
  */
 
 #include <cmath>

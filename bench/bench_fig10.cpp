@@ -47,7 +47,8 @@ main()
     opts.runs_override = 100;  // collectives are long; 100 runs suffice
 
     // Nine independent campaigns, fanned out over the campaign engine
-    // (bench_campaign measures this exact sweep serial vs parallel).
+    // (campaign_runner_test holds this set, at 30 runs, bit-identical
+    // to serial).
     std::vector<fc::ScenarioSpec> specs;
     std::uint64_t seed = 10001;
     for (const auto& label : labels) {

@@ -71,8 +71,8 @@ core::ProfileSet profileOnFreshNode(const std::string& label,
  * base 10001) at the given run budget (no step-8 top-up), optionally
  * plus one AR-512MB scenario under steady 60 % injected fabric demand.
  * The shared spec list the placement identity gates compare on
- * (tests/fleet_test.cpp, bench_fleet) — one definition, so the gates
- * cannot desynchronize.
+ * (tests/fleet_test.cpp, tests/cache_test.cpp) — one definition, so
+ * the gates cannot desynchronize.
  */
 std::vector<core::ScenarioSpec> fig10ScenarioSet(
     std::size_t runs, bool with_contended = true);

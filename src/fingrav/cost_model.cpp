@@ -1,12 +1,9 @@
 #include "fingrav/cost_model.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 
 #include "fingrav/guidance.hpp"
 #include "fingrav/profiler.hpp"
-#include "fingrav/recorded_campaign.hpp"
 #include "kernels/workloads.hpp"
 #include "support/logging.hpp"
 
@@ -20,11 +17,38 @@ namespace {
 constexpr double kMinExecUs = 0.1;
 constexpr double kMinPrediction = 1e-3;
 
-/** Assemble the feature vector from resolved inputs (see features()). */
+}  // namespace
+
 CostFeatures
-assembleFeatures(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
-                 double exec_us, bool collective, double runs)
+CostModel::features(const ScenarioSpec& spec,
+                    const sim::MachineConfig& cfg) const
 {
+    double exec_us = kMinExecUs;
+    bool collective = false;
+    try {
+        const auto kernel = kernels::kernelByLabel(spec.label, cfg);
+        exec_us = kernel->nominalDuration().toMicros();
+        collective = kernel->isCollective();
+    } catch (const support::FatalError&) {
+        // Unknown label (custom profile_fn campaigns): predict off the
+        // floors rather than refuse to schedule.
+    }
+    double runs;
+    if (spec.opts.runs_override.has_value()) {
+        runs = static_cast<double>(*spec.opts.runs_override);
+    } else {
+        runs = static_cast<double>(
+            GuidanceTable::paperDefault()
+                .lookup(support::Duration::micros(
+                    std::max(exec_us, kMinExecUs)))
+                .runs);
+    }
+    // Step-8 top-up headroom: campaigns that collect extra runs execute
+    // more than the base budget when the LOI target is short; half the
+    // cap is the expected overshoot.
+    if (spec.opts.collect_extra_runs)
+        runs *= 1.0 + 0.5 * std::max(spec.opts.max_extra_run_factor, 0.0);
+
     CostFeatures f;
     f.exec_us = std::max(exec_us, kMinExecUs);
     f.runs = std::max(runs, 1.0);
@@ -70,138 +94,11 @@ assembleFeatures(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
     return f;
 }
 
-}  // namespace
-
-CostFeatures
-CostModel::features(const ScenarioSpec& spec,
-                    const sim::MachineConfig& cfg) const
-{
-    double exec_us = kMinExecUs;
-    bool collective = false;
-    try {
-        const auto kernel = kernels::kernelByLabel(spec.label, cfg);
-        exec_us = kernel->nominalDuration().toMicros();
-        collective = kernel->isCollective();
-    } catch (const support::FatalError&) {
-        // Unknown label (custom profile_fn campaigns): predict off the
-        // floors rather than refuse to schedule.
-    }
-    double runs;
-    if (spec.opts.runs_override.has_value()) {
-        runs = static_cast<double>(*spec.opts.runs_override);
-    } else {
-        runs = static_cast<double>(
-            GuidanceTable::paperDefault()
-                .lookup(support::Duration::micros(
-                    std::max(exec_us, kMinExecUs)))
-                .runs);
-    }
-    // Step-8 top-up headroom: campaigns that collect extra runs execute
-    // more than the base budget when the LOI target is short; half the
-    // cap is the expected overshoot.
-    if (spec.opts.collect_extra_runs)
-        runs *= 1.0 + 0.5 * std::max(spec.opts.max_extra_run_factor, 0.0);
-    return assembleFeatures(spec, cfg, exec_us, collective, runs);
-}
-
 double
 CostModel::predict(const ScenarioSpec& spec,
                    const sim::MachineConfig& cfg) const
 {
-    const CostFeatures f = features(spec, cfg);
-    if (!calibrated_)
-        return std::max(f.work(), kMinPrediction);
-    return std::max(coeff_base_ + coeff_event_ * f.events() +
-                        coeff_work_ * f.work(),
-                    kMinPrediction);
-}
-
-void
-CostModel::observe(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
-                   double wall_ms)
-{
-    observations_.push_back({features(spec, cfg), wall_ms});
-}
-
-void
-CostModel::observe(const RecordedCampaign& recording,
-                   const sim::MachineConfig& cfg, double wall_ms)
-{
-    // The recording knows what actually ran: the executed run pool and
-    // the step-1 measured execution time replace the static plan.
-    const ScenarioSpec& spec = recording.spec();
-    bool collective = false;
-    try {
-        collective = kernels::kernelByLabel(spec.label, cfg)->isCollective();
-    } catch (const support::FatalError&) {
-    }
-    observations_.push_back(
-        {assembleFeatures(spec, cfg,
-                          recording.measuredExecTime().toMicros(),
-                          collective,
-                          static_cast<double>(recording.runCount())),
-         wall_ms});
-}
-
-bool
-CostModel::calibrate()
-{
-    if (observations_.size() < 3)
-        return false;
-
-    // Normal equations for wall ~= a + b*events + c*work: accumulate
-    // X^T X (symmetric 3x3) and X^T y, then Gaussian elimination with
-    // partial pivoting.  Work values span orders of magnitude, so the
-    // pivot threshold is relative to the column scale.
-    std::array<std::array<double, 3>, 3> m{};
-    std::array<double, 3> rhs{};
-    for (const auto& obs : observations_) {
-        const std::array<double, 3> x{1.0, obs.features.events(),
-                                      obs.features.work()};
-        for (std::size_t i = 0; i < 3; ++i) {
-            rhs[i] += x[i] * obs.wall_ms;
-            for (std::size_t j = 0; j < 3; ++j)
-                m[i][j] += x[i] * x[j];
-        }
-    }
-    double scale = 0.0;
-    for (const auto& row : m)
-        for (const double v : row)
-            scale = std::max(scale, std::fabs(v));
-    if (scale <= 0.0)
-        return false;
-    for (std::size_t col = 0; col < 3; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t row = col + 1; row < 3; ++row) {
-            if (std::fabs(m[row][col]) > std::fabs(m[pivot][col]))
-                pivot = row;
-        }
-        if (std::fabs(m[pivot][col]) < 1e-12 * scale)
-            return false;  // singular: e.g. all observations identical
-        std::swap(m[col], m[pivot]);
-        std::swap(rhs[col], rhs[pivot]);
-        for (std::size_t row = col + 1; row < 3; ++row) {
-            const double factor = m[row][col] / m[col][col];
-            for (std::size_t j = col; j < 3; ++j)
-                m[row][j] -= factor * m[col][j];
-            rhs[row] -= factor * rhs[col];
-        }
-    }
-    std::array<double, 3> solution{};
-    for (std::size_t i = 3; i-- > 0;) {
-        double v = rhs[i];
-        for (std::size_t j = i + 1; j < 3; ++j)
-            v -= m[i][j] * solution[j];
-        solution[i] = v / m[i][i];
-    }
-    if (!std::isfinite(solution[0]) || !std::isfinite(solution[1]) ||
-        !std::isfinite(solution[2]))
-        return false;
-    coeff_base_ = solution[0];
-    coeff_event_ = solution[1];
-    coeff_work_ = solution[2];
-    calibrated_ = true;
-    return true;
+    return std::max(features(spec, cfg).work(), kMinPrediction);
 }
 
 }  // namespace fingrav::core

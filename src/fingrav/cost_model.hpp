@@ -13,35 +13,19 @@
  * step drags along.  CostModel turns those knobs into one scalar so the
  * fleet scheduler (fingrav/worker_fleet.hpp) can dispatch
  * longest-predicted-first and keep a skewed campaign from straggling
- * behind one long scenario.
- *
- * Two operating points:
- *  - **Uncalibrated**: predict() returns the raw work product
- *    (exec-time x runs x execs-per-run x devices x background factor) —
- *    unitless, but monotone enough to sort a queue.
- *  - **Calibrated**: observe() accumulates (features, measured wall ms)
- *    pairs — hand-timed execute() calls or RecordedCampaign captures —
- *    and calibrate() fits wall_ms ~= a + b*events + c*work by least
- *    squares.  The affine term is the point: short-kernel campaigns are
- *    dominated by per-run/per-execution fixed overhead (sync
- *    calibration, inter-run delays, logger startup) that the raw
- *    product cannot see, and exactly those campaigns mis-rank without
- *    it.
+ * behind one long scenario.  predict() returns the raw work product
+ * (exec-time x runs x execs-per-run x devices x background factor):
+ * unitless, but monotone enough to sort a queue.
  *
  * Prediction only steers placement; results are slot-addressed and
  * bit-identical whatever order the scheduler picks, so a bad prediction
  * costs wall-clock, never correctness.
  */
 
-#include <cstddef>
-#include <vector>
-
 #include "fingrav/scenario.hpp"
 #include "sim/machine_config.hpp"
 
 namespace fingrav::core {
-
-class RecordedCampaign;
 
 /** The knobs predict() derives from one spec (all >= their floors). */
 struct CostFeatures {
@@ -51,14 +35,7 @@ struct CostFeatures {
     double devices = 1.0;       ///< devices the node steps each advance
     double background = 1.0;    ///< environment activity factor (>= 1)
 
-    /** Scheduled simulated events: every run pays per-event machinery. */
-    double
-    events() const
-    {
-        return runs * execs_per_run;
-    }
-
-    /** Raw work product — the uncalibrated cost. */
+    /** Raw work product — the predicted cost. */
     double
     work() const
     {
@@ -66,17 +43,11 @@ struct CostFeatures {
     }
 };
 
-/** One (features, measured wall-clock) calibration pair. */
-struct CostObservation {
-    CostFeatures features;
-    double wall_ms = 0.0;
-};
-
 /**
- * Per-spec cost predictor; cheap to copy (three doubles + the
- * observation pool), deterministic, and safe on degenerate specs — an
- * unknown or zero-duration kernel and an empty background list all
- * produce finite positive predictions (floors, no division anywhere).
+ * Per-spec cost predictor; stateless, deterministic, and safe on
+ * degenerate specs — an unknown or zero-duration kernel and an empty
+ * background list all produce finite positive predictions (floors, no
+ * division anywhere).
  */
 class CostModel {
   public:
@@ -85,48 +56,11 @@ class CostModel {
                           const sim::MachineConfig& cfg) const;
 
     /**
-     * Predicted cost of executing `spec` under `cfg`.  Unitless work
-     * when uncalibrated; approximate milliseconds once calibrated.
+     * Predicted cost of executing `spec` under `cfg`: unitless work.
      * Always finite and > 0, so any sort on it is total.
      */
     double predict(const ScenarioSpec& spec,
                    const sim::MachineConfig& cfg) const;
-
-    /** Record one measured execution for later calibration. */
-    void observe(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
-                 double wall_ms);
-
-    /**
-     * Record a RecordedCampaign capture: the recording carries the run
-     * pool actually executed (top-up budget included), so its feature
-     * vector uses observed runs and measured execution time instead of
-     * the spec's static plan.
-     */
-    void observe(const RecordedCampaign& recording,
-                 const sim::MachineConfig& cfg, double wall_ms);
-
-    /**
-     * Fit wall_ms ~= a + b*events + c*work over the observation pool by
-     * least squares (3x3 normal equations).  Returns false — and leaves
-     * the model uncalibrated — with fewer than three observations or a
-     * singular system (e.g. all observations identical).
-     */
-    bool calibrate();
-
-    bool calibrated() const { return calibrated_; }
-    std::size_t observations() const { return observations_.size(); }
-
-    /** Fitted coefficients (a, b, c); zeros until calibrated. */
-    double coeffBase() const { return coeff_base_; }
-    double coeffPerEvent() const { return coeff_event_; }
-    double coeffPerWork() const { return coeff_work_; }
-
-  private:
-    std::vector<CostObservation> observations_;
-    bool calibrated_ = false;
-    double coeff_base_ = 0.0;
-    double coeff_event_ = 0.0;
-    double coeff_work_ = 0.0;
 };
 
 }  // namespace fingrav::core

@@ -25,7 +25,7 @@
  * results with results[i] produced from specs[i], each bit-identical to
  * CampaignRunner::runOne(specs[i], cfg).  Placement — threads,
  * processes, machines, retry and completion order — must be invisible
- * in the results (tests/fleet_test.cpp, bench_fleet's hard-fail gate).
+ * in the results (tests/fleet_test.cpp).
  */
 
 #include <cstddef>

@@ -83,52 +83,6 @@ PowerProfile::addRow(double toi_us, double toi_frac, double run_time_us,
 }
 
 void
-PowerProfile::appendTimelineRun(const sim::PowerSample* samples,
-                                const std::int64_t* cpu_ns,
-                                const std::uint8_t* contended, std::size_t n,
-                                std::int64_t run_start_cpu_ns,
-                                std::size_t run_index)
-{
-    const std::size_t base = size_;
-    const std::size_t total = base + n;
-    toi_us_.resize(total, 0.0);
-    toi_frac_.resize(total, 0.0);
-    run_time_us_.resize(total);
-    gpu_timestamp_.resize(total);
-    total_w_.resize(total);
-    xcd_w_.resize(total);
-    iod_w_.resize(total);
-    hbm_w_.resize(total);
-    run_index_.resize(total, static_cast<std::uint64_t>(run_index));
-    exec_index_.resize(total, 0);
-    contended_words_.resize((total + 63) / 64, 0);
-
-    double* rt = run_time_us_.data() + base;
-    FINGRAV_SIMD_LOOP
-    for (std::size_t k = 0; k < n; ++k)
-        rt[k] = static_cast<double>(cpu_ns[k] - run_start_cpu_ns) / 1e3;
-    std::int64_t* ts = gpu_timestamp_.data() + base;
-    double* tw = total_w_.data() + base;
-    double* xw = xcd_w_.data() + base;
-    double* iw = iod_w_.data() + base;
-    double* hw = hbm_w_.data() + base;
-    for (std::size_t k = 0; k < n; ++k) {
-        ts[k] = samples[k].gpu_timestamp;
-        tw[k] = samples[k].total_w;
-        xw[k] = samples[k].xcd_w;
-        iw[k] = samples[k].iod_w;
-        hw[k] = samples[k].hbm_w;
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-        if (contended[k]) {
-            const std::size_t i = base + k;
-            contended_words_[i >> 6] |= std::uint64_t{1} << (i & 63);
-        }
-    }
-    size_ = total;
-}
-
-void
 PowerProfile::appendTimelineRun(const sim::SampleColumns& samples,
                                 const std::int64_t* cpu_ns,
                                 const std::uint8_t* contended,

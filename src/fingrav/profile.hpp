@@ -145,20 +145,9 @@ class PowerProfile {
      * Bulk-append one run's timeline: for every sample k, run time is
      * (cpu_ns[k] - run_start_cpu_ns) / 1e3 with TOI fields zero and no
      * exec attribution — the stitcher's whole-run view.  `contended`
-     * holds one 0/1 byte per sample.  Columns are resized once and
-     * filled with tight per-column loops.
-     */
-    void appendTimelineRun(const sim::PowerSample* samples,
-                           const std::int64_t* cpu_ns,
-                           const std::uint8_t* contended, std::size_t n,
-                           std::int64_t run_start_cpu_ns,
-                           std::size_t run_index);
-
-    /**
-     * Columnar form: the run's samples arrive as capture-time columns
-     * (sim::SampleColumns) and are bulk-copied column to column — no
-     * row materialization, no transpose.  Bit-identical to the pointer
-     * overload fed the same rows.
+     * holds one 0/1 byte per sample.  The samples arrive as
+     * capture-time columns (sim::SampleColumns) and are bulk-copied
+     * column to column — no row materialization, no transpose.
      */
     void appendTimelineRun(const sim::SampleColumns& samples,
                            const std::int64_t* cpu_ns,

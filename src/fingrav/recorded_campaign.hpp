@@ -36,8 +36,9 @@
  * the immutable aligned table (restitch is const and needs no lock).
  * Because the recording pipeline is deterministic, a restitch is
  * bit-identical to re-executing the recorded plan from scratch and
- * stitching at that sweep point — the property bench_campaign
- * hard-fails on.
+ * stitching at that sweep point (campaign_runner_test's
+ * SweepReuseBitIdenticalToReExecution and golden_digest_test's
+ * MultiWindowRestitch).
  */
 
 #include <cstdint>

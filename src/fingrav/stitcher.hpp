@@ -36,10 +36,9 @@
  * the next unplaced sample ends before that sample too.
  *
  * stitchReference() preserves the seed's from-scratch quadratic loop; it
- * is the verification oracle (tests/stitch_incremental_test.cpp) and the
- * baseline for bench/bench_hotpath.cpp.  Both paths produce bit-identical
- * ProfileSets on the same inputs (the reference stitches
- * RunRecord::samples, i.e. window 0).
+ * is the verification oracle (tests/stitch_incremental_test.cpp).  Both
+ * paths produce bit-identical ProfileSets on the same inputs (the
+ * reference stitches RunRecord::samples, i.e. window 0).
  */
 
 #include <cstdint>

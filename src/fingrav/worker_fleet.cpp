@@ -15,6 +15,7 @@
 
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/codec.hpp"
+#include "fingrav/cost_model.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -260,7 +261,7 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     // Longest-predicted-first: the scheduler's whole job is keeping the
     // most expensive spec from being picked up last.  Ties break on the
     // slot so the queue order is deterministic.
-    const CostModel& model = opts.cost_model;
+    const CostModel model;
     std::vector<std::pair<double, std::size_t>> ranked;
     ranked.reserve(remote_slots.size());
     for (const std::size_t slot : remote_slots)

@@ -30,8 +30,7 @@
  *    tail collapses to (roughly) the longest single spec.  Results are
  *    slot-addressed, so placement, pull order and worker count are
  *    invisible in the output: execute() is bit-identical to
- *    ThreadPoolBackend for any fleet size (tests/fleet_test.cpp,
- *    bench_fleet's hard-fail gate).
+ *    ThreadPoolBackend for any fleet size (tests/fleet_test.cpp).
  *
  * Supervision: a worker that dies, stalls past its I/O budget or its
  * per-spec deadline, or streams corruption forfeits only the one spec
@@ -55,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "fingrav/cost_model.hpp"
 #include "fingrav/execution_backend.hpp"
 #include "runtime/worker_channel.hpp"
 #include "support/fault_injector.hpp"
@@ -116,11 +114,6 @@ struct FleetOptions {
      *  (seat, spawn generation); worker sites shipped as sub-plans.
      *  Empty in production. */
     support::FaultPlan fault_plan;
-
-    /** Cost predictor driving longest-predicted-first dispatch; a
-     *  default-constructed (uncalibrated) model sorts by raw work.
-     *  Callers may calibrate it against recorded campaigns first. */
-    CostModel cost_model;
 };
 
 /** What one FleetBackend::execute() call observed. */
@@ -245,8 +238,9 @@ class WorkerFleet {
  * fleet's pipes, so one instance serves one run at a time — concurrent
  * drivers hold one FleetBackend each — and overlapping execute() calls
  * on one instance are a FatalError.  The fleet lives as long as
- * the backend — back-to-back execute() calls reuse the residents, which
- * is the spawn-amortization win bench_fleet measures.
+ * the backend — back-to-back execute() calls reuse the residents
+ * (fleet_test's ResidentsAmortizeSpawnsAcrossDispatches; perfbench's
+ * fleet.workers_spawned_warm).
  */
 class FleetBackend final : public ExecutionBackend {
   public:

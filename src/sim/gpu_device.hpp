@@ -86,7 +86,8 @@ class GpuDevice {
         std::size_t queue = 0;
     };
 
-    /** Advancement-cost counters (see bench/bench_hotpath.cpp). */
+    /** Advancement-cost counters (stepping_equivalence_test,
+     *  golden_digest_test and perfbench's sim.stretches read them). */
     struct StepStats {
         /** Constant-power intervals integrated; each feeds every logger
          *  one slice. */

@@ -38,16 +38,21 @@ using fingrav::testing::recordSpec;
 
 TEST(CampaignRunner, ParallelBitIdenticalToSerialAcrossThreadCounts)
 {
-    const auto specs = mixedSpecs();
-    const auto serial = fc::CampaignRunner(1).run(specs);
-    ASSERT_EQ(serial.size(), specs.size());
-    for (const std::size_t threads : {2u, 8u}) {
-        const auto parallel = fc::CampaignRunner(threads).run(specs);
-        ASSERT_EQ(parallel.size(), specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            EXPECT_TRUE(fc::identicalProfileSets(serial[i], parallel[i]))
-                << specs[i].label << " diverged at " << threads
-                << " threads";
+    // The mixed set, and the Fig. 10 set with the step-8 top-up left on.
+    fc::ProfilerOptions topped_up;
+    topped_up.runs_override = 30;
+    for (const auto& specs :
+         {mixedSpecs(), fingrav::testing::fig10SpecsWithOptions(topped_up)}) {
+        const auto serial = fc::CampaignRunner(1).run(specs);
+        ASSERT_EQ(serial.size(), specs.size());
+        for (const std::size_t threads : {2u, 8u}) {
+            const auto parallel = fc::CampaignRunner(threads).run(specs);
+            ASSERT_EQ(parallel.size(), specs.size());
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                EXPECT_TRUE(fc::identicalProfileSets(serial[i], parallel[i]))
+                    << specs[i].label << " diverged at " << threads
+                    << " threads";
+            }
         }
     }
 }

@@ -1,8 +1,7 @@
 /**
  * @file
- * CostModel contract: finite sortable predictions on any input, and a
- * calibration path that actually fixes the rank-order failure it
- * exists for.
+ * CostModel contract: finite sortable predictions on any input, and
+ * features that follow the campaign mechanics.
  *
  * The gates:
  *  - degenerate inputs — an unknown kernel label (the zero-duration
@@ -11,25 +10,14 @@
  *    sort on predict() is total;
  *  - features follow the campaign mechanics: more runs means more
  *    predicted work, collectives and contended scenarios scale by the
- *    node's device count, background loads only ever add pressure;
- *  - calibrate() refuses underdetermined or singular observation pools
- *    and leaves the model usable;
- *  - the headline: a spec mix where raw work mis-ranks (a short-kernel
- *    campaign whose cost is per-event overhead vs a long collective
- *    whose raw work dwarfs it) is rank-ordered correctly after
- *    calibration — strictly better than uncalibrated on synthetic
- *    ground truth, and no worse on real RecordedCampaign wall clocks.
+ *    node's device count, background loads only ever add pressure.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fingrav/cost_model.hpp"
-#include "fingrav/recorded_campaign.hpp"
 #include "fingrav/scenario.hpp"
 #include "sim/machine_config.hpp"
 #include "support/time_types.hpp"
@@ -48,34 +36,6 @@ spec(const char* label, std::size_t runs)
     out.opts.runs_override = runs;
     out.opts.collect_extra_runs = false;
     return out;
-}
-
-/**
- * The mis-ranking trio.  A short memory-bound kernel at a big run
- * budget is all per-event overhead (tiny raw work); a large collective
- * at a small budget is the opposite (few events, huge raw work —
- * node-wide devices on long executions); a mid-size GEMM sits between.
- */
-std::vector<fc::ScenarioSpec>
-misrankingTrio(std::size_t scale = 1)
-{
-    return {spec("MB-2K-GEMV", 60 / scale), spec("AG-512MB", 4),
-            spec("CB-2K-GEMM", 12 / scale)};
-}
-
-/** Pairs ranked the same way by `predicted` and `truth`. */
-std::size_t
-concordantPairs(const std::vector<double>& predicted,
-                const std::vector<double>& truth)
-{
-    std::size_t concordant = 0;
-    for (std::size_t i = 0; i < predicted.size(); ++i) {
-        for (std::size_t j = i + 1; j < predicted.size(); ++j) {
-            if ((predicted[i] - predicted[j]) * (truth[i] - truth[j]) > 0)
-                ++concordant;
-        }
-    }
-    return concordant;
 }
 
 }  // namespace
@@ -148,102 +108,4 @@ TEST(CostModel, FeaturesFollowCampaignMechanics)
               isolated.background);
     EXPECT_GT(model.predict(contended, cfg),
               model.predict(spec("CB-2K-GEMM", 4), cfg));
-}
-
-TEST(CostModel, CalibrateRefusesUnderdeterminedOrSingularPools)
-{
-    const auto cfg = fingrav::sim::mi300xConfig();
-    fc::CostModel model;
-    EXPECT_FALSE(model.calibrate());  // nothing observed
-
-    model.observe(spec("CB-2K-GEMM", 4), cfg, 10.0);
-    model.observe(spec("MB-2K-GEMV", 4), cfg, 5.0);
-    EXPECT_FALSE(model.calibrate());  // underdetermined (2 < 3)
-    EXPECT_FALSE(model.calibrated());
-
-    // Three identical observations: rank-1 system, must refuse rather
-    // than emit NaN coefficients — and the model stays usable.
-    fc::CostModel degenerate;
-    for (int i = 0; i < 3; ++i)
-        degenerate.observe(spec("CB-2K-GEMM", 4), cfg, 10.0);
-    EXPECT_FALSE(degenerate.calibrate());
-    EXPECT_FALSE(degenerate.calibrated());
-    const double p = degenerate.predict(spec("CB-2K-GEMM", 4), cfg);
-    EXPECT_TRUE(std::isfinite(p));
-    EXPECT_GT(p, 0.0);
-}
-
-TEST(CostModel, CalibrationFixesRankOrderOnSyntheticGroundTruth)
-{
-    // Ground truth where per-event overhead dominates: the short-kernel
-    // campaign (huge events, tiny work) truly costs the most, but raw
-    // work ranks the big collective first.  After calibrating on that
-    // truth the model must rank all pairs correctly — strictly more
-    // concordant than uncalibrated.
-    const auto cfg = fingrav::sim::mi300xConfig();
-    const auto specs = misrankingTrio();
-
-    fc::CostModel model;
-    std::vector<double> truth;
-    for (const auto& s : specs) {
-        const auto f = model.features(s, cfg);
-        const double wall = 10.0 + 0.05 * f.events() + 1e-5 * f.work();
-        truth.push_back(wall);
-        model.observe(s, cfg, wall);
-    }
-    // The trio must actually exercise the failure: ground truth and raw
-    // work disagree on at least one pair.
-    std::vector<double> uncalibrated;
-    for (const auto& s : specs)
-        uncalibrated.push_back(fc::CostModel{}.predict(s, cfg));
-    const std::size_t pairs = specs.size() * (specs.size() - 1) / 2;
-    const std::size_t before = concordantPairs(uncalibrated, truth);
-    ASSERT_LT(before, pairs) << "trio no longer mis-ranks; rebalance it";
-
-    ASSERT_TRUE(model.calibrate());
-    EXPECT_TRUE(model.calibrated());
-    std::vector<double> calibrated;
-    for (const auto& s : specs)
-        calibrated.push_back(model.predict(s, cfg));
-    const std::size_t after = concordantPairs(calibrated, truth);
-    EXPECT_EQ(after, pairs) << "calibrated model must recover the "
-                               "ground-truth ranking exactly";
-    EXPECT_GT(after, before);
-}
-
-TEST(CostModel, RecordedCampaignObservationsCalibrateNoWorse)
-{
-    // The real-data path: record the trio (deterministic campaigns),
-    // time each capture, and calibrate on the recordings.  Measured
-    // wall clocks are machine-noisy, so the gate is monotone — the
-    // calibrated model's rank-order concordance with the measured costs
-    // is never worse than the uncalibrated model's.
-    const auto cfg = fingrav::sim::mi300xConfig();
-    const auto specs = misrankingTrio(2);
-
-    fc::CostModel model;
-    std::vector<double> measured;
-    for (const auto& s : specs) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto recording = fc::RecordedCampaign::record(s, {}, cfg);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        measured.push_back(wall_ms);
-        model.observe(recording, cfg, wall_ms);
-    }
-    EXPECT_EQ(model.observations(), specs.size());
-    ASSERT_TRUE(model.calibrate());
-
-    std::vector<double> uncalibrated;
-    std::vector<double> calibrated;
-    for (const auto& s : specs) {
-        uncalibrated.push_back(fc::CostModel{}.predict(s, cfg));
-        calibrated.push_back(model.predict(s, cfg));
-        EXPECT_TRUE(std::isfinite(calibrated.back()));
-        EXPECT_GT(calibrated.back(), 0.0);
-    }
-    EXPECT_GE(concordantPairs(calibrated, measured),
-              concordantPairs(uncalibrated, measured));
 }

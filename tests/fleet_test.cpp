@@ -12,11 +12,12 @@
  *  - a worker killed mid-dispatch (scripted via --fault-plan) is
  *    replaced in its seat, only the outstanding spec redispatches, and
  *    results stay bit-identical with the death + retry journaled;
- *  - back-to-back execute() calls reuse the residents: the second
- *    dispatch spawns zero workers (the amortization bench_fleet
- *    measures, asserted here deterministically);
+ *  - back-to-back execute() calls reuse the residents: warm dispatches
+ *    spawn zero workers;
  *  - dispatch order is longest-predicted-first per core::CostModel —
- *    the cost-model scheduling observable;
+ *    the cost-model scheduling observable — and, replayed on each
+ *    spec's stretch count, it beats a round-robin partition of a
+ *    skewed set by at least 1.3x in makespan;
  *  - every scripted fault (worker kill, corrupt frame, stall under the
  *    inactivity timeout or the per-spec deadline, a missing worker
  *    binary) is survived bit-identically: retried on a replacement
@@ -56,6 +57,7 @@
 #include "support/fault_injector.hpp"
 #include "support/logging.hpp"
 #include "support/run_journal.hpp"
+#include "support/thread_pool.hpp"
 #include "tests/test_fixtures.hpp"
 
 #ifndef FINGRAV_CLI_PATH
@@ -106,6 +108,18 @@ skewedSpecs()
         specs.push_back(std::move(spec));
     }
     return specs;
+}
+
+/** A makespan-replay spec: a fixed run budget with no top-up. */
+fc::ScenarioSpec
+replaySpec(const char* label, std::size_t runs, std::uint64_t seed)
+{
+    fc::ScenarioSpec spec;
+    spec.label = label;
+    spec.seed = seed;
+    spec.opts.runs_override = runs;
+    spec.opts.collect_extra_runs = false;
+    return spec;
 }
 
 /** Baseline fleet options: real --serve worker, fast backoff. */
@@ -212,6 +226,75 @@ TEST(FleetBackend, DispatchOrderIsLongestPredictedFirst)
     // The heavy CB-8K-GEMM campaign (slot 3) must lead the queue.
     ASSERT_FALSE(backend->lastStats().dispatch_order.empty());
     EXPECT_EQ(backend->lastStats().dispatch_order.front(), 3u);
+}
+
+TEST(FleetBackend, ReplayedMakespanBeatsRoundRobinOnSkewedSet)
+{
+    // Twelve light campaigns and one heavy CB-8K-GEMM buried at slot 6,
+    // where a static round-robin partition cannot see it.  A spec's cost
+    // is its node stretch count, which is deterministic, so the replay
+    // below reads no clock.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    constexpr std::size_t kLights = 12;
+    constexpr std::size_t kProbeRuns = 8;
+    std::vector<fc::ScenarioSpec> specs;
+    for (std::size_t i = 0; i < kLights; ++i) {
+        specs.push_back(replaySpec(i % 2 == 0 ? "MB-2K-GEMV" : "AG-64KB",
+                                   24, 6200 + i));
+    }
+    auto heavy = replaySpec("CB-8K-GEMM", kProbeRuns, 6100);
+
+    // Each campaign runs on a node of its own, so the lights and the
+    // heavy spec's probe (the last item) are profiled concurrently.
+    std::vector<fingrav::testing::NodeRun> runs(kLights + 1);
+    fs::ThreadPool(4).parallelFor(runs.size(), [&](std::size_t i) {
+        runs[i] = fingrav::testing::profileOnNode(
+            i < kLights ? specs[i] : heavy, cfg);
+    });
+
+    // Size the heavy spec so its cost lands near the whole light tail's,
+    // the worst case for round-robin.  Stretches scale about linearly in
+    // the run budget, so one probe suffices.
+    double lights_cost = 0.0;
+    for (std::size_t i = 0; i < kLights; ++i)
+        lights_cost += static_cast<double>(runs[i].work.stretches);
+    const double probe_cost = static_cast<double>(runs.back().work.stretches);
+    heavy.opts.runs_override = std::min<std::size_t>(
+        400, std::max<std::size_t>(
+                 4, static_cast<std::size_t>(kProbeRuns * lights_cost /
+                                             probe_cost)));
+    // The sized heavy spec joins the set mid-list, reference and all.
+    runs.back() = fingrav::testing::profileOnNode(heavy, cfg);
+    const std::size_t heavy_slot = kLights / 2;
+    specs.insert(specs.begin() + heavy_slot, heavy);
+    std::rotate(runs.begin() + heavy_slot, runs.end() - 1, runs.end());
+    std::vector<fc::ProfileSet> reference;
+    std::vector<double> costs;
+    for (auto& run : runs) {
+        reference.push_back(std::move(run.set));
+        costs.push_back(static_cast<double>(run.work.stretches));
+    }
+
+    auto backend = std::make_shared<fc::FleetBackend>(fleetOptions(2));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(reference, fleet, specs, "skewed makespan");
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, specs.size());
+    ASSERT_EQ(stats.dispatch_order.size(), specs.size());
+
+    // Round-robin deals slots alternately; the fleet's pull dispatch is
+    // greedy, each spec going to the earlier-free seat in dispatch order.
+    double rr_load[2] = {0.0, 0.0};
+    for (std::size_t slot = 0; slot < costs.size(); ++slot)
+        rr_load[slot % 2] += costs[slot];
+    double seat_load[2] = {0.0, 0.0};
+    for (const std::size_t slot : stats.dispatch_order)
+        seat_load[seat_load[0] <= seat_load[1] ? 0 : 1] += costs.at(slot);
+    const double rr_makespan = std::max(rr_load[0], rr_load[1]);
+    const double fleet_makespan = std::max(seat_load[0], seat_load[1]);
+    EXPECT_GE(rr_makespan, 1.3 * fleet_makespan)
+        << "round-robin " << rr_makespan << " vs fleet " << fleet_makespan
+        << " stretches (heavy runs " << *heavy.opts.runs_override << ")";
 }
 
 TEST(FleetBackend, ResidentsAmortizeSpawnsAcrossDispatches)
@@ -559,7 +642,7 @@ TEST(WorkerFleet, DefaultServeCommandResolvesTheCliBinary)
     EXPECT_EQ(from_cli[0], "/opt/bin/fingrav_cli");
     EXPECT_EQ(from_cli[1], "--serve");
 
-    const auto sibling = fc::defaultServeCommand("/opt/bin/bench_fleet");
+    const auto sibling = fc::defaultServeCommand("/opt/bin/bench_fig10");
     ASSERT_EQ(sibling.size(), 2u);
     EXPECT_EQ(sibling[0], "/opt/bin/fingrav_cli");
     EXPECT_EQ(sibling[1], "--serve");

@@ -262,24 +262,8 @@ digest(const fc::ProfileSet& set)
     return digest(fc::codec::encode(set));
 }
 
-/** Stretches and device-executions, each summed over a node's devices. */
-struct Work {
-    std::uint64_t stretches = 0;
-    std::uint64_t executions = 0;
-};
-
-Work
-nodeWork(fc::CampaignNode& node)
-{
-    Work work;
-    auto& simulation = node.simulation();
-    for (std::size_t d = 0; d < simulation.deviceCount(); ++d) {
-        const auto& device = simulation.device(d);
-        work.stretches += device.stepStats().stretches;
-        work.executions += device.executionLog().size();
-    }
-    return work;
-}
+using fingrav::testing::nodeWork;
+using fingrav::testing::Work;
 
 /** One pinned run: the digest of its output and the work it took. */
 struct Pinned {
@@ -287,18 +271,12 @@ struct Pinned {
     Work work;
 };
 
-/**
- * Profile `spec` on a fresh node exactly as CampaignRunner::runOne does
- * (CampaignNode + Profiler::profile), keeping the node to count its work.
- */
+/** Profile `spec` on a fresh node and pin the result. */
 Pinned
-profileOnNode(const fc::ScenarioSpec& spec, const sim::MachineConfig& cfg)
+pinnedOnNode(const fc::ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
-    fc::CampaignNode node(spec, cfg);
-    const auto set = fc::Profiler(node.host(), spec.opts, node.profilerRng())
-                         .profile(node.kernel());
-    EXPECT_FALSE(set.ssp.empty()) << spec.label;
-    return {digest(set), nodeWork(node)};
+    const auto run = fingrav::testing::profileOnNode(spec, cfg);
+    return {digest(run.set), run.work};
 }
 
 /** Digest of a co-schedule report's measured fields, bit for bit. */
@@ -336,7 +314,7 @@ scenarioPaths(const sim::MachineConfig& cfg)
     compute.duty_cycle = 0.5;
     compute.cycles = 3;
     burst.background.push_back(compute);
-    out.push_back(profileOnNode(burst, cfg));
+    out.push_back(pinnedOnNode(burst, cfg));
 
     auto remote = campaignSpec("AG-512MB", 20002);
     fc::BackgroundLoad transfer;
@@ -347,7 +325,7 @@ scenarioPaths(const sim::MachineConfig& cfg)
     transfer.duty_cycle = 0.5;
     transfer.cycles = 3;
     remote.background.push_back(transfer);
-    out.push_back(profileOnNode(remote, cfg));
+    out.push_back(pinnedOnNode(remote, cfg));
 
     {
         const auto spec = campaignSpec("CB-2K-GEMM", 20003);
@@ -483,7 +461,7 @@ TEST(GoldenDigest, PaperCampaignSet)
     const auto cfg = sim::mi300xConfig();
     const auto specs = paperSpecs();
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        expectPinned(profileOnNode(specs[i], cfg), kPaperGolden[i],
+        expectPinned(pinnedOnNode(specs[i], cfg), kPaperGolden[i],
                      specs[i].label + " (seed " +
                          std::to_string(specs[i].seed) + ")");
     }

@@ -466,6 +466,7 @@ TEST(ProfileSoa, AppendTimelineRunMatchesPerPointAdds)
     for (std::size_t run = 0; run < 5; ++run) {
         const auto n = static_cast<std::size_t>(rng.uniformInt(0, 200));
         std::vector<sim::PowerSample> samples(n);
+        sim::SampleColumns columns;
         std::vector<std::int64_t> cpu(n);
         std::vector<std::uint8_t> contended(n);
         const std::int64_t start = rng.uniformInt(0, 1LL << 40);
@@ -475,11 +476,12 @@ TEST(ProfileSoa, AppendTimelineRunMatchesPerPointAdds)
             samples[k].xcd_w = rng.uniform(0.0, 500.0);
             samples[k].iod_w = rng.uniform(0.0, 100.0);
             samples[k].hbm_w = rng.uniform(0.0, 200.0);
+            columns.push_back(samples[k]);
             cpu[k] = start + static_cast<std::int64_t>(k) * 37'000;
             contended[k] = rng.uniformInt(0, 1) ? 1 : 0;
         }
-        bulk.appendTimelineRun(samples.data(), cpu.data(), contended.data(),
-                               n, start, run);
+        bulk.appendTimelineRun(columns, cpu.data(), contended.data(), start,
+                               run);
         for (std::size_t k = 0; k < n; ++k) {
             fc::ProfilePoint p;
             p.run_time_us = static_cast<double>(cpu[k] - start) / 1e3;

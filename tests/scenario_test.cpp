@@ -11,12 +11,15 @@
  *    bitwise (background launches ride a dedicated root-RNG stream);
  *  - background loads fire on their declared schedule (offset, period,
  *    duty-cycle burst sizing, cycle caps) on the declared device;
- *  - contended scenarios produce *different* profiles than isolation and
- *    annotate LOIs with the contention state active during them;
+ *  - contended scenarios produce *different* profiles than isolation,
+ *    stretch by the fair-share factor that conserves the transferred
+ *    bytes, and annotate LOIs with the contention state active during
+ *    them (all of them under steady demand, some under periodic load);
  *  - RecordedCampaign::record over a scenario restitches bit-identically
  *    to re-execution, contention annotations included.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -224,11 +227,22 @@ TEST(Scenario, ContendedProfileDiffersAndAnnotatesLois)
     isolated.opts = cheapOpts();
     auto contended = isolated;
     contended.background.push_back(steadyDemand(0.6));
+    // A periodic AR-512MB transfer on device 1 contends only part of
+    // the campaign.
+    auto phased = isolated;
+    fc::BackgroundLoad transfer;
+    transfer.kernel = "AR-512MB";
+    transfer.device = 1;
+    transfer.offset = 500_us;
+    transfer.period = 8_ms;
+    transfer.duty_cycle = 0.4;
+    phased.background.push_back(transfer);
 
     const auto sets =
-        fc::CampaignRunner(1).run({isolated, contended});
+        fc::CampaignRunner(1).run({isolated, contended, phased});
     const auto& iso = sets[0];
     const auto& cont = sets[1];
+    const auto& part = sets[2];
     ASSERT_FALSE(iso.ssp.empty());
     ASSERT_FALSE(cont.ssp.empty());
 
@@ -247,6 +261,23 @@ TEST(Scenario, ContendedProfileDiffersAndAnnotatesLois)
     const auto delta = an::contentionDelta(iso, cont);
     EXPECT_GT(delta.exec_stretch, 1.2);
     EXPECT_DOUBLE_EQ(delta.contended_loi_frac, 1.0);
+
+    // Conservation: under fair share the foreground's allocated share is
+    // u / (u + d), so the stretched execution moves the uncontended
+    // payload exactly when the stretch is u + d.
+    const double u = fingrav::kernels::kernelByLabel(
+                         "AR-512MB", fingrav::sim::mi300xConfig())
+                         ->workAt(1.0)
+                         .util.fabric_bw;
+    const double bytes_ratio =
+        delta.exec_stretch / std::max(1.0, u + 0.6);
+    EXPECT_GE(bytes_ratio, 0.92);
+    EXPECT_LE(bytes_ratio, 1.08);
+
+    // Periodic contention flags some LOIs and not others.
+    EXPECT_FALSE(fc::identicalProfileSets(iso, part));
+    EXPECT_GT(part.ssp.contendedCount(), 0u);
+    EXPECT_LT(part.ssp.contendedCount(), part.ssp.size());
 }
 
 TEST(Scenario, LoiYieldRecordedAgainstGuidanceTarget)

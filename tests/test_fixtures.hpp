@@ -3,18 +3,15 @@
 
 /**
  * @file
- * Shared fixtures for the test and bench executables.
+ * Shared fixtures for the test executables.
  *
  * One definition of the canonical campaign sets keeps the suites
- * honest: fleet_test, cache_test, campaign_runner_test, bench_fleet and
- * bench_campaign all gate bit-identity on the same specs, so a fixture
- * drift cannot silently weaken one gate relative to another.  Include
- * as "tests/test_fixtures.hpp" (the repo root is on every test's and
- * bench's include path).
- *
- * gtest-dependent helpers (expectAllIdentical) appear only when
- * <gtest/gtest.h> was included first; benches get the plain-bool
- * identicalSets and the spec builders.
+ * honest: fleet_test, cache_test and campaign_runner_test all gate
+ * bit-identity on the same specs, so a fixture drift cannot silently
+ * weaken one gate relative to another.  golden_digest_test and
+ * fleet_test count a campaign's work the same way (profileOnNode).
+ * Include as "tests/test_fixtures.hpp" (the repo root is on every
+ * test's include path).
  */
 
 #include <cstdint>
@@ -25,9 +22,13 @@
 
 #include <stdlib.h>
 
+#include <gtest/gtest.h>
+
 #include "analysis/report.hpp"
 #include "fingrav/campaign_runner.hpp"
+#include "fingrav/profiler.hpp"
 #include "fingrav/scenario.hpp"
+#include "sim/machine_config.hpp"
 
 namespace fingrav::testing {
 
@@ -44,9 +45,8 @@ fig10Specs(std::size_t runs = 6, bool with_contended = true)
 
 /**
  * The nine Fig. 10 labels with bench_fig10's seeds (10001+) under
- * caller-chosen profiler options, no contended extra — the exact spec
- * list bench_campaign has always gated on (it does not force
- * collect_extra_runs off, unlike fig10Specs).
+ * caller-chosen profiler options, no contended extra.  Unlike
+ * fig10Specs it does not force collect_extra_runs off.
  */
 inline std::vector<core::ScenarioSpec>
 fig10SpecsWithOptions(const core::ProfilerOptions& opts)
@@ -98,18 +98,43 @@ recordSpec()
     return spec;
 }
 
-/** Plain-bool bitwise comparison of two result lists (bench-friendly). */
-inline bool
-identicalSets(const std::vector<core::ProfileSet>& a,
-              const std::vector<core::ProfileSet>& b)
+/** Stretches and device-executions, each summed over a node's devices. */
+struct Work {
+    std::uint64_t stretches = 0;
+    std::uint64_t executions = 0;
+};
+
+inline Work
+nodeWork(core::CampaignNode& node)
 {
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!core::identicalProfileSets(a[i], b[i]))
-            return false;
+    Work work;
+    auto& simulation = node.simulation();
+    for (std::size_t d = 0; d < simulation.deviceCount(); ++d) {
+        const auto& device = simulation.device(d);
+        work.stretches += device.stepStats().stretches;
+        work.executions += device.executionLog().size();
     }
-    return true;
+    return work;
+}
+
+/** One campaign's output and the work it took. */
+struct NodeRun {
+    core::ProfileSet set;
+    Work work;
+};
+
+/**
+ * Profile `spec` on a fresh node exactly as CampaignRunner::runOne does
+ * (CampaignNode + Profiler::profile), keeping the node to count its work.
+ */
+inline NodeRun
+profileOnNode(const core::ScenarioSpec& spec, const sim::MachineConfig& cfg)
+{
+    core::CampaignNode node(spec, cfg);
+    auto set = core::Profiler(node.host(), spec.opts, node.profilerRng())
+                   .profile(node.kernel());
+    EXPECT_FALSE(set.ssp.empty()) << spec.label;
+    return {std::move(set), nodeWork(node)};
 }
 
 /**
@@ -143,7 +168,6 @@ class TempDir {
     std::string path_;
 };
 
-#ifdef GTEST_TEST
 /** Per-spec bitwise identity gate with labelled failures. */
 inline void
 expectAllIdentical(const std::vector<core::ProfileSet>& expected,
@@ -157,7 +181,6 @@ expectAllIdentical(const std::vector<core::ProfileSet>& expected,
             << specs[i].label << " diverged (" << what << ")";
     }
 }
-#endif
 
 }  // namespace fingrav::testing
 
