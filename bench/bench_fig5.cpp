@@ -20,7 +20,6 @@
 #include "analysis/ascii_plot.hpp"
 #include "analysis/report.hpp"
 #include "analysis/series.hpp"
-#include "baselines/baseline_profilers.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
@@ -28,7 +27,6 @@
 #include "support/statistics.hpp"
 
 namespace an = fingrav::analysis;
-namespace bl = fingrav::baselines;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 
@@ -58,29 +56,23 @@ main()
         "paper: sync captures the power ramp; SSE!=SSP (up to 36% error); "
         "binning tightens the profile; 50 runs + regression ~= 200 runs");
 
-    fc::ProfilerOptions opts;
-
     // All four comparison campaigns ride the campaign engine at once:
     // the full methodology, the two degraded baselines on the *same*
     // seed (same workload draws, so the tenet is the only variable), and
     // the 50-run resiliency campaign.
-    fc::ScenarioSpec synced_spec{"CB-4K-GEMM", 5001, opts, 0, nullptr};
-    fc::ScenarioSpec unsynced_spec{
-        "CB-4K-GEMM", 5001, opts, 0,
-        fc::makeProfileFn([](auto& h, const auto& o, auto rng) {
-            return bl::UnsyncedProfiler(h, o, std::move(rng));
-        })};
-    fc::ScenarioSpec nobin_spec{
-        "CB-4K-GEMM", 5001, opts, 0,
-        fc::makeProfileFn([](auto& h, const auto& o, auto rng) {
-            return bl::NoBinningProfiler(h, o, std::move(rng));
-        })};
+    const fc::ProfilerOptions opts;
+    fc::ProfilerOptions unsynced_opts;  // tenet S2 off
+    unsynced_opts.sync_mode = fc::SyncMode::kCoarseAlign;
+    fc::ProfilerOptions nobin_opts;  // tenet S3 off
+    nobin_opts.binning = false;
     fc::ProfilerOptions small;
     small.runs_override = 50;
-    fc::ScenarioSpec small_spec{"CB-4K-GEMM", 5002, small, 0, nullptr};
 
     const auto results = fc::CampaignRunner().run(
-        {synced_spec, unsynced_spec, nobin_spec, small_spec});
+        {{"CB-4K-GEMM", 5001, opts},
+         {"CB-4K-GEMM", 5001, unsynced_opts},
+         {"CB-4K-GEMM", 5001, nobin_opts},
+         {"CB-4K-GEMM", 5002, small}});
     const auto& synced = results[0];
     const auto& unsynced = results[1];
     const auto& nobin = results[2];

@@ -19,6 +19,7 @@
 #include "analysis/ascii_plot.hpp"
 #include "analysis/report.hpp"
 #include "analysis/series.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
@@ -38,7 +39,7 @@ main()
         "paper: sharp rise -> throttle drop to SSE -> slight rise to SSP; "
         "warm-ups slower; SSE/SSP spread ~20%");
 
-    const auto set = an::profileOnFreshNode("CB-8K-GEMM", 6001);
+    const auto set = fc::CampaignRunner::runOne({"CB-8K-GEMM", 6001});
     std::cout << "\n" << an::summarize(set) << "\n";
 
     // Timeline: total and XCD power against time in run, overlaid across

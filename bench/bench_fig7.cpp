@@ -41,7 +41,7 @@ main()
         "MB-8K-GEMV", "MB-4K-GEMV", "MB-2K-GEMV"};
 
     // Six independent campaigns, fanned out over the campaign engine
-    // (bit-identical to the former serial profileOnFreshNode loop).
+    // (bit-identical to running each through CampaignRunner::runOne).
     std::vector<fc::ScenarioSpec> specs;
     std::uint64_t seed = 7001;
     for (const auto& label : labels) {

@@ -38,8 +38,7 @@ main()
     // Both campaigns ride the campaign engine concurrently, as isolated
     // scenarios on the unified spec type.
     const auto results = fc::CampaignRunner().run(
-        std::vector<fc::ScenarioSpec>{{"CB-2K-GEMM", 8001, {}, 0, nullptr},
-                                      {"CB-8K-GEMM", 8002, {}, 0, nullptr}});
+        {{"CB-2K-GEMM", 8001}, {"CB-8K-GEMM", 8002}});
     const auto& set2k = results[0];
     const auto& set8k = results[1];
     std::cout << "\n" << an::summarize(set2k) << "\n";

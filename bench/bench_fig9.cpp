@@ -77,11 +77,7 @@ main()
             iso_labels.end())
             continue;
         iso_labels.push_back(c.main);
-        fc::ScenarioSpec spec;
-        spec.label = c.main;
-        spec.seed = seed++;
-        spec.opts = opts;
-        iso_specs.push_back(std::move(spec));
+        iso_specs.push_back({c.main, seed++, opts});
     }
     const auto iso_sets = fc::CampaignRunner().run(iso_specs);
     std::map<std::string, fc::ProfileSet> isolated;
@@ -91,27 +87,19 @@ main()
                   << "\n";
     }
 
-    // The interleaved campaigns are just as independent: each spec's
-    // profile_fn runs the Section V-C3 interleaved pipeline on its node.
-    std::vector<fc::ScenarioSpec> inter_specs;
+    // The interleaved campaigns: each runs the Section V-C3 interleaved
+    // pipeline on a fresh node of its own.
+    std::vector<fc::ProfileSet> inter_sets;
     for (const auto& c : cases) {
         std::vector<fc::InterleaveItem> prelude;
         for (const auto& [label, count] : c.prelude)
             prelude.push_back({fk::kernelByLabel(label, cfg), count});
-        fc::ScenarioSpec spec;
-        spec.label = c.main;
-        spec.seed = seed++;
-        spec.opts = opts;
-        spec.profile_fn = [prelude](fingrav::runtime::HostRuntime& host,
-                                    const fk::KernelModelPtr& kernel,
-                                    const fc::ProfilerOptions& o,
-                                    fingrav::support::Rng rng) {
-            return fc::Profiler(host, o, std::move(rng))
-                .profileInterleaved(kernel, prelude, 6);
-        };
-        inter_specs.push_back(std::move(spec));
+        const fc::ScenarioSpec spec{c.main, seed++, opts};
+        fc::CampaignNode node(spec, cfg);
+        inter_sets.push_back(
+            fc::Profiler(node.host(), spec.opts, node.profilerRng())
+                .profileInterleaved(node.kernel(), prelude, 6));
     }
-    const auto inter_sets = fc::CampaignRunner().run(inter_specs);
 
     fs::TableWriter table({"case", "isolated SSP (W)", "interleaved (W)",
                            "shift (%)", "paper direction", "match"});

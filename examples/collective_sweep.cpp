@@ -84,7 +84,7 @@ main()
     std::vector<fc::ScenarioSpec> specs;
     std::uint64_t seed = 31;
     for (const auto& l : labels)
-        specs.push_back({l, seed++, opts, 0, nullptr});
+        specs.push_back({l, seed++, opts});
     const auto sets = fc::CampaignRunner().run(specs);
     for (std::size_t i = 0; i < labels.size(); ++i) {
         const auto& label = labels[i];

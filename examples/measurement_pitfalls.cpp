@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "analysis/report.hpp"
-#include "baselines/baseline_profilers.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
@@ -21,7 +20,6 @@
 #include "support/time_types.hpp"
 
 namespace an = fingrav::analysis;
-namespace bl = fingrav::baselines;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
@@ -45,6 +43,14 @@ main()
 {
     fc::ProfilerOptions opts;
     opts.runs_override = 150;
+    // Each challenge's degraded baseline is the same pipeline with one
+    // tenet's option turned off.
+    fc::ProfilerOptions coarse = opts;  // amd-smi-style 50 ms logger
+    coarse.logger_window = 50_ms;
+    fc::ProfilerOptions unsynced = opts;  // no CPU-GPU time sync
+    unsynced.sync_mode = fc::SyncMode::kCoarseAlign;
+    fc::ProfilerOptions nobin = opts;  // no execution-time binning
+    nobin.binning = false;
 
     std::cout << "Kernel under study: CB-2K-GEMM (~33 us) on a 1 ms "
                  "averaging logger\n";
@@ -54,22 +60,10 @@ main()
     // and the FinGraV tenet share a seed (identical workload draws).
     const char* kLabel = "CB-2K-GEMM";
     std::vector<fc::ScenarioSpec> specs{
-        {kLabel, 41, opts, 0,
-         fc::makeProfileFn([](auto& h, const auto& o, auto rng) {
-             return bl::CoarseLoggerProfiler(h, o, std::move(rng), 50_ms);
-         })},
-        {kLabel, 41, opts, 0, nullptr},
-        {kLabel, 42, opts, 0,
-         fc::makeProfileFn([](auto& h, const auto& o, auto rng) {
-             return bl::UnsyncedProfiler(h, o, std::move(rng));
-         })},
-        {kLabel, 42, opts, 0, nullptr},
-        {kLabel, 43, opts, 0,
-         fc::makeProfileFn([](auto& h, const auto& o, auto rng) {
-             return bl::NoBinningProfiler(h, o, std::move(rng));
-         })},
-        {kLabel, 43, opts, 0, nullptr},
-        {kLabel, 44, opts, 0, nullptr},
+        {kLabel, 41, coarse},   {kLabel, 41, opts},
+        {kLabel, 42, unsynced}, {kLabel, 42, opts},
+        {kLabel, 43, nobin},    {kLabel, 43, opts},
+        {kLabel, 44, opts},
     };
     const auto sets = fc::CampaignRunner().run(specs);
 

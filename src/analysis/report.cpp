@@ -33,20 +33,6 @@ Campaign::run(const kernels::KernelModelPtr& kernel,
     return profiler(opts).profile(kernel);
 }
 
-core::ProfileSet
-profileOnFreshNode(const std::string& label, std::uint64_t seed,
-                   core::ProfilerOptions opts)
-{
-    // Delegates to the campaign engine as an isolated scenario;
-    // CampaignNode mirrors the legacy Campaign construction bitwise for
-    // background-free scenarios, so results are unchanged.
-    core::ScenarioSpec spec;
-    spec.label = label;
-    spec.seed = seed;
-    spec.opts = opts;
-    return core::CampaignRunner::runOne(spec);
-}
-
 std::vector<core::ScenarioSpec>
 fig10ScenarioSet(std::size_t runs, bool with_contended)
 {
@@ -89,7 +75,7 @@ summarize(const core::ProfileSet& set)
         << set.binning.outlierCount() << " outliers), SSE idx "
         << set.sse_exec_index << ", SSP idx " << set.ssp_exec_index
         << ", LOIs sse/ssp " << set.sse.size() << "/" << set.ssp.size();
-    // Custom profile_fn pipelines may apply no guidance target at all.
+    // A set that never consulted the guidance table has no target.
     if (set.loi_target > 0) {
         oss << ", LOI yield " << set.ssp.size() << "/" << set.loi_target
             << " (" << static_cast<int>(set.loiYield() * 100.0 + 0.5)

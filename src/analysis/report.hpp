@@ -56,17 +56,6 @@ class Campaign {
 };
 
 /**
- * Profile a paper kernel on a fresh node (devices chosen automatically:
- * full node for collectives, single GPU otherwise).  Builds an isolated
- * core::ScenarioSpec and hands it to core::CampaignRunner::runOne;
- * campaign *sets* should go through core::CampaignRunner::run to profile
- * concurrently.
- */
-core::ProfileSet profileOnFreshNode(const std::string& label,
-                                    std::uint64_t seed,
-                                    core::ProfilerOptions opts = {});
-
-/**
  * The nine-kernel Fig. 10 campaign set (bench_fig10's labels and seed
  * base 10001) at the given run budget (no step-8 top-up), optionally
  * plus one AR-512MB scenario under steady 60 % injected fabric demand.

@@ -72,19 +72,9 @@ CampaignCache::CampaignCache(CacheOptions opts)
 {
 }
 
-bool
-CampaignCache::cacheable(const ScenarioSpec& spec)
-{
-    return !spec.profile_fn;
-}
-
 std::string
 CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
-    if (!cacheable(spec)) {
-        support::fatal("campaign cache: a spec with a custom profile_fn "
-                       "has no canonical bytes and cannot be keyed");
-    }
     // advance_threads only places device stepping on threads (results are
     // bit-identical for every value), so it must not split the key: it is
     // encoded as 1, the default, and default-config keys keep their bytes.
@@ -112,11 +102,6 @@ CampaignCache::entryPath(const std::string& dir, const std::string& key)
 std::optional<ProfileSet>
 CampaignCache::lookup(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
-    if (!cacheable(spec)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.uncacheable;
-        return std::nullopt;
-    }
     const std::string k = key(spec, cfg);
 
     {
@@ -174,8 +159,6 @@ void
 CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
                      const ProfileSet& set)
 {
-    if (!cacheable(spec))
-        return;
     fscodec::CacheEntry entry{key(spec, cfg), set};
     const std::string& k = entry.key;
     const auto payload = fscodec::encode(entry);

@@ -49,10 +49,6 @@
  * kVersion bump discipline that guards the wire also expires every
  * cached result whose layout semantics changed.
  *
- * Specs carrying a custom profile_fn are not cacheable (a std::function
- * has no canonical bytes — the same reason they never cross the shard
- * wire); lookup()/store() ignore them, mirroring the backend contract.
- *
  * Thread safety: all members are safe to call concurrently; disk I/O is
  * performed outside the tier lock.
  */
@@ -102,7 +98,6 @@ struct CacheStats {
     std::uint64_t stores = 0;           ///< results inserted
     std::uint64_t store_failures = 0;   ///< disk writes that failed (silent)
     std::uint64_t evictions = 0;        ///< LRU entries displaced
-    std::uint64_t uncacheable = 0;      ///< profile_fn specs bypassing us
     std::uint64_t disk_bytes_written = 0;
     std::uint64_t disk_bytes_read = 0;
     std::uint64_t memory_entries = 0;   ///< snapshot
@@ -126,15 +121,10 @@ class CampaignCache {
   public:
     explicit CampaignCache(CacheOptions opts = {});
 
-    /** False for specs carrying a profile_fn: no canonical bytes, no
-     *  key, never cached (they bypass the wire for the same reason). */
-    static bool cacheable(const ScenarioSpec& spec);
-
     /**
      * The canonical content key: codec version + ScenarioSpec +
      * MachineConfig, in canonical codec bytes, with the placement-only
      * advance_threads encoded as 1 so every thread count shares one key.
-     * Fatal for uncacheable specs — callers gate on cacheable() first.
      */
     static std::string key(const ScenarioSpec& spec,
                            const sim::MachineConfig& cfg);
@@ -145,7 +135,7 @@ class CampaignCache {
     /**
      * Look the scenario up in both tiers.  Returns the cached ProfileSet
      * — bit-identical to executing the spec — or nullopt on any miss
-     * (absent, corrupt, foreign version, unreadable, uncacheable).
+     * (absent, corrupt, foreign version, unreadable).
      * Never throws for any disk-store state.
      */
     std::optional<ProfileSet> lookup(const ScenarioSpec& spec,
@@ -155,7 +145,6 @@ class CampaignCache {
      * Insert an executed result into both tiers.  Disk failures (no
      * directory, no permission, disk full) are silent — the cache
      * degrades to its memory tier and the failure is counted.
-     * Uncacheable specs are ignored.
      */
     void store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
                const ProfileSet& set);

@@ -62,10 +62,6 @@ ProfileSet
 CampaignRunner::runOne(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
     CampaignNode node(spec, cfg);
-    if (spec.profile_fn) {
-        return spec.profile_fn(node.host(), node.kernel(), spec.opts,
-                               node.profilerRng());
-    }
     return Profiler(node.host(), spec.opts, node.profilerRng())
         .profile(node.kernel());
 }

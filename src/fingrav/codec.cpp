@@ -337,7 +337,6 @@ fields(Is<BackgroundLoad> auto& l, auto&& f)
              l.period, l.duty_cycle, l.cycles, l.jitter_sigma);
 }
 
-/** Everything but profile_fn, which put() refuses. */
 decltype(auto)
 fields(Is<ScenarioSpec> auto& s, auto&& f)
 {
@@ -519,13 +518,6 @@ put(Encoder& enc, const T& v)
         enc.u32(static_cast<std::uint32_t>(v.size()));
         columns(v, [&](const auto&... c) { (enc.column(c), ...); });
     } else {
-        if constexpr (std::is_same_v<T, ScenarioSpec>) {
-            if (v.profile_fn) {
-                support::fatal("codec: a ScenarioSpec with a custom "
-                               "profile_fn cannot cross the wire (", v.label,
-                               "); run it on the in-process path");
-            }
-        }
         fields(v, [&](const auto&... x) { (put(enc, x), ...); });
     }
 }

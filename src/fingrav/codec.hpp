@@ -43,10 +43,8 @@
  * MachineConfig (so a worker rebuilds the exact node the driver would
  * have), ProfileSet (SSE/SSP/timeline points including contention
  * flags, guidance/LOI-yield fields, sync calibration outputs) and the
- * frame payloads below.  A ScenarioSpec carrying a custom profile_fn
- * cannot cross the wire (a std::function has no canonical bytes);
- * encoding one is fatal and the FleetBackend keeps such specs on the
- * in-process path.
+ * frame payloads below.  A ScenarioSpec is plain data, so every spec
+ * has a wire form and a cache key.
  */
 
 #include <array>

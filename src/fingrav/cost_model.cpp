@@ -30,8 +30,8 @@ CostModel::features(const ScenarioSpec& spec,
         exec_us = kernel->nominalDuration().toMicros();
         collective = kernel->isCollective();
     } catch (const support::FatalError&) {
-        // Unknown label (custom profile_fn campaigns): predict off the
-        // floors rather than refuse to schedule.
+        // Unknown label: predict off the floors rather than refuse to
+        // schedule; the campaign itself reports the label when it runs.
     }
     double runs;
     if (spec.opts.runs_override.has_value()) {

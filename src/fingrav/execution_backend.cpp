@@ -19,8 +19,6 @@ ExecutionBackend::consultCache(const std::vector<ScenarioSpec>& specs,
     CacheConsult consult;
     consult.results.resize(specs.size());
     consult.resolved.assign(specs.size(), 0);
-    // lookup() gates uncacheable (profile_fn) specs itself, counting
-    // the bypass; they always land in pending.
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (cache()) {
             if (auto hit = cache()->lookup(specs[i], cfg)) {
@@ -46,7 +44,7 @@ ExecutionBackend::commitCache(CacheConsult& consult,
                        " pending specs");
     }
     for (std::size_t j = 0; j < executed.size(); ++j) {
-        if (cache())  // store() ignores uncacheable specs itself
+        if (cache())
             cache()->store(consult.pending[j], cfg, executed[j]);
         consult.results[consult.slots[j]] = std::move(executed[j]);
     }

@@ -76,8 +76,7 @@ class ExecutionBackend {
      * The per-spec cache consult every backend shares: resolved[i] is
      * true when results[i] was served from the cache; pending/slots list
      * the residual specs (in spec order) the backend must still place.
-     * With no cache attached, everything is pending.  profile_fn specs
-     * are always pending (uncacheable, just as they are unwireable).
+     * With no cache attached, everything is pending.
      */
     struct CacheConsult {
         std::vector<ProfileSet> results;

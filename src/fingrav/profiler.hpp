@@ -20,9 +20,14 @@
  *  8. If fewer LOIs than the guidance target, run more runs.
  *  9. Stitch all LOIs/TOIs into the SSE, SSP and timeline profiles.
  *
- * SyncMode selects between the full methodology and the degraded baselines
- * the paper compares against (Fig. 5 and the Lang et al. discussion);
- * toggling binning off reproduces the no-binning scatter of Fig. 5.
+ * The baselines the paper compares against are ProfilerOptions settings
+ * on this one pipeline, each removing one tenet:
+ *  - unsynchronized (Fig. 5, tenet S2 off): sync_mode = kCoarseAlign;
+ *  - no binning (Fig. 5, tenet S3 off): binning = false;
+ *  - Lang et al. (Section VII): sync_mode = kNoDelayAccounting and
+ *    binning = false;
+ *  - an amd-smi-style external logger (Section VI, challenge C1):
+ *    logger_window = 50 ms.
  */
 
 #include <cstddef>

@@ -35,6 +35,7 @@ RecordedCampaign::record(const ScenarioSpec& spec,
     // calibration schedule below).
     CampaignNode node(spec, cfg);
     const auto& kernel = node.kernel();
+    rc.label_ = kernel->label();
     runtime::HostRuntime& host = node.host();
     support::Rng rng = node.profilerRng();
     if (opts.device >= node.simulation().deviceCount())
@@ -180,7 +181,7 @@ RecordedCampaign::restitch(const SweepPoint& point) const
     const TimeSync& sync = syncFor(opts.sync_mode);
 
     ProfileSet out;
-    out.label = spec_.label;
+    out.label = label_;
     out.measured_exec_time = measured_exec_time_;
     out.guidance = guidance_;
     out.loi_target = guidance_.recommendedLois(measured_exec_time_);
@@ -231,7 +232,7 @@ RecordedCampaign::autotuneBudget(std::size_t loi_target,
     // Golden-run selection can shift as runs arrive, so the scan is a
     // genuine replay, not a monotonic counter.
     ProfileSet set;
-    set.label = spec_.label;
+    set.label = label_;
     set.guidance = guidance_;
     set.sse_exec_index = opts.sse_executions - 1;
     set.ssp_exec_index = ssp_exec_index_[window_index];

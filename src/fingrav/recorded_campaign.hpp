@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fingrav/campaign_runner.hpp"
@@ -181,6 +182,7 @@ class RecordedCampaign {
     }
 
     ScenarioSpec spec_;
+    std::string label_;  ///< the kernel's own label, as Profiler reports it
     support::Duration measured_exec_time_;
     GuidanceEntry guidance_;
     support::Duration tick_;

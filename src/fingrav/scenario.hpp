@@ -14,10 +14,10 @@
  * — kernels executing on other devices of the node, or raw bandwidth
  * demand injected on the shared node fabric — with phase/offset/
  * duty-cycle scheduling.  The campaign engine (CampaignNode,
- * CampaignRunner, RecordedCampaign, analysis::profileOnFreshNode) builds
- * nodes from scenarios; the classic isolated campaign is simply a
- * scenario with an empty background list and replicates the
- * analysis::Campaign trajectory bitwise (tests/scenario_test.cpp).
+ * CampaignRunner, RecordedCampaign) builds nodes from scenarios; the
+ * classic isolated campaign is simply a scenario with an empty
+ * background list and replicates the analysis::Campaign trajectory
+ * bitwise (tests/scenario_test.cpp).
  *
  * Determinism: background launches are driven by the runtime's
  * background channel off a dedicated root-RNG stream (stream 9; the
@@ -27,15 +27,11 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "fingrav/profiler.hpp"
-#include "kernels/kernel_model.hpp"
 #include "runtime/background_channel.hpp"
-#include "runtime/host_runtime.hpp"
-#include "support/rng.hpp"
 #include "support/time_types.hpp"
 
 namespace fingrav::sim {
@@ -43,32 +39,6 @@ class Simulation;
 }
 
 namespace fingrav::core {
-
-/**
- * Custom profiling procedure for one campaign (defaults to the full
- * FinGraV Profiler).  Lets baseline profilers (src/baselines/) and other
- * degraded pipelines ride the same runner without a layering cycle.
- */
-using ProfileFn = std::function<ProfileSet(
-    runtime::HostRuntime& host, const kernels::KernelModelPtr& kernel,
-    const ProfilerOptions& opts, support::Rng rng)>;
-
-/**
- * Adapt a profiler factory `(host, opts, rng) -> profiler-with-.profile`
- * into a ProfileFn — the one-liner that puts a baseline profiler
- * (src/baselines/) on the runner.
- */
-template <typename MakeProfiler>
-ProfileFn
-makeProfileFn(MakeProfiler make_profiler)
-{
-    return ProfileFn([make_profiler](runtime::HostRuntime& host,
-                                     const kernels::KernelModelPtr& kernel,
-                                     const ProfilerOptions& opts,
-                                     support::Rng rng) {
-        return make_profiler(host, opts, std::move(rng)).profile(kernel);
-    });
-}
 
 /** What kind of environment load a BackgroundLoad schedules. */
 enum class BackgroundKind {
@@ -130,11 +100,10 @@ struct BackgroundLoad {
 };
 
 /**
- * One declarative profiling scenario: the unified spec type every
- * figure/table bench rides, and the spec/result contract unit
- * multi-process placement serializes (fingrav/codec.hpp encodes
- * every field except profile_fn, which is process-local and keeps a
- * spec on the in-process execution path — fingrav/worker_fleet.hpp).
+ * One declarative profiling scenario, plain data: the unified spec type
+ * every figure/table bench rides, and the unit the codec serializes
+ * whole (fingrav/codec.hpp) for the fleet wire and the cache key.  The
+ * paper's baselines are ProfilerOptions settings (fingrav/profiler.hpp).
  */
 struct ScenarioSpec {
     std::string label;          ///< foreground kernel label
@@ -143,8 +112,6 @@ struct ScenarioSpec {
     /** GPUs to instantiate; 0 = auto (full node for collectives or when
      *  any background load needs one, 1 GPU otherwise). */
     std::size_t devices = 0;
-    /** Custom profiling procedure; null = core::Profiler::profile. */
-    ProfileFn profile_fn;
     /** Environment loads active while the foreground is profiled. */
     std::vector<BackgroundLoad> background;
 };

@@ -28,6 +28,13 @@ using runtime::FrameStatus;
 using runtime::IoBudget;
 using Clock = std::chrono::steady_clock;
 
+/** How long an idle resident gets to answer kPing before it is declared
+ *  dead and respawned, ms. */
+constexpr long kKeepaliveTimeoutMs = 1000;
+
+/** Ceiling of one redispatch backoff before jitter, ms. */
+constexpr long kBackoffCapMs = 2000;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -111,8 +118,7 @@ WorkerFleet::ping(std::size_t seat)
     if (!m.live)
         return false;
     const auto wire = codec::encodeFrame(codec::FrameType::kPing, {});
-    const IoBudget budget =
-        IoBudget::inactivityOnly(std::max<long>(1, opts_.keepalive_timeout_ms));
+    const IoBudget budget = IoBudget::inactivityOnly(kKeepaliveTimeoutMs);
     bool ok = runtime::writeAll(m.proc.to_child, wire.data(), wire.size(),
                                 budget);
     if (ok) {
@@ -246,25 +252,13 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         return results;
     const FleetOptions& opts = fleet_.options();
 
-    // profile_fn specs have no wire form: they stay in-process.
-    std::vector<std::size_t> fallback;
-    std::vector<std::size_t> remote_slots;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (specs[i].profile_fn) {
-            fallback.push_back(i);
-            ++stats_.local_specs;
-        } else {
-            remote_slots.push_back(i);
-        }
-    }
-
     // Longest-predicted-first: the scheduler's whole job is keeping the
     // most expensive spec from being picked up last.  Ties break on the
     // slot so the queue order is deterministic.
     const CostModel model;
     std::vector<std::pair<double, std::size_t>> ranked;
-    ranked.reserve(remote_slots.size());
-    for (const std::size_t slot : remote_slots)
+    ranked.reserve(specs.size());
+    for (std::size_t slot = 0; slot < specs.size(); ++slot)
         ranked.emplace_back(model.predict(specs[slot], cfg), slot);
     std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
         if (a.first != b.first)
@@ -303,7 +297,7 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
 
     std::map<std::size_t, std::size_t> worker_deaths;  // slot -> count
     std::map<std::size_t, std::size_t> slot_retries;
-    std::vector<std::size_t> exhausted;
+    std::vector<std::size_t> fallback;  // slots bound for in-process
     support::Rng backoff_rng(opts.backoff_seed);
     std::size_t redispatch_events = 0;
 
@@ -373,11 +367,11 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
                           " workers; quarantining it to the in-process "
                           "path");
             ++stats_.quarantined_specs;
-            exhausted.push_back(slot);
+            fallback.push_back(slot);
             return;
         }
         if (slot_retries[slot] >= opts.max_retries) {
-            exhausted.push_back(slot);
+            fallback.push_back(slot);
             return;
         }
         ++slot_retries[slot];
@@ -385,8 +379,8 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         ++redispatch_events;
         const int shift = static_cast<int>(
             std::min<std::size_t>(redispatch_events - 1, 20));
-        const long base = std::min(opts.backoff_cap_ms,
-                                   opts.backoff_base_ms << shift);
+        const long base =
+            std::min(kBackoffCapMs, opts.backoff_base_ms << shift);
         const double jitter =
             backoff_rng.fork(redispatch_events).uniform(0.5, 1.5);
         const long delay_ms = std::max<long>(
@@ -596,32 +590,24 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
 
     // Slots the scheduler could not place — retry budget exhausted,
     // quarantined, or no live worker left — join the in-process path.
-    if (!queue.empty()) {
-        exhausted.insert(exhausted.end(), queue.begin(), queue.end());
-        queue.clear();
-    }
-    if (!exhausted.empty()) {
+    fallback.insert(fallback.end(), queue.begin(), queue.end());
+    if (!fallback.empty()) {
         stats_.journal.record(
-            DegradeKind::kFallback, exhausted.size(),
+            DegradeKind::kFallback, fallback.size(),
             " slot(s) fall back in-process (",
             stats_.crash_loop ? "fleet disabled by crash loop"
                               : "retry budget exhausted",
             ")");
-        fallback.insert(fallback.end(), exhausted.begin(),
-                        exhausted.end());
-    }
-
-    if (!fallback.empty()) {
         std::sort(fallback.begin(), fallback.end());
-        std::vector<ScenarioSpec> local_specs;
-        local_specs.reserve(fallback.size());
+        std::vector<ScenarioSpec> fallback_specs;
+        fallback_specs.reserve(fallback.size());
         for (const std::size_t slot : fallback)
-            local_specs.push_back(specs[slot]);
-        auto local_results = ThreadPoolBackend(opts.fallback_threads)
-                                 .execute(local_specs, cfg);
+            fallback_specs.push_back(specs[slot]);
+        auto fallback_results = ThreadPoolBackend(opts.fallback_threads)
+                                    .execute(fallback_specs, cfg);
         for (std::size_t k = 0; k < fallback.size(); ++k)
-            results[fallback[k]] = std::move(local_results[k]);
-        stats_.fallback_specs = fallback.size() - stats_.local_specs;
+            results[fallback[k]] = std::move(fallback_results[k]);
+        stats_.fallback_specs = fallback.size();
     }
     for (std::size_t seat = 0; seat < fleet_.size(); ++seat) {
         if (fleet_.live(seat))

@@ -41,11 +41,9 @@
  * quarantined to the in-process path.  Slots that exhaust
  * `max_retries` redispatches — or find no live worker — fall back to
  * ThreadPoolBackend execution, loudly, in the degradation journal.
- * Specs carrying a custom profile_fn never leave the process (a
- * std::function has no wire form).  Fault plans address workers as
- * (shard = fleet seat, attempt = spawn generation of that seat);
- * worker-site faults count result frames over the worker's *lifetime*,
- * matching the persistent serve loop.
+ * Fault plans address workers as (shard = fleet seat, attempt = spawn
+ * generation of that seat); worker-site faults count result frames
+ * over the worker's *lifetime*, matching the persistent serve loop.
  */
 
 #include <atomic>
@@ -89,10 +87,6 @@ struct FleetOptions {
      *  0 disables.  One spec per request makes this exact. */
     long spec_deadline_ms = 0;
 
-    /** Keepalive probe budget, ms: how long an idle resident gets to
-     *  answer kPing before it is declared dead and respawned. */
-    long keepalive_timeout_ms = 1000;
-
     /** Redispatch budget per slot before it falls back in-process. */
     std::size_t max_retries = 2;
 
@@ -104,10 +98,9 @@ struct FleetOptions {
     std::size_t crash_loop_spawns = 3;
 
     /** Exponential backoff before each redispatch: event e (1-based)
-     *  sleeps `min(backoff_cap_ms, backoff_base_ms << (e-1))` scaled by
-     *  jitter in [0.5, 1.5) from a stream seeded with backoff_seed. */
+     *  sleeps `min(2000, backoff_base_ms << (e-1))` ms scaled by jitter
+     *  in [0.5, 1.5) from a stream seeded with backoff_seed. */
     long backoff_base_ms = 25;
-    long backoff_cap_ms = 2000;
     std::uint64_t backoff_seed = 0;
 
     /** Scripted faults (support/fault_injector.hpp): spawn site keyed
@@ -124,7 +117,7 @@ struct FleetStats {
     std::size_t worker_failures = 0;   ///< workers lost mid-dispatch
     std::size_t remote_specs = 0;      ///< results received over the wire
     std::size_t fallback_specs = 0;    ///< specs re-run in-process
-    std::size_t local_specs = 0;       ///< profile_fn specs (never shipped)
+    std::size_t local_specs = 0;       ///< always 0: every spec ships
     std::size_t cached_specs = 0;      ///< specs served by the cache
     std::size_t spawn_failures = 0;    ///< spawns that failed
     std::size_t pulls = 0;             ///< specs pulled beyond each

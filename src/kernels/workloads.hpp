@@ -12,6 +12,7 @@
  * fourteen kernels the evaluation profiles, with the paper's labels.
  */
 
+#include <string>
 #include <vector>
 
 #include "kernels/collective.hpp"
@@ -43,7 +44,13 @@ std::vector<KernelModelPtr> paperCollectiveKernels(
 /** All fourteen kernels of the paper's evaluation. */
 std::vector<KernelModelPtr> paperKernels(const sim::MachineConfig& cfg);
 
-/** Look up a kernel by its paper label (e.g. "CB-4K-GEMM"); fatal if absent. */
+/**
+ * Resolve a kernel label: a paper label (e.g. "CB-4K-GEMM") or a
+ * shorthand for a custom shape, `gemm:M,N,K`, `gemv:M`, `ag:BYTES` or
+ * `ar:BYTES` (positive integers).  Fatal on an unknown label or a
+ * malformed shorthand.  Every spec path resolves labels here, so a
+ * shorthand works wherever a paper label does (fleet, cache, recording).
+ */
 KernelModelPtr kernelByLabel(const std::string& label,
                              const sim::MachineConfig& cfg);
 

@@ -12,6 +12,7 @@
 #include "analysis/ascii_plot.hpp"
 #include "analysis/report.hpp"
 #include "analysis/series.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profile.hpp"
 #include "kernels/workloads.hpp"
 #include "support/logging.hpp"
@@ -129,8 +130,8 @@ TEST(Campaign, FreshNodeIsDeterministic)
     fc::ProfilerOptions opts;
     opts.runs_override = 15;
     opts.collect_extra_runs = false;
-    const auto a = an::profileOnFreshNode("MB-4K-GEMV", 77, opts);
-    const auto b = an::profileOnFreshNode("MB-4K-GEMV", 77, opts);
+    const auto a = fc::CampaignRunner::runOne({"MB-4K-GEMV", 77, opts});
+    const auto b = fc::CampaignRunner::runOne({"MB-4K-GEMV", 77, opts});
     ASSERT_EQ(a.ssp.size(), b.ssp.size());
     EXPECT_DOUBLE_EQ(a.ssp.meanPower(), b.ssp.meanPower());
     EXPECT_EQ(a.measured_exec_time.nanos(), b.measured_exec_time.nanos());
@@ -143,7 +144,7 @@ TEST(Campaign, CollectiveGetsFullNode)
     opts.collect_extra_runs = false;
     // Just exercising the path: a collective profiled on a fresh node must
     // not throw and must produce samples from the 8-GPU configuration.
-    const auto set = an::profileOnFreshNode("AG-64KB", 78, opts);
+    const auto set = fc::CampaignRunner::runOne({"AG-64KB", 78, opts});
     EXPECT_EQ(set.label, "AG-64KB");
     EXPECT_FALSE(set.timeline.empty());
 }
@@ -153,7 +154,7 @@ TEST(Report, SummarizeContainsKeyFields)
     fc::ProfilerOptions opts;
     opts.runs_override = 10;
     opts.collect_extra_runs = false;
-    const auto set = an::profileOnFreshNode("CB-4K-GEMM", 79, opts);
+    const auto set = fc::CampaignRunner::runOne({"CB-4K-GEMM", 79, opts});
     const auto s = an::summarize(set);
     EXPECT_NE(s.find("CB-4K-GEMM"), std::string::npos);
     EXPECT_NE(s.find("golden"), std::string::npos);

@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the baseline profilers: each must degrade exactly the tenet it
- * removes, and only that tenet.
+ * Tests for the baselines the paper compares against.  Each is the one
+ * fc::Profiler with one tenet turned off through ProfilerOptions, and
+ * must degrade exactly that tenet, and only that tenet.
  */
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "baselines/baseline_profilers.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
@@ -19,7 +19,6 @@
 #include "support/statistics.hpp"
 #include "support/time_types.hpp"
 
-namespace bl = fingrav::baselines;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
@@ -29,17 +28,18 @@ using namespace fingrav::support::literals;
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
-
-    explicit Node(std::uint64_t seed)
-    {
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-};
+/** A square GEMM profiled on a fresh one-GPU node (runtime on root
+ *  stream 7, profiler on stream 8). */
+fc::ProfileSet
+profileGemm(std::uint64_t seed, const fc::ProfilerOptions& opts,
+            std::int64_t edge = 2048)
+{
+    const auto cfg = sim::mi300xConfig();
+    sim::Simulation s(cfg, seed, 1);
+    rt::HostRuntime host(s, s.forkRng(7));
+    return fc::Profiler(host, opts, s.forkRng(8))
+        .profile(fk::makeSquareGemm(edge, cfg));
+}
 
 double
 scatter(const fc::PowerProfile& p)
@@ -62,16 +62,10 @@ fastOpts()
 
 TEST(Baselines, UnsyncedProfileIsScrambled)
 {
-    Node ref(301);
-    const auto kernel = fk::makeSquareGemm(2048, ref.cfg);
-    const auto good =
-        fc::Profiler(*ref.host, fastOpts(), ref.s->forkRng(8))
-            .profile(kernel);
-
-    Node degraded(301);
-    bl::UnsyncedProfiler unsynced(*degraded.host, fastOpts(),
-                                  degraded.s->forkRng(8));
-    const auto bad = unsynced.profile(kernel);
+    const auto good = profileGemm(301, fastOpts());
+    fc::ProfilerOptions unsynced = fastOpts();  // tenet S2 off
+    unsynced.sync_mode = fc::SyncMode::kCoarseAlign;
+    const auto bad = profileGemm(301, unsynced);
 
     // Same workload, same seed: only the timestamp mapping differs.  The
     // naive alignment attributes idle windows to the kernel, deflating the
@@ -82,20 +76,19 @@ TEST(Baselines, UnsyncedProfileIsScrambled)
 
 TEST(Baselines, NoBinningKeepsEveryRun)
 {
-    Node node(302);
-    bl::NoBinningProfiler nobin(*node.host, fastOpts(),
-                                node.s->forkRng(8));
-    const auto set = nobin.profile(fk::makeSquareGemm(2048, node.cfg));
+    fc::ProfilerOptions nobin = fastOpts();  // tenet S3 off
+    nobin.binning = false;
+    const auto set = profileGemm(302, nobin);
     EXPECT_EQ(set.binning.golden_runs.size(), set.runs_executed);
     EXPECT_EQ(set.binning.outlierCount(), 0u);
 }
 
 TEST(Baselines, LangStyleSkipsDelayAndBinning)
 {
-    Node node(303);
-    bl::LangStyleProfiler lang(*node.host, fastOpts(),
-                               node.s->forkRng(8));
-    const auto set = lang.profile(fk::makeSquareGemm(2048, node.cfg));
+    fc::ProfilerOptions lang = fastOpts();  // Section VII's Lang et al.
+    lang.sync_mode = fc::SyncMode::kNoDelayAccounting;
+    lang.binning = false;
+    const auto set = profileGemm(303, lang);
     // No read-delay accounting is visible in the report...
     EXPECT_DOUBLE_EQ(set.read_delay_us, 0.0);
     // ... and binning is off.
@@ -111,12 +104,10 @@ TEST(Baselines, CoarseLoggerStarvesShortKernels)
     // never catches a sample, LOIs are scarce, and the only way to get a
     // steady reading at all is to repeat the kernel for > 1000 executions
     // per run — the brute-force cost the 1 ms logger avoids.
-    Node node(304);
     fc::ProfilerOptions opts = fastOpts();
     opts.collect_extra_runs = false;
-    bl::CoarseLoggerProfiler coarse(*node.host, opts, node.s->forkRng(8),
-                                    50_ms);
-    const auto set = coarse.profile(fk::makeSquareGemm(2048, node.cfg));
+    opts.logger_window = 50_ms;
+    const auto set = profileGemm(304, opts);
     EXPECT_LT(set.ssp.size(), 20u);
     EXPECT_EQ(set.sse.size(), 0u);
     EXPECT_GT(set.execs_per_run, 500u);
@@ -126,12 +117,10 @@ TEST(Baselines, CoarseLoggerStillSeesLongKernels)
 {
     // A >1 ms kernel remains visible even at a 10 ms window — the paper's
     // point is specifically about sub-window executions.
-    Node node(305);
     fc::ProfilerOptions opts;
     opts.runs_override = 40;
-    bl::CoarseLoggerProfiler coarse(*node.host, opts, node.s->forkRng(8),
-                                    10_ms);
-    const auto set = coarse.profile(fk::makeSquareGemm(8192, node.cfg));
+    opts.logger_window = 10_ms;
+    const auto set = profileGemm(305, opts, 8192);
     EXPECT_FALSE(set.ssp.empty());
     EXPECT_GT(set.ssp.meanPower(), 350.0);
 }
@@ -140,10 +129,8 @@ TEST(Baselines, DriftCompensationImprovesLongCaptures)
 {
     // The future-work extension: with drift compensation the estimated
     // ppm must match the configured GPU drift.
-    Node node(306);
     fc::ProfilerOptions opts = fastOpts();
     opts.sync_mode = fc::SyncMode::kFinGraVDrift;
-    const auto set = fc::Profiler(*node.host, opts, node.s->forkRng(8))
-                         .profile(fk::makeSquareGemm(2048, node.cfg));
-    EXPECT_NEAR(set.drift_ppm, node.cfg.gpu_clock_drift_ppm, 1.5);
+    const auto set = profileGemm(306, opts);
+    EXPECT_NEAR(set.drift_ppm, sim::mi300xConfig().gpu_clock_drift_ppm, 1.5);
 }

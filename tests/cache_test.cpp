@@ -13,7 +13,6 @@
  *  - the content key separates every input that can change a result
  *    (spec fields, machine config) — near-miss lookups never collide —
  *    and nothing that only places work (advance_threads);
- *  - profile_fn specs bypass the cache entirely, mirroring the wire;
  *  - the memory tier honours its byte bound via LRU eviction.
  *
  * The worker binary is the real `fingrav_cli --serve`, resolved via
@@ -464,37 +463,6 @@ TEST(CampaignCache, KeySeparatesEveryFieldButAdvanceThreads)
     EXPECT_EQ(fc::CampaignCache::key(base.spec, fingrav::sim::mi300xConfig()),
               fc::CampaignCache::key(base.spec, at8.cfg))
         << "the default config's key must keep its bytes";
-}
-
-TEST(CampaignCache, ProfileFnSpecsBypassTheCache)
-{
-    // A custom profiling procedure has no canonical bytes; it must
-    // bypass the cache (counted) while its siblings are served.
-    auto specs = fig10Specs();
-    specs.resize(3);
-    fc::ScenarioSpec custom = specs[1];
-    custom.profile_fn = fc::makeProfileFn(
-        [](fingrav::runtime::HostRuntime& host,
-           const fc::ProfilerOptions& opts, fs::Rng rng) {
-            return fc::Profiler(host, opts, std::move(rng));
-        });
-    specs[1] = custom;
-    const auto reference = fc::CampaignRunner(1).run(specs);
-
-    EXPECT_FALSE(fc::CampaignCache::cacheable(custom));
-    EXPECT_THROW(fc::CampaignCache::key(custom,
-                                        fingrav::sim::mi300xConfig()),
-                 fs::FatalError);
-
-    auto cache = std::make_shared<fc::CampaignCache>();
-    const fc::CampaignRunner runner(2);
-    runner.attachCache(cache);
-    expectAllIdentical(reference, runner.run(specs), specs, "cold mixed");
-    expectAllIdentical(reference, runner.run(specs), specs, "warm mixed");
-    const auto stats = cache->stats();
-    EXPECT_EQ(stats.stores, 2u) << "the profile_fn spec must not be stored";
-    EXPECT_EQ(stats.uncacheable, 2u) << "one bypass per pass";
-    EXPECT_EQ(stats.hits(), 2u) << "the two wire-safe specs, second pass";
 }
 
 TEST(CampaignCache, MemoryTierHonoursByteBoundViaLru)

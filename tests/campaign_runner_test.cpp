@@ -94,9 +94,6 @@ TEST(CampaignRunner, RunnerReplicatesAnalysisCampaignStreams)
     spec.opts = opts;
     const auto actual = fc::CampaignRunner::runOne(spec);
     EXPECT_TRUE(fc::identicalProfileSets(expected, actual));
-    // And the profileOnFreshNode wrapper rides the same path.
-    const auto wrapped = an::profileOnFreshNode("CB-2K-GEMM", 91, opts);
-    EXPECT_TRUE(fc::identicalProfileSets(expected, wrapped));
 }
 
 TEST(RecordedCampaign, SweepReuseBitIdenticalToReExecution)
@@ -191,6 +188,18 @@ TEST(RecordedCampaign, RestitchWithEmptyExtraWindowsList)
     fc::SweepPoint beyond;
     beyond.window_index = 1;
     EXPECT_THROW(recorded.restitch(beyond), fs::FatalError);
+}
+
+TEST(RecordedCampaign, ShorthandSpecReportsTheKernelLabel)
+{
+    // A shorthand label names a custom shape; the recorded pipeline
+    // reports the resolved kernel's label, as the live one does.
+    fc::ScenarioSpec spec{"gemv:4096", 17};
+    spec.opts.runs_override = 3;
+    spec.opts.collect_extra_runs = false;
+    const auto set = fc::RecordedCampaign::record(spec).restitch({});
+    EXPECT_EQ(set.label, "MB-4K-GEMV");
+    EXPECT_EQ(set.label, fc::CampaignRunner::runOne(spec).label);
 }
 
 TEST(RecordedCampaign, AutotuneBudgetFindsMinimalPrefix)

@@ -299,17 +299,6 @@ TEST(Codec, MachineConfigRoundTripExact)
     EXPECT_EQ(decoded.thermal.ambient_c, 17.25);
 }
 
-TEST(Codec, ProfileFnSpecCannotCrossTheWire)
-{
-    fc::ScenarioSpec spec;
-    spec.label = "CB-2K-GEMM";
-    spec.profile_fn = [](fingrav::runtime::HostRuntime&,
-                         const fingrav::kernels::KernelModelPtr&,
-                         const fc::ProfilerOptions&,
-                         fs::Rng) { return fc::ProfileSet{}; };
-    EXPECT_THROW(codec::encode(spec), fs::FatalError);
-}
-
 TEST(Codec, TrailingBytesRejected)
 {
     fs::Rng rng(42);

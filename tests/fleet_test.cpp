@@ -30,7 +30,8 @@
  *    bit-identically;
  *  - overlapping execute() calls on one instance raise a FatalError;
  *  - the CLI rejects unknown flags (and the retired one-shot flags)
- *    with the usage text and exit status 2.
+ *    with the usage text and exit status 2, and ships a shorthand
+ *    kernel over the wire like a paper label.
  *
  * The worker binary is the real `fingrav_cli --serve`, resolved via the
  * FINGRAV_CLI_PATH compile definition, so these tests exercise the
@@ -38,11 +39,13 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -559,36 +562,42 @@ TEST(FleetBackend, RetryScheduleIsDeterministic)
     }
 }
 
-TEST(FleetBackend, ReentrantExecuteIsALoudError)
+TEST(FleetBackend, OverlappingExecuteIsALoudError)
 {
-    // One instance serves one run at a time.  Re-entering execute()
-    // from inside a profile_fn (or any other nesting) must raise
-    // FatalError instead of silently interleaving stats — and the
-    // owning run must complete unharmed.
+    // One instance serves one run at a time: a second execute() while
+    // the first is in flight must raise FatalError, and the owning run
+    // must complete unharmed.  The worker marks itself ready and waits
+    // for a release file before it serves, so files order the overlap.
     const auto cfg = fingrav::sim::mi300xConfig();
+    fingrav::testing::TempDir dir("fingrav_overlap");
+    const std::string ready = dir.path() + "/ready";
+    const std::string release = dir.path() + "/release";
     auto opts = fleetOptions(1);
     opts.fallback_threads = 1;
+    opts.worker_command = {
+        "/bin/sh", "-c",
+        "touch \"$0\"; while [ ! -e \"$1\" ]; do sleep 0.01; done; "
+        "exec \"$2\" --serve",
+        ready, release, FINGRAV_CLI_PATH};
     auto backend = std::make_shared<fc::FleetBackend>(opts);
 
-    std::atomic<bool> threw{false};
     auto specs = fig10Specs();
     specs.resize(1);
-    specs[0].profile_fn = fc::makeProfileFn(
-        [&](fingrav::runtime::HostRuntime& host,
-            const fc::ProfilerOptions& popts, fs::Rng rng) {
-            try {
-                backend->execute({}, cfg);
-            } catch (const fs::FatalError&) {
-                threw = true;
-            }
-            return fc::Profiler(host, popts, std::move(rng));
-        });
+    const auto serial = fc::CampaignRunner(1).run(specs);
 
-    const auto out = backend->execute(specs, cfg);
-    EXPECT_EQ(out.size(), 1u);
-    EXPECT_TRUE(threw.load()) << "nested execute() must throw FatalError";
+    std::vector<fc::ProfileSet> owned;
+    std::thread owner([&] { owned = backend->execute(specs, cfg); });
+    // The worker exists only once the owner is inside execute().
+    for (int ms = 0; ms < 60000 && !std::filesystem::exists(ready); ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(std::filesystem::exists(ready)) << "worker never held";
+    EXPECT_THROW(backend->execute({}, cfg), fs::FatalError);
+    std::ofstream(release).close();
+    owner.join();
 
-    // The guard must release on exit: a fresh, non-nested call works.
+    expectAllIdentical(serial, owned, specs, "owner of an overlap");
+    EXPECT_EQ(backend->lastStats().remote_specs, 1u);
+    // The guard must release on exit: a later call works.
     EXPECT_NO_THROW(backend->execute({}, cfg));
 }
 
@@ -603,29 +612,6 @@ TEST(FleetBackend, SeatCountBeyondSpecCountSpawnsOnlyWhatItUses)
     expectAllIdentical(serial, fleet, specs, "surplus seats");
     EXPECT_LE(backend->lastStats().workers_spawned, specs.size());
     EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
-}
-
-TEST(FleetBackend, ProfileFnSpecsStayInProcess)
-{
-    // A custom profiling procedure has no wire form; the backend must
-    // keep it local while still dispatching its wire-safe siblings.
-    auto specs = fig10Specs();
-    specs.resize(3);
-    fc::ScenarioSpec custom = specs[1];
-    custom.profile_fn = fc::makeProfileFn(
-        [](fingrav::runtime::HostRuntime& host,
-           const fc::ProfilerOptions& opts, fs::Rng rng) {
-            return fc::Profiler(host, opts, std::move(rng));
-        });
-    specs[1] = custom;
-    const auto serial = fc::CampaignRunner(1).run(specs);
-
-    auto backend = std::make_shared<fc::FleetBackend>(fleetOptions(2));
-    const auto fleet = fc::CampaignRunner(backend).run(specs);
-    expectAllIdentical(serial, fleet, specs, "profile_fn mix");
-    EXPECT_EQ(backend->lastStats().local_specs, 1u);
-    EXPECT_EQ(backend->lastStats().remote_specs, 2u);
-    EXPECT_EQ(backend->lastStats().worker_failures, 0u);
 }
 
 TEST(FleetBackend, ZeroWorkersIsAUserError)
@@ -687,4 +673,22 @@ TEST(FingravCli, RetiredOneShotFlagsExitWithUsage)
     std::string worker;
     EXPECT_EQ(runCli("--worker < /dev/null", worker), 2);
     EXPECT_NE(worker.find("usage:"), std::string::npos);
+}
+
+TEST(FingravCli, ShorthandKernelCrossesTheWire)
+{
+    // A shorthand kernel is a spec label like any paper label: the
+    // fleet ships it (no worker loss, no in-process recovery), and the
+    // profile it prints is the in-process run's.
+    const std::string args = "profile gemm:2048,2048,2048 --runs 10 --quiet";
+    std::string fleet;
+    EXPECT_EQ(runCli(args + " --fleet 1", fleet), 0) << fleet;
+    EXPECT_NE(fleet.find("1 spec(s) over the wire"), std::string::npos)
+        << fleet;
+    std::string local;
+    ASSERT_EQ(runCli(args, local), 0) << local;
+    ASSERT_FALSE(local.empty());
+    EXPECT_EQ(fleet.substr(0, fleet.find('\n')),
+              local.substr(0, local.find('\n')))
+        << "summary lines differ";
 }

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <iostream>
 #include <iterator>
+#include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -271,6 +273,37 @@ TEST(Workloads, PaperRegistryIsComplete)
     EXPECT_NO_THROW(fk::kernelByLabel("CB-8K-GEMM", cfg()));
     EXPECT_NO_THROW(fk::kernelByLabel("AR-512MB", cfg()));
     EXPECT_THROW(fk::kernelByLabel("CB-16K-GEMM", cfg()), fs::FatalError);
+}
+
+TEST(Workloads, ShorthandLabelsResolveToTheirFactories)
+{
+    // Every spec path resolves labels through kernelByLabel, so the
+    // shorthand forms must build exactly what their factories build.
+    fk::GemmShape shape;
+    shape.m = 1024;
+    shape.n = 2048;
+    shape.k = 512;
+    const std::pair<const char*, fk::KernelModelPtr> forms[] = {
+        {"gemm:1024,2048,512", std::make_shared<fk::GemmKernel>(shape, cfg())},
+        {"gemv:4096", fk::makeGemv(4096, cfg())},
+        {"ag:1000000",
+         fk::makeCollective(fk::CollectiveOp::kAllGather, 1000000, cfg())},
+        {"ar:512000",
+         fk::makeCollective(fk::CollectiveOp::kAllReduce, 512000, cfg())},
+    };
+    for (const auto& [label, expected] : forms) {
+        const auto kernel = fk::kernelByLabel(label, cfg());
+        EXPECT_EQ(kernel->label(), expected->label()) << label;
+        EXPECT_EQ(kernel->nominalDuration().nanos(),
+                  expected->nominalDuration().nanos())
+            << label;
+    }
+    for (const char* malformed :
+         {"gemm:1,2", "gemv:x", "gemm:1,2,3,4", "gemv:", "ag:-5", "ar:1e9",
+          "gemv:4096,"}) {
+        EXPECT_THROW(fk::kernelByLabel(malformed, cfg()), fs::FatalError)
+            << malformed;
+    }
 }
 
 TEST(PowerSignatures, PaperComponentOrderings)

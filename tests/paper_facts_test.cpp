@@ -12,13 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/report.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
 #include "support/statistics.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fs = fingrav::support;
 
@@ -36,8 +35,8 @@ class PaperFacts : public ::testing::Test {
             fc::ProfilerOptions opts;
             opts.runs_override = 80;
             static std::uint64_t seed = 42000;
-            it = cache.emplace(label,
-                               an::profileOnFreshNode(label, seed++, opts))
+            it = cache.emplace(label, fc::CampaignRunner::runOne(
+                                              {label, seed++, opts}))
                      .first;
         }
         return it->second;

@@ -11,8 +11,8 @@
  *       Profile two kernels and compare rails side by side.
  *   fingrav coschedule <kernel-a> <kernel-b> [options]
  *       Evaluate recommendation-R1 co-scheduling of a pair.
- *   fingrav campaign <label> [<label>...] [options]
- *       Profile a set of paper kernels as one campaign set — in
+ *   fingrav campaign <kernel> [<kernel>...] [options]
+ *       Profile a set of kernels as one campaign set — in
  *       process by default, dispatched to a fleet of worker
  *       subprocesses of this same binary with --fleet N.
  *   fingrav cache stats --cache-dir DIR
@@ -30,7 +30,8 @@
  * a nearest-flag suggestion, and a nonzero exit — trailing junk is
  * never silently ignored.
  *
- * Custom kernels (instead of a paper label):
+ * Custom kernels (instead of a paper label; every command and every
+ * placement accepts them, see kernels::kernelByLabel):
  *   gemm:M,N,K        e.g. gemm:8192,8192,8192
  *   gemv:M            e.g. gemv:4096
  *   ag:BYTES | ar:BYTES   e.g. ag:1000000000
@@ -95,7 +96,7 @@ usage(const char* argv0)
         << "commands:\n"
         << "  list                               list built-in kernels\n"
         << "  profile <kernel> [options]         run a FinGraV campaign\n"
-        << "  campaign <label> [<label>...]      profile a kernel set\n"
+        << "  campaign <kernel> [<kernel>...]    profile a kernel set\n"
         << "  compare <kernel-a> <kernel-b>      compare two kernels\n"
         << "  coschedule <kernel-a> <kernel-b>   evaluate R1 co-scheduling\n"
         << "  cache stats --cache-dir DIR        survey an on-disk cache\n"
@@ -112,14 +113,12 @@ usage(const char* argv0)
         << "  --csv NAME         dump profiles to fingrav_out/NAME_*.csv\n"
         << "  --quiet            summary only, no plot\n"
         << "  --fleet N          N worker subprocesses with cost-aware\n"
-        << "                     pull dispatch (profile/campaign; paper\n"
-        << "                     labels only)\n"
+        << "                     pull dispatch (profile/campaign)\n"
         << "  --autotune         report the autotuned run budget vs\n"
-        << "                     Table I (profile; paper labels only)\n"
+        << "                     Table I (profile)\n"
         << "  --cache-dir DIR    content-addressed campaign cache: reuse\n"
         << "                     stored results bit-identically, store\n"
-        << "                     fresh ones (profile/campaign/cache stats;\n"
-        << "                     paper labels only)\n"
+        << "                     fresh ones (profile/campaign/cache stats)\n"
         << "  --no-cache         ignore --cache-dir for this run\n"
         << "  --io-timeout-ms N  worker-pipe inactivity timeout for\n"
         << "                     --fleet runs (0 = wait forever)\n"
@@ -176,42 +175,6 @@ nearestFlag(const std::string& given)
         }
     }
     return best;
-}
-
-/** Parse a kernel spec: paper label or gemm:/gemv:/ag:/ar: shorthand. */
-fk::KernelModelPtr
-parseKernel(const std::string& spec, const sim::MachineConfig& cfg)
-{
-    auto starts = [&](const char* p) {
-        return spec.rfind(p, 0) == 0;
-    };
-    try {
-        if (starts("gemm:")) {
-            const auto body = spec.substr(5);
-            const auto c1 = body.find(',');
-            const auto c2 = body.find(',', c1 + 1);
-            if (c1 == std::string::npos || c2 == std::string::npos)
-                fs::fatal("gemm spec needs M,N,K: ", spec);
-            fk::GemmShape shape;
-            shape.m = std::stoll(body.substr(0, c1));
-            shape.n = std::stoll(body.substr(c1 + 1, c2 - c1 - 1));
-            shape.k = std::stoll(body.substr(c2 + 1));
-            return std::make_shared<fk::GemmKernel>(shape, cfg);
-        }
-        if (starts("gemv:"))
-            return fk::makeGemv(std::stoll(spec.substr(5)), cfg);
-        if (starts("ag:")) {
-            return fk::makeCollective(fk::CollectiveOp::kAllGather,
-                                      std::stoll(spec.substr(3)), cfg);
-        }
-        if (starts("ar:")) {
-            return fk::makeCollective(fk::CollectiveOp::kAllReduce,
-                                      std::stoll(spec.substr(3)), cfg);
-        }
-    } catch (const std::invalid_argument&) {
-        fs::fatal("cannot parse kernel spec: ", spec);
-    }
-    return fk::kernelByLabel(spec, cfg);
 }
 
 /**
@@ -386,8 +349,7 @@ reportFleetDelivery(const fc::FleetBackend& backend)
               << " spec(s) over the wire (" << stats.workers_spawned
               << " worker(s) spawned, " << stats.workers_live
               << " resident, " << stats.pulls << " pull(s)), "
-              << stats.fallback_specs << " recovered in-process, "
-              << stats.local_specs << " process-local\n";
+              << stats.fallback_specs << " recovered in-process\n";
     // The degradation journal: everything the supervisor absorbed —
     // retries, quarantines, worker deaths, cache corruption — prints
     // even when the run recovered completely, so no degradation is
@@ -407,15 +369,15 @@ reportFleetDelivery(const fc::FleetBackend& backend)
     return 0;
 }
 
-fc::ProfileSet
-runCampaign(const std::string& spec, const CliOptions& opts)
+/** One campaign of `label` under the run's profiler options. */
+fc::ScenarioSpec
+cliSpec(const std::string& label, std::uint64_t seed, const CliOptions& opts)
 {
-    const auto cfg = sim::mi300xConfig();
-    const auto kernel = parseKernel(spec, cfg);
-    sim::Simulation node(cfg, opts.seed, kernel->isCollective() ? 0 : 1);
-    rt::HostRuntime host(node, node.forkRng(7));
-    fc::Profiler profiler(host, opts.profiler, node.forkRng(8));
-    return profiler.profile(kernel);
+    fc::ScenarioSpec spec;
+    spec.label = label;
+    spec.seed = seed;
+    spec.opts = opts.profiler;
+    return spec;
 }
 
 void
@@ -479,60 +441,30 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 3)
         fs::fatal("profile needs a kernel spec");
     const auto opts = parseOptions(args, 3, argv0);
+    const auto spec = cliSpec(args[2], opts.seed, opts);
 
-    // The fleet and autotuned paths ride the scenario layer, which
-    // resolves kernels by paper label (kernelByLabel rejects shorthand
-    // specs with the full label list).
     if (opts.autotune) {
         if (opts.fleet > 0) {
             fs::fatal("--autotune cannot be combined with --fleet: "
                       "autotuning replays a locally recorded run pool");
         }
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
         const auto recorded = fc::RecordedCampaign::record(spec);
         const auto set = recorded.restitch({});
         const auto autotune = recorded.autotuneBudget();
         printProfile(set, opts, &autotune);
         return 0;
     }
-    if (opts.fleet > 0) {
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
-        const auto backend = makeFleetBackend(opts, argv0);
-        const fc::CampaignRunner runner(backend);
-        const auto cache = makeCache(opts);
-        if (cache)
-            runner.attachCache(cache);
-        const auto results =
-            runner.run(std::vector<fc::ScenarioSpec>{spec});
-        printProfile(results.front(), opts);
-        if (cache)
-            reportCacheStats(*cache);
-        return reportFleetDelivery(*backend);
-    }
-    if (const auto cache = makeCache(opts)) {
-        // Cached profiling rides the scenario layer like --fleet does:
-        // the cache key is the spec's canonical codec bytes, so only
-        // paper labels qualify (shorthand kernels have no spec form).
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
-        const fc::CampaignRunner runner;
+    const auto fleet_backend =
+        opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr;
+    const auto runner = fleet_backend ? fc::CampaignRunner(fleet_backend)
+                                      : fc::CampaignRunner();
+    const auto cache = makeCache(opts);
+    if (cache)
         runner.attachCache(cache);
-        const auto results =
-            runner.run(std::vector<fc::ScenarioSpec>{spec});
-        printProfile(results.front(), opts);
+    printProfile(runner.run({spec}).front(), opts);
+    if (cache)
         reportCacheStats(*cache);
-        return 0;
-    }
-    printProfile(runCampaign(args[2], opts), opts);
-    return 0;
+    return fleet_backend ? reportFleetDelivery(*fleet_backend) : 0;
 }
 
 int
@@ -545,7 +477,7 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
            args[first_flag].rfind("--", 0) != 0)
         labels.push_back(args[first_flag++]);
     if (labels.empty())
-        fs::fatal("campaign needs at least one paper kernel label");
+        fs::fatal("campaign needs at least one kernel label");
     const auto opts = parseOptions(args, first_flag, argv0);
     if (opts.autotune) {
         fs::fatal("--autotune applies to 'profile', not 'campaign' "
@@ -555,13 +487,8 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
     std::vector<fc::ScenarioSpec> specs;
     specs.reserve(labels.size());
     std::uint64_t seed = opts.seed;
-    for (const auto& label : labels) {
-        fc::ScenarioSpec spec;
-        spec.label = label;
-        spec.seed = seed++;
-        spec.opts = opts.profiler;
-        specs.push_back(std::move(spec));
-    }
+    for (const auto& label : labels)
+        specs.push_back(cliSpec(label, seed++, opts));
 
     const auto fleet_backend =
         opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr;
@@ -627,22 +554,21 @@ cmdCompare(const std::vector<std::string>& args, const char* argv0)
     const auto opts = parseOptions(args, 4, argv0);
     if (opts.fleet > 0 || opts.autotune)
         fs::fatal("--fleet/--autotune are not supported by 'compare'");
-    const auto a = runCampaign(args[2], opts);
-    CliOptions opts_b = opts;
-    opts_b.seed += 1;
-    const auto b = runCampaign(args[3], opts_b);
+    const auto sets = fc::CampaignRunner().run(
+        {cliSpec(args[2], opts.seed, opts),
+         cliSpec(args[3], opts.seed + 1, opts)});
 
     fs::TableWriter table({"kernel", "exec (us)", "total (W)", "XCD (W)",
                            "IOD (W)", "HBM (W)", "SSE err (%)"});
-    for (const auto* set : {&a, &b}) {
-        const auto rep = fc::differentiationError(*set);
+    for (const auto& set : sets) {
+        const auto rep = fc::differentiationError(set);
         table.addRow(
-            {set->label,
-             fs::TableWriter::num(set->measured_exec_time.toMicros(), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kTotal), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kXcd), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kIod), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kHbm), 1),
+            {set.label,
+             fs::TableWriter::num(set.measured_exec_time.toMicros(), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kTotal), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kXcd), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kIod), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kHbm), 1),
              fs::TableWriter::num(rep.error_pct, 1)});
     }
     table.print(std::cout);
@@ -658,8 +584,8 @@ cmdCoschedule(const std::vector<std::string>& args, const char* argv0)
     if (opts.fleet > 0 || opts.autotune)
         fs::fatal("--fleet/--autotune are not supported by 'coschedule'");
     const auto cfg = sim::mi300xConfig();
-    const auto a = parseKernel(args[2], cfg);
-    const auto b = parseKernel(args[3], cfg);
+    const auto a = fk::kernelByLabel(args[2], cfg);
+    const auto b = fk::kernelByLabel(args[3], cfg);
     sim::Simulation node(cfg, opts.seed, 1);
     rt::HostRuntime host(node, node.forkRng(7));
     fc::ConcurrencyAdvisor advisor(host, node.forkRng(8));
