@@ -159,19 +159,24 @@ void
 CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
                      const ProfileSet& set)
 {
-    fscodec::CacheEntry entry{key(spec, cfg), set};
-    const std::string& k = entry.key;
-    const auto payload = fscodec::encode(entry);
-    const auto header =
-        fscodec::encodeFrameHeader(fscodec::FrameType::kCacheEntry, payload);
-    const std::size_t blob_bytes = header.size() + payload.size();
-    memoryInsert(k, std::move(entry.set), blob_bytes);
+    const std::string k = key(spec, cfg);
+    const fscodec::CacheEntryView entry{k, set};
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.stores;
     }
-    if (opts_.dir.empty())
+    if (opts_.dir.empty()) {
+        // No blob is written, so none is encoded: the weight is the size
+        // the blob would have, counted.
+        memoryInsert(k, set,
+                     fscodec::kFrameHeaderBytes + fscodec::encodedSize(entry));
         return;
+    }
+    const auto payload = fscodec::encode(entry);
+    const auto header =
+        fscodec::encodeFrameHeader(fscodec::FrameType::kCacheEntry, payload);
+    const std::size_t blob_bytes = header.size() + payload.size();
+    memoryInsert(k, set, blob_bytes);
 
     // Atomic publication: write a process-unique temp sibling, then
     // rename onto the final name.  Readers either see the previous blob
@@ -249,7 +254,7 @@ CampaignCache::stats() const
 }
 
 void
-CampaignCache::memoryInsert(const std::string& key, ProfileSet set,
+CampaignCache::memoryInsert(const std::string& key, const ProfileSet& set,
                             std::size_t weight)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -259,11 +264,11 @@ CampaignCache::memoryInsert(const std::string& key, ProfileSet set,
     if (it != index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
         memory_bytes_ -= it->second->weight;
-        it->second->set = std::move(set);
+        it->second->set = set;
         it->second->weight = weight;
         memory_bytes_ += weight;
     } else {
-        lru_.push_front(Entry{key, std::move(set), weight});
+        lru_.push_front(Entry{key, set, weight});
         index_[key] = lru_.begin();
         memory_bytes_ += weight;
     }

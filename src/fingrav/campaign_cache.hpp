@@ -35,8 +35,12 @@
  *
  * A disk hit costs about one pass over the blob at memory speed: one
  * sized read into one buffer, then the header, checksum and payload are
- * checked and decoded in place.  A store writes the frame header and the
- * encoded payload without concatenating them first.
+ * checked and decoded in place.  A store encodes the borrowed key and
+ * set (codec::CacheEntryView) into one exactly sized buffer and writes
+ * the frame header and that payload without concatenating them.  The
+ * memory tier copies the set only when it is enabled, and a store
+ * without a disk tier encodes nothing: it weighs the entry by the
+ * blob's counted size (kFrameHeaderBytes plus codec::encodedSize).
  *
  * Durability contract — the load-bearing property the fault-injection
  * suite (tests/cache_fault_test.cpp) attacks: a lookup NEVER surfaces an
@@ -179,11 +183,12 @@ class CampaignCache {
     struct Entry {
         std::string key;
         ProfileSet set;
-        std::size_t weight = 0;  ///< canonical encoded payload size
+        std::size_t weight = 0;  ///< blob size: frame header + payload
     };
 
-    /** Insert into the LRU (caller holds no lock). */
-    void memoryInsert(const std::string& key, ProfileSet set,
+    /** Insert a copy into the LRU, unless the tier is disabled (caller
+     *  holds no lock). */
+    void memoryInsert(const std::string& key, const ProfileSet& set,
                       std::size_t weight);
 
     CacheOptions opts_;

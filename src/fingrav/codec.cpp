@@ -66,6 +66,17 @@ toString(FrameType type)
 // Encoder
 // ---------------------------------------------------------------------------
 
+/** The bytes of `v`, least significant first, in one append. */
+template <typename U>
+void
+Encoder::appendLittleEndian(U v)
+{
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + sizeof(U));
+    for (std::size_t i = 0; i < sizeof(U); ++i)
+        bytes_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 void
 Encoder::u8(std::uint8_t v)
 {
@@ -75,22 +86,19 @@ Encoder::u8(std::uint8_t v)
 void
 Encoder::u16(std::uint16_t v)
 {
-    bytes_.push_back(static_cast<std::uint8_t>(v));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
+    appendLittleEndian(v);
 }
 
 void
 Encoder::u32(std::uint32_t v)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
+    appendLittleEndian(v);
 }
 
 void
 Encoder::u64(std::uint64_t v)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
+    appendLittleEndian(v);
 }
 
 void
@@ -310,16 +318,18 @@ Decoder::expectEnd(const char* what) const
 // ---------------------------------------------------------------------------
 // Field lists
 //
-// One list per serialized type, in wire order; put, get and same walk it
-// and derive each field's wire form from its C++ type.  A new field is
-// one entry in its type's list plus a kVersion bump.
+// One list per serialized type, in wire order; put (over an Encoder or
+// a SizeCounter), get and same walk it and derive each field's wire form
+// from its C++ type.  A new field is one entry in its type's list plus a
+// kVersion bump.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/** T is U, possibly const: one list serves encode (const) and decode. */
-template <typename T, typename U>
-concept Is = std::same_as<std::remove_const_t<T>, U>;
+/** T is one of U..., possibly const: one list serves encode (const) and
+ *  decode. */
+template <typename T, typename... U>
+concept Is = (std::same_as<std::remove_const_t<T>, U> || ...);
 
 decltype(auto)
 fields(Is<ProfilerOptions> auto& o, auto&& f)
@@ -425,8 +435,9 @@ fields(Is<ShardResult> auto& r, auto&& f)
     return f(r.slot, r.set);
 }
 
+/** The borrowed view walks the owning entry's list: same bytes. */
 decltype(auto)
-fields(Is<CacheEntry> auto& e, auto&& f)
+fields(Is<CacheEntry, CacheEntryView> auto& e, auto&& f)
 {
     return f(e.key, e.set);
 }
@@ -484,9 +495,35 @@ constexpr bool kIsVector<std::vector<T>> = true;
 // put / get / same
 // ---------------------------------------------------------------------------
 
-template <typename T>
+/**
+ * Encoder's writers, counting instead of writing: put(counter, v) walks
+ * the same field list as put(encoder, v) and adds up the bytes it would
+ * append, so encode can allocate its buffer once.
+ */
+class SizeCounter {
+  public:
+    void u8(std::uint8_t v) { size_ += sizeof v; }
+    void u16(std::uint16_t v) { size_ += sizeof v; }
+    void u32(std::uint32_t v) { size_ += sizeof v; }
+    void u64(std::uint64_t v) { size_ += sizeof v; }
+    void f64(double v) { size_ += sizeof v; }
+    void boolean(bool) { size_ += 1; }
+    void str(const std::string& v) { size_ += 4 + v.size(); }
+    void duration(Duration) { size_ += 8; }
+
+    template <typename T>
+    void column(const std::vector<T>& v) { size_ += sizeof(T) * v.size(); }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    std::size_t size_ = 0;
+};
+
+/** W is an Encoder or a SizeCounter. */
+template <typename W, typename T>
 void
-put(Encoder& enc, const T& v)
+put(W& enc, const T& v)
 {
     if constexpr (std::is_same_v<T, bool>) {
         enc.boolean(v);
@@ -644,15 +681,43 @@ same(const T& a, const T& b)
     }
 }
 
+/**
+ * `walk(w)` puts a payload's values to w: run it over a SizeCounter,
+ * then over an Encoder reserved to that count.  The two walks must
+ * agree byte for byte, or a field list and a writer drifted apart.
+ */
+std::vector<std::uint8_t>
+encodeSized(const auto& walk)
+{
+    SizeCounter counter;
+    walk(counter);
+    Encoder enc;
+    enc.reserve(counter.size());
+    walk(enc);
+    if (enc.bytes().size() != counter.size()) {
+        support::panic("codec: encoded ", enc.bytes().size(),
+                       " bytes where the size pass counted ",
+                       counter.size());
+    }
+    return std::move(enc).bytes();
+}
+
 }  // namespace
 
 template <typename T>
 std::vector<std::uint8_t>
 encode(const T& value)
 {
-    Encoder enc;
-    put(enc, value);
-    return std::move(enc).bytes();
+    return encodeSized([&](auto& w) { put(w, value); });
+}
+
+template <typename T>
+std::size_t
+encodedSize(const T& value)
+{
+    SizeCounter counter;
+    put(counter, value);
+    return counter.size();
 }
 
 template <typename T>
@@ -672,8 +737,18 @@ template std::vector<std::uint8_t> encode(const sim::MachineConfig&);
 template std::vector<std::uint8_t> encode(const ShardRequest&);
 template std::vector<std::uint8_t> encode(const ShardResult&);
 template std::vector<std::uint8_t> encode(const CacheEntry&);
+template std::vector<std::uint8_t> encode(const CacheEntryView&);
 template std::vector<std::uint8_t> encode(const std::uint32_t&);
 template std::vector<std::uint8_t> encode(const std::string&);
+template std::size_t encodedSize(const ScenarioSpec&);
+template std::size_t encodedSize(const ProfileSet&);
+template std::size_t encodedSize(const sim::MachineConfig&);
+template std::size_t encodedSize(const ShardRequest&);
+template std::size_t encodedSize(const ShardResult&);
+template std::size_t encodedSize(const CacheEntry&);
+template std::size_t encodedSize(const CacheEntryView&);
+template std::size_t encodedSize(const std::uint32_t&);
+template std::size_t encodedSize(const std::string&);
 template ScenarioSpec decode(std::span<const std::uint8_t>);
 template ProfileSet decode(std::span<const std::uint8_t>);
 template sim::MachineConfig decode(std::span<const std::uint8_t>);
@@ -686,11 +761,12 @@ template std::string decode(std::span<const std::uint8_t>);
 std::string
 cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
-    Encoder enc;
-    put(enc, kVersion);
-    put(enc, spec);
-    put(enc, cfg);
-    return std::string(enc.bytes().begin(), enc.bytes().end());
+    const auto bytes = encodeSized([&](auto& w) {
+        put(w, kVersion);
+        put(w, spec);
+        put(w, cfg);
+    });
+    return std::string(bytes.begin(), bytes.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -712,6 +788,7 @@ std::array<std::uint8_t, kFrameHeaderBytes>
 encodeFrameHeader(FrameType type, std::span<const std::uint8_t> payload)
 {
     Encoder enc;
+    enc.reserve(kFrameHeaderBytes);
     enc.u32(kMagic);
     enc.u16(kVersion);
     enc.u16(static_cast<std::uint16_t>(type));

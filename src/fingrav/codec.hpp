@@ -34,8 +34,10 @@
  * its bits never change.
  *
  * One field list per serialized type (codec.cpp) drives encode, decode
- * and the bitwise equality gate core::identicalProfileSets alike; each
- * field's wire form follows from its C++ type (fixed-width integers,
+ * and the bitwise equality gate core::identicalProfileSets alike.
+ * encode walks it twice: a size pass counts the payload's bytes, so the
+ * buffer is allocated once at its exact size, then the write fills it.
+ * Each field's wire form follows from its C++ type (fixed-width integers,
  * doubles as bit patterns, Durations as nanoseconds, enums as one byte,
  * bool as 0/1, optionals as a presence byte, strings and vectors with a
  * u32 count).  What crosses the wire: ScenarioSpec (foreground kernel
@@ -104,6 +106,9 @@ const char* toString(FrameType type);
  */
 class Encoder {
   public:
+    /** Capacity for `bytes` more bytes (encode reserves its exact size). */
+    void reserve(std::size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
+
     void u8(std::uint8_t v);
     void u16(std::uint16_t v);
     void u32(std::uint32_t v);
@@ -128,6 +133,9 @@ class Encoder {
     std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
 
   private:
+    template <typename U>
+    void appendLittleEndian(U v);
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -214,13 +222,28 @@ struct CacheEntry {
     ProfileSet set;
 };
 
+/** A CacheEntry that borrows its key and set: it walks CacheEntry's
+ *  field list, so it encodes to the same bytes without copying the set
+ *  (CampaignCache::store). */
+struct CacheEntryView {
+    const std::string& key;
+    const ProfileSet& set;
+};
+
 /**
  * Canonical payload bytes of one value.  Defined for ScenarioSpec,
  * ProfileSet, sim::MachineConfig, ShardRequest, ShardResult, CacheEntry,
- * std::uint32_t (kShardDone) and std::string (kWorkerError).
+ * CacheEntryView, std::uint32_t (kShardDone) and std::string
+ * (kWorkerError).  A size pass over the same field list runs first, so
+ * the buffer is allocated once at its exact size; a write that differs
+ * from the count is a panic.
  */
 template <typename T>
 std::vector<std::uint8_t> encode(const T& value);
+
+/** encode(value).size(), counted without writing a byte (same types). */
+template <typename T>
+std::size_t encodedSize(const T& value);
 
 /**
  * Decode one whole payload of the same types; fatal on any out-of-range

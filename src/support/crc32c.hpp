@@ -13,7 +13,14 @@
  * Two implementations give the same value for every input:
  *
  *  - the SSE4.2 `crc32` instruction, eight bytes per step, chosen by a
- *    runtime CPU check on x86-64 builds;
+ *    runtime CPU check on x86-64 builds.  After aligning to 8 bytes it
+ *    runs each 3 x 8 KiB chunk, then each 3 x 256 B chunk, as three
+ *    independent chains (the instruction has a three-cycle latency and
+ *    a one-cycle throughput), then single words and bytes.  A CRC
+ *    register is affine over GF(2), reg(A || B, init) =
+ *    shift(reg(A, init), |B|) ^ reg(B, 0), so each chain is folded into
+ *    the next through a compile-time table that advances a register
+ *    past one stream's length of zero bytes;
  *  - a slice-by-8 table version, always compiled: the reference the
  *    tests hold the instruction path to, the path on other CPUs, and the
  *    only path when FINGRAV_SIMD_SCALAR is defined

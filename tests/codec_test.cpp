@@ -10,7 +10,9 @@
  * the framing with truncation, corruption and a foreign version, all of
  * which must fail with support::FatalError rather than decode garbage.
  * The frame checksum, CRC-32C, is held to known answers and its SSE4.2
- * instruction path to the table path it must equal bit for bit.
+ * instruction path to the table path it must equal bit for bit; encode's
+ * size pass is held to the bytes it writes, and the borrowed cache entry
+ * to the owning one.
  */
 
 #include <bit>
@@ -490,6 +492,54 @@ TEST(Codec, ColumnarRoundTripPreservesBitmapAcrossWordBoundaries)
     }
 }
 
+// ---- one-allocation encode: the size pass and the borrowed entry ----------
+
+namespace {
+
+/** The size pass counts exactly the bytes encode writes. */
+template <typename T>
+void
+expectSizePassExact(const T& value, const char* what)
+{
+    EXPECT_EQ(codec::encodedSize(value), codec::encode(value).size())
+        << what;
+}
+
+}  // namespace
+
+TEST(Codec, SizePassAndBorrowedEntryMatchEncode)
+{
+    fs::Rng rng(64);
+    const auto cfg = fingrav::sim::mi300xConfig();
+    auto every_optional = randomSpec(rng);
+    every_optional.opts.runs_override = 12;
+    every_optional.opts.margin_override = 0.1;
+    every_optional.opts.target_bin = fs::Duration::micros(140);
+    expectSizePassExact(every_optional, "spec with every optional set");
+    expectSizePassExact(fc::ProfileSet{}, "empty set");
+    expectSizePassExact(cfg, "machine config");
+    expectSizePassExact(std::uint32_t{7}, "shard-done count");
+    expectSizePassExact(std::string("worker diagnostic"), "worker error");
+    // Every payload the wire goldens pin, over randomized contents; the
+    // borrowed cache entry encodes exactly as the owning one.
+    for (int i = 0; i < 20; ++i) {
+        const auto spec = randomSpec(rng);
+        const auto set = i == 0 ? fc::ProfileSet{} : randomSet(rng);
+        const std::string key = codec::cacheKey(spec, cfg);
+        expectSizePassExact(spec, "spec");
+        expectSizePassExact(set, "set");
+        expectSizePassExact(
+            codec::ShardRequest{cfg, {{3, spec}, {9, every_optional}}},
+            "shard request");
+        expectSizePassExact(codec::ShardResult{3, set}, "shard result");
+        expectSizePassExact(codec::CacheEntry{key, set}, "cache entry");
+        expectSizePassExact(codec::CacheEntryView{key, set},
+                            "borrowed cache entry");
+        EXPECT_EQ(codec::encode(codec::CacheEntryView{key, set}),
+                  codec::encode(codec::CacheEntry{key, set}));
+    }
+}
+
 // ---- v4 frame checksum: CRC-32C ------------------------------------------
 
 namespace {
@@ -568,9 +618,34 @@ TEST(Crc32c, HardwareMatchesTableAtEveryLengthAndOffset)
                 << "offset " << offset << ", length " << len;
         }
     }
-    const auto big = randomBytes(rng, std::size_t{1} << 20);
-    EXPECT_EQ(fs::crc32cHardware(big.data(), big.size()),
-              fs::crc32cTable(big.data(), big.size()));
+    // The three-chain chunk edges (3 x 256 B and 3 x 8 KiB), alone, one
+    // after the other and twice over, each +- one word at every offset.
+    constexpr std::size_t kShort = 3 * 256;
+    constexpr std::size_t kLong = 3 * 8192;
+    std::vector<std::size_t> edges;
+    for (const std::size_t edge : {kShort, kLong, kLong + kShort}) {
+        for (std::size_t len = edge - 8; len <= edge + 8; ++len)
+            edges.push_back(len);
+    }
+    edges.push_back(2 * kLong + 5);
+    const auto chunked = randomBytes(rng, 2 * kLong + 5 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (const std::size_t len : edges) {
+            const std::uint8_t* p = chunked.data() + offset;
+            const std::uint32_t want = fs::crc32cTable(p, len);
+            ASSERT_EQ(fs::crc32cHardware(p, len), want)
+                << "offset " << offset << ", length " << len;
+            ASSERT_EQ(fs::crc32c(p, len), want)
+                << "offset " << offset << ", length " << len;
+        }
+    }
+    for (const std::size_t len :
+         {std::size_t{1} << 20, (std::size_t{3} << 20) + 13}) {
+        const auto big = randomBytes(rng, len);
+        const std::uint32_t want = fs::crc32cTable(big.data(), big.size());
+        EXPECT_EQ(fs::crc32cHardware(big.data(), big.size()), want) << len;
+        EXPECT_EQ(fs::crc32c(big.data(), big.size()), want) << len;
+    }
 }
 
 TEST(Codec, FrameChecksumIsZeroExtendedCrc32c)

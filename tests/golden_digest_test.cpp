@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -545,4 +546,24 @@ TEST(GoldenDigest, WireAndCacheKeyBytes)
         }
         EXPECT_EQ(d, kWireGolden[i].digest) << kWireGolden[i].name;
     }
+
+    // The blob CampaignCache::store writes (from the borrowed key and
+    // set) is the pinned cache-entry frame, and a memory-only store
+    // weighs its entry at that blob's size without writing it.
+    fingrav::testing::TempDir dir("fingrav_golden");
+    fc::CacheOptions disk_opts;
+    disk_opts.dir = dir.path();
+    fc::CampaignCache disk(disk_opts);
+    disk.store(spec, cfg, set);
+    std::ifstream in(fc::CampaignCache::entryPath(dir.path(), key),
+                     std::ios::binary);
+    const std::vector<std::uint8_t> blob(std::istreambuf_iterator<char>(in),
+                                         {});
+    const auto& frame_row = kWireGolden[6];
+    ASSERT_STREQ(frame_row.name, "cache-entry-frame");
+    EXPECT_EQ(digest(blob), frame_row.digest);
+    fc::CampaignCache memory_only;
+    memory_only.store(spec, cfg, set);
+    EXPECT_EQ(disk.stats().memory_bytes, blob.size());
+    EXPECT_EQ(memory_only.stats().memory_bytes, blob.size());
 }
