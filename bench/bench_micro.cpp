@@ -13,7 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "analysis/report.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/time_sync.hpp"
 #include "kernels/workloads.hpp"
@@ -24,7 +24,6 @@
 #include "support/rng.hpp"
 #include "support/time_types.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
@@ -79,8 +78,8 @@ BENCHMARK(BM_PolyFitDegree4)->Range(64, 16384);
 static void
 BM_TimestampTranslation(benchmark::State& state)
 {
-    an::Campaign campaign(1);
-    auto sync = fc::TimeSync::calibrate(campaign.host());
+    fc::CampaignNode node({"CB-2K-GEMM", 1}, sim::mi300xConfig());
+    auto sync = fc::TimeSync::calibrate(node.host());
     std::int64_t counter = 123456789;
     for (auto _ : state) {
         benchmark::DoNotOptimize(sync.gpuCounterToCpuNs(counter));
@@ -140,16 +139,18 @@ BM_EndToEndSmallCampaign(benchmark::State& state)
 {
     // A complete 9-step FinGraV campaign (reduced run count) per
     // iteration: the real-world cost of profiling one kernel.
+    // The unlabeled GEMM profiles on the node of the CB-2K-GEMM label it
+    // matches.
+    const auto cfg = sim::mi300xConfig();
     std::uint64_t seed = 100;
     for (auto _ : state) {
         fc::ProfilerOptions opts;
         opts.runs_override = 20;
         opts.collect_extra_runs = false;
-        an::Campaign campaign(seed++);
-        const auto cfg = campaign.config();
+        fc::CampaignNode node({"CB-2K-GEMM", seed++, opts}, cfg);
         benchmark::DoNotOptimize(
-            campaign.profiler(opts).profile(
-                fk::makeSquareGemm(2048, cfg)));
+            fc::Profiler(node.host(), opts, node.profilerRng())
+                .profile(fk::makeSquareGemm(2048, cfg)));
     }
 }
 BENCHMARK(BM_EndToEndSmallCampaign)->Unit(benchmark::kMillisecond);

@@ -118,22 +118,26 @@ main()
          (util_ratio < 0.62 && xcd_ratio > 0.72) ? "ok" : "MISMATCH"});
 
     // --- takeaway #5 ------------------------------------------------------
+    // Each interleaved campaign runs on a fresh node of its own.
     fc::ProfilerOptions iopts;
     iopts.runs_override = 120;
-    an::Campaign up(seed++);
-    const auto cb2k_after_cb = up.profiler(iopts).profileInterleaved(
-        fk::kernelByLabel("CB-2K-GEMM", cfg),
+    const auto interleaved = [&](const std::string& label,
+                                 const std::vector<fc::InterleaveItem>& prelude,
+                                 std::size_t blocks_per_run) {
+        const fc::ScenarioSpec spec{label, seed++, iopts};
+        fc::CampaignNode node(spec, cfg);
+        return fc::Profiler(node.host(), spec.opts, node.profilerRng())
+            .profileInterleaved(node.kernel(), prelude, blocks_per_run);
+    };
+    const auto cb2k_after_cb = interleaved(
+        "CB-2K-GEMM",
         {{fk::kernelByLabel("CB-8K-GEMM", cfg), 1},
          {fk::kernelByLabel("CB-4K-GEMM", cfg), 1}},
         6);
-    an::Campaign down(seed++);
-    const auto cb2k_after_mb = down.profiler(iopts).profileInterleaved(
-        fk::kernelByLabel("CB-2K-GEMM", cfg),
-        {{fk::kernelByLabel("MB-4K-GEMV", cfg), 40}}, 6);
-    an::Campaign big(seed++);
-    const auto cb8k_after_cb = big.profiler(iopts).profileInterleaved(
-        fk::kernelByLabel("CB-8K-GEMM", cfg),
-        {{fk::kernelByLabel("CB-2K-GEMM", cfg), 60}}, 4);
+    const auto cb2k_after_mb = interleaved(
+        "CB-2K-GEMM", {{fk::kernelByLabel("MB-4K-GEMV", cfg), 40}}, 6);
+    const auto cb8k_after_cb = interleaved(
+        "CB-8K-GEMM", {{fk::kernelByLabel("CB-2K-GEMM", cfg), 60}}, 4);
     const double up_shift =
         fc::interleavingShiftPct(cb2k_after_cb, sets.at("CB-2K-GEMM"));
     const double down_shift =

@@ -19,14 +19,13 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/report.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/outlier.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
 #include "support/statistics.hpp"
 #include "support/table.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
@@ -39,11 +38,11 @@ main()
 
     // --- Part 1: the outlier bin ------------------------------------------
     std::cout << "Part 1 - profiling the outlier execution-time bin\n";
-    an::Campaign campaign(61);
     fc::ProfilerOptions opts;
     opts.runs_override = 150;
-    fc::OutlierProfiler outlier_profiler(
-        campaign.host(), opts, campaign.host().simulation().forkRng(8));
+    fc::CampaignNode campaign({"CB-4K-GEMM", 61, opts}, cfg);
+    fc::OutlierProfiler outlier_profiler(campaign.host(), opts,
+                                         campaign.profilerRng());
     const auto result = outlier_profiler.profile(kernel);
 
     if (!result.outlier_found) {
@@ -90,12 +89,15 @@ main()
     std::uint64_t seed = 62;
     for (const auto& k : std::vector<fk::KernelModelPtr>{
              kernel, first_half, second_half}) {
-        an::Campaign c(seed++);
-        const auto set = c.profiler(phase_opts).profile(k);
+        // A half has no label of its own: every campaign runs on the node
+        // of the CB-4K-GEMM label the halves wrap.
+        fc::CampaignNode c({"CB-4K-GEMM", seed++, phase_opts}, cfg);
+        const auto set =
+            fc::Profiler(c.host(), phase_opts, c.profilerRng()).profile(k);
         // Execution-time variation within the golden bin, from the
         // stitched LOI population's run-relative spread: re-probe with a
         // light timing-only pass for a clean CV.
-        fc::RunExecutor exec(c.host(), c.host().simulation().forkRng(9));
+        fc::RunExecutor exec(c.host(), c.simulation().forkRng(9));
         fc::RunPlan plan;
         plan.main = k;
         plan.main_execs_per_block = 6;

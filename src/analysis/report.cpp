@@ -11,28 +11,6 @@
 
 namespace fingrav::analysis {
 
-Campaign::Campaign(std::uint64_t seed, std::size_t devices,
-                   const sim::MachineConfig& cfg)
-    : cfg_(cfg),
-      sim_(std::make_unique<sim::Simulation>(cfg, seed, devices)),
-      host_(std::make_unique<runtime::HostRuntime>(*sim_,
-                                                   sim_->forkRng(7)))
-{
-}
-
-core::Profiler
-Campaign::profiler(core::ProfilerOptions opts)
-{
-    return core::Profiler(*host_, opts, sim_->forkRng(8));
-}
-
-core::ProfileSet
-Campaign::run(const kernels::KernelModelPtr& kernel,
-              core::ProfilerOptions opts)
-{
-    return profiler(opts).profile(kernel);
-}
-
 std::vector<core::ScenarioSpec>
 fig10ScenarioSet(std::size_t runs, bool with_contended)
 {

@@ -11,49 +11,15 @@
  * external replotting under ./fingrav_out/.
  */
 
-#include <memory>
+#include <cstddef>
 #include <string>
+#include <vector>
 
-#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/recorded_campaign.hpp"
-#include "kernels/kernel_model.hpp"
-#include "runtime/host_runtime.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
-#include "support/rng.hpp"
+#include "fingrav/scenario.hpp"
 
 namespace fingrav::analysis {
-
-/** A fresh node + runtime bundle for one profiling campaign. */
-class Campaign {
-  public:
-    /**
-     * @param seed     Root seed (campaigns are bit-reproducible).
-     * @param devices  GPUs to instantiate (0 = full node).
-     * @param cfg      Machine description (default: calibrated MI300X).
-     */
-    explicit Campaign(std::uint64_t seed, std::size_t devices = 1,
-                      const sim::MachineConfig& cfg = sim::mi300xConfig());
-
-    /** The runtime to hand to profilers. */
-    runtime::HostRuntime& host() { return *host_; }
-
-    /** The machine description. */
-    const sim::MachineConfig& config() const { return cfg_; }
-
-    /** Build a profiler over this campaign's runtime. */
-    core::Profiler profiler(core::ProfilerOptions opts = {});
-
-    /** Run a full default-methodology campaign for one kernel. */
-    core::ProfileSet run(const kernels::KernelModelPtr& kernel,
-                         core::ProfilerOptions opts = {});
-
-  private:
-    sim::MachineConfig cfg_;
-    std::unique_ptr<sim::Simulation> sim_;
-    std::unique_ptr<runtime::HostRuntime> host_;
-};
 
 /**
  * The nine-kernel Fig. 10 campaign set (bench_fig10's labels and seed

@@ -9,7 +9,8 @@ namespace fingrav::core {
 
 ExecutionBinner::ExecutionBinner(double margin) : margin_(margin)
 {
-    if (margin < 0.0 || margin > 0.5)
+    // Written so that NaN (from the wire or a sweep point) is rejected.
+    if (!(margin >= 0.0 && margin <= 0.5))
         support::fatal("ExecutionBinner: margin ", margin,
                        " outside [0, 0.5]");
 }

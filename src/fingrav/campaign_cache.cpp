@@ -75,12 +75,7 @@ CampaignCache::CampaignCache(CacheOptions opts)
 std::string
 CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 {
-    // advance_threads only places device stepping on threads (results are
-    // bit-identical for every value), so it must not split the key: it is
-    // encoded as 1, the default, and default-config keys keep their bytes.
-    sim::MachineConfig shaping = cfg;
-    shaping.advance_threads = 1;
-    return fscodec::cacheKey(spec, shaping);
+    return fscodec::cacheKey(spec, cfg);
 }
 
 std::uint64_t

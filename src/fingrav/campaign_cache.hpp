@@ -12,8 +12,7 @@
  * every such pair a canonical byte string, so a campaign result is
  * content-addressable:
  *
- *     key  = canonical_bytes(codec::kVersion, ScenarioSpec, MachineConfig
- *                            with advance_threads = 1)
+ *     key  = canonical_bytes(codec::kVersion, ScenarioSpec, MachineConfig)
  *     hash = FNV-1a-64(key)
  *
  * CampaignCache maps that key to the resulting ProfileSet through two
@@ -127,8 +126,8 @@ class CampaignCache {
 
     /**
      * The canonical content key: codec version + ScenarioSpec +
-     * MachineConfig, in canonical codec bytes, with the placement-only
-     * advance_threads encoded as 1 so every thread count shares one key.
+     * MachineConfig, in canonical codec bytes.  Every field of both
+     * shapes the result, so every field splits the key.
      */
     static std::string key(const ScenarioSpec& spec,
                            const sim::MachineConfig& cfg);

@@ -24,10 +24,9 @@
  * Determinism contract:
  *  - a campaign's entire trajectory is a pure function of (spec, machine
  *    config): Simulation(cfg, seed) owns the root RNG; the runtime forks
- *    stream 7, the profiler stream 8 and the background channel stream 9,
- *    exactly as the serial analysis::Campaign always did (plus the
- *    channel), so runner results replicate the legacy per-campaign loops
- *    bitwise when the scenario has no background;
+ *    stream 7, the profiler stream 8 and the background channel stream 9
+ *    (CampaignNode), and the node steps serially on the thread that runs
+ *    the campaign;
  *  - the backend only decides *where* a campaign executes, never what
  *    it sees: specs never share a Simulation, a device, a logger or an
  *    Rng (the ExecutionBackend admissibility contract).
@@ -60,9 +59,12 @@ namespace fingrav::core {
  * resolved kernel, auto device count (full node for collectives, enough
  * devices for the background loads, 1 GPU otherwise), runtime RNG = root
  * stream 7, profiler RNG = root stream 8 (profilerRng()), background
- * channel = root stream 9 — mirroring analysis::Campaign exactly for
- * background-free scenarios.  Both CampaignRunner::runOne and
- * RecordedCampaign::record build on it, so the live and recorded
+ * channel = root stream 9, which arms nothing for a background-free
+ * scenario.  A single-GPU compute label therefore builds exactly
+ * Simulation(cfg, seed, 1) with HostRuntime(sim, sim.forkRng(7)), so a
+ * caller may also profile an explicit kernel (a PhaseSlice, an unlabeled
+ * GEMM) on the node of the label it wraps.  Both CampaignRunner::runOne
+ * and RecordedCampaign::record build on it, so the live and recorded
  * pipelines cannot drift apart.
  */
 class CampaignNode {

@@ -410,8 +410,8 @@ fields(Is<sim::MachineConfig> auto& c, auto&& f)
              c.fabric_link_bandwidth, c.boost_frequency_hz,
              c.nominal_frequency_hz, c.idle_frequency_hz, c.timestamp_tick,
              c.gpu_clock_drift_ppm, c.power_step, c.idle_step,
-             c.advance_threads, c.logger_window, c.logger_noise_w,
-             c.launch_overhead, c.sync_overhead, c.timestamp_read_delay,
+             c.logger_window, c.logger_noise_w, c.launch_overhead,
+             c.sync_overhead, c.timestamp_read_delay,
              c.timestamp_read_jitter, c.exec_time_sigma,
              c.outlier_run_probability, c.outlier_slowdown_min,
              c.outlier_slowdown_max, c.power, c.dvfs, c.thermal);

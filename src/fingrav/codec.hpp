@@ -80,8 +80,11 @@ inline constexpr std::uint32_t kMagic = 0x56524746u;
  * header's 8-byte field, instead of FNV-1a-64.  Payload layouts are
  * unchanged; a v3 peer is refused at the version check, and v3 cache
  * blobs live at other addresses (the cache key embeds kVersion).
+ * v5: MachineConfig loses its node-stepping thread budget (a node now
+ * steps serially), so every encoded config is eight bytes shorter.
+ * Other payload layouts are unchanged.
  */
-inline constexpr std::uint16_t kVersion = 4;
+inline constexpr std::uint16_t kVersion = 5;
 
 /** Frame payload types. */
 enum class FrameType : std::uint16_t {

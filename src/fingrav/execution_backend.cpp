@@ -1,7 +1,6 @@
 #include "fingrav/execution_backend.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -50,30 +49,6 @@ ExecutionBackend::commitCache(CacheConsult& consult,
     }
 }
 
-sim::MachineConfig
-ExecutionBackend::capAdvanceThreads(const sim::MachineConfig& cfg,
-                                    std::size_t workers) const
-{
-    sim::MachineConfig effective = cfg;
-    const std::size_t advance = std::max<std::size_t>(1, cfg.advance_threads);
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0 && workers * advance > hw) {
-        const std::size_t cap = std::max<std::size_t>(1, hw / workers);
-        if (cap < advance) {
-            static std::once_flag warned;
-            std::call_once(warned, [&] {
-                support::warn(name(), " backend: ", workers, " campaign "
-                              "workers x ", advance, " advance threads "
-                              "exceed ", hw, " hardware threads; capping "
-                              "per-campaign advance threads at ", cap,
-                              " (results unchanged)");
-            });
-            effective.advance_threads = cap;
-        }
-    }
-    return effective;
-}
-
 ThreadPoolBackend::ThreadPoolBackend(std::size_t threads) : threads_(threads)
 {
     if (threads_ == 0) {
@@ -107,13 +82,12 @@ ThreadPoolBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
             results[i] = CampaignRunner::runOne(specs[i], cfg);
         return results;
     }
-    const sim::MachineConfig effective = capAdvanceThreads(cfg, workers);
     // Campaigns are hermetic, so the pool only decides where each one
     // executes; every result lands in its spec's slot regardless of
     // completion order.
     support::ThreadPool pool(workers);
     pool.parallelFor(specs.size(), [&](std::size_t i) {
-        results[i] = CampaignRunner::runOne(specs[i], effective);
+        results[i] = CampaignRunner::runOne(specs[i], cfg);
     });
     return results;
 }

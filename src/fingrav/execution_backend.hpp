@@ -13,8 +13,8 @@
  * explicit: the runner owns the contract, a backend owns placement.
  *
  *  - ThreadPoolBackend: the classic in-process path — specs fanned over
- *    a support::ThreadPool, one fresh node per campaign, with the
- *    nested-oversubscription guard capping per-campaign advance threads.
+ *    a support::ThreadPool, one fresh node per campaign, each node
+ *    stepped serially on the thread that runs its campaign.
  *
  *  - FleetBackend (fingrav/worker_fleet.hpp): specs pulled one at a time
  *    by resident worker *processes* over the codec wire format, with an
@@ -93,26 +93,11 @@ class ExecutionBackend {
                      std::vector<ProfileSet>&& executed,
                      const sim::MachineConfig& cfg) const;
 
-    /**
-     * Nested-oversubscription guard: `workers` concurrent campaigns
-     * (threads or processes) each step their node with
-     * cfg.advance_threads threads.  When the product exceeds the
-     * hardware, the returned config caps per-campaign advance threads at
-     * max(1, hw / workers) and a one-time warning says so.  Node stepping
-     * is bit-identical for any advance thread count, so the cap only
-     * relocates work — results are unchanged.
-     */
-    sim::MachineConfig capAdvanceThreads(const sim::MachineConfig& cfg,
-                                         std::size_t workers) const;
-
   private:
     std::shared_ptr<CampaignCache> cache_;
 };
 
-/**
- * The in-process placement: campaigns fanned over a support::ThreadPool,
- * per-campaign advance threads capped by capAdvanceThreads().
- */
+/** The in-process placement: campaigns fanned over a support::ThreadPool. */
 class ThreadPoolBackend final : public ExecutionBackend {
   public:
     /**

@@ -16,8 +16,9 @@
  * duty-cycle scheduling.  The campaign engine (CampaignNode,
  * CampaignRunner, RecordedCampaign) builds nodes from scenarios; the
  * classic isolated campaign is simply a scenario with an empty
- * background list and replicates the analysis::Campaign trajectory
- * bitwise (tests/scenario_test.cpp).
+ * background list, whose node is bitwise the hand-built
+ * Simulation + HostRuntime + Profiler of streams 7 and 8
+ * (tests/scenario_test.cpp).
  *
  * Determinism: background launches are driven by the runtime's
  * background channel off a dedicated root-RNG stream (stream 9; the

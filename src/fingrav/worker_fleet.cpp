@@ -269,12 +269,6 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     for (const auto& [cost, slot] : ranked)
         queue.push_back(slot);
 
-    // The shipped config must not depend on scheduling decisions, so the
-    // cap derives from the fleet size the dispatch *could* use, never
-    // from the retry path.
-    const sim::MachineConfig effective = capAdvanceThreads(
-        cfg, std::min(fleet_.size(), std::max<std::size_t>(queue.size(), 1)));
-
     // Acquire: probe residents that survived the previous dispatch —
     // one that died in between must not be trusted with a request.
     const std::size_t want = std::min(fleet_.size(), queue.size());
@@ -314,7 +308,7 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         SeatState& state = seats[seat];
         state.slot = slot;
         state.delivered = false;
-        const codec::ShardRequest request{effective, {{slot, specs[slot]}}};
+        const codec::ShardRequest request{cfg, {{slot, specs[slot]}}};
         const auto wire = codec::encodeFrame(codec::FrameType::kShardRequest,
                                              codec::encode(request));
         if (!runtime::writeAll(fleet_.writeFd(seat), wire.data(),

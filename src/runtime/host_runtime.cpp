@@ -199,13 +199,6 @@ HostRuntime::synchronizeAll()
         synchronizeImpl(d, /*pump_background=*/false);
 }
 
-void
-HostRuntime::advanceAllDevices()
-{
-    pumpBackground(cpu_now_);
-    sim_.advanceAllTo(cpu_now_);
-}
-
 HostTiming
 HostRuntime::timedRun(const sim::KernelWork& work, std::size_t device)
 {

@@ -112,12 +112,6 @@ class HostRuntime {
     void synchronizeAll();
 
     /**
-     * Catch every device up to the host present in one batched loop —
-     * node-scale sweeps use this instead of per-device catch-up calls.
-     */
-    void advanceAllDevices();
-
-    /**
      * Launch + synchronize with CPU-side timing instrumentation — the
      * paper's step-2 "timing the kernel start/end" measurement.  The
      * returned bounds carry launch/sync overhead and CPU timer noise, as

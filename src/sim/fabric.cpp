@@ -128,11 +128,9 @@ NodeFabric::distinctDemand(std::size_t exclude_device,
         return total;
     // Committed demands of the non-excluded devices, one contribution
     // per distinct transfer.  Copies of a transfer carry equal demand,
-    // so the first sighting stands in for the group.  The seen-list is
-    // per-thread scratch (devices price concurrently during an epoch)
-    // that keeps its capacity, so a call allocates nothing.
-    thread_local std::vector<std::uint64_t> seen;
-    seen.clear();
+    // so the first sighting stands in for the group.  The seen-list
+    // keeps its capacity, so a call allocates nothing.
+    seen_.clear();
     for (std::size_t j = 0; j < committed_.size(); ++j) {
         if (j == exclude_device)
             continue;
@@ -144,7 +142,7 @@ NodeFabric::distinctDemand(std::size_t exclude_device,
                     break;
                 }
             }
-            for (const auto g : seen) {
+            for (const auto g : seen_) {
                 if (g == d.group) {
                     skip = true;
                     break;
@@ -152,7 +150,7 @@ NodeFabric::distinctDemand(std::size_t exclude_device,
             }
             if (skip)
                 continue;
-            seen.push_back(d.group);
+            seen_.push_back(d.group);
             total += d.demand;
         }
     }

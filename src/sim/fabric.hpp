@@ -34,7 +34,6 @@
  * device advancement order-independent (docs/ARCHITECTURE.md).
  */
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -107,14 +106,12 @@ struct FabricDemand {
  * Simulation copies pending to the *committed* view at epoch barriers
  * (commit), comparing only the slots posted since the last commit and
  * bumping the epoch counter when anything changed.  Between commits the
- * committed view is immutable, so devices advancing in parallel read a
- * consistent snapshot and the result is bit-identical to serial
- * advancement in any order.
+ * committed view is immutable, so every device advancing within an epoch
+ * prices against the same snapshot and the result does not depend on
+ * the order devices advance in.
  *
- * Thread-safety contract (parallel node stepping): during an epoch each
- * device may call postDemand on its own slot, and sharedDemand / epoch /
- * noteRetired concurrently; allocGroup, noteSubmitted and commit are
- * host-thread-only, between epochs.
+ * Single-threaded by construction: a node steps on the thread that runs
+ * its campaign, so the arbiter shares nothing and locks nothing.
  */
 class NodeFabric {
   public:
@@ -133,18 +130,10 @@ class NodeFabric {
     std::uint64_t allocGroup() { return next_group_++; }
 
     /** A node-fabric kernel entered a device queue. */
-    void
-    noteSubmitted()
-    {
-        outstanding_.fetch_add(1, std::memory_order_relaxed);
-    }
+    void noteSubmitted() { ++outstanding_; }
 
-    /** A node-fabric kernel completed (callable from stepping threads). */
-    void
-    noteRetired()
-    {
-        outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    /** A node-fabric kernel completed. */
+    void noteRetired() { --outstanding_; }
 
     /**
      * True while any node-fabric kernel is queued or running anywhere,
@@ -152,12 +141,7 @@ class NodeFabric {
      * per-device synchronization through the coupled node stepper while
      * this holds.
      */
-    bool
-    coupled() const
-    {
-        return outstanding_.load(std::memory_order_relaxed) > 0 ||
-               injected_;
-    }
+    bool coupled() const { return outstanding_ > 0 || injected_; }
 
     /** Replace `device`'s pending demand list (its running transfers). */
     void postDemand(std::size_t device,
@@ -210,16 +194,17 @@ class NodeFabric {
     std::optional<FabricModel> model_;
     std::size_t devices_ = 0;  ///< device slot count (slot devices_ = injection)
     std::vector<std::vector<FabricDemand>> pending_;
-    /** Slots posted since the last commit.  One byte per slot (not
-     *  vector<bool>): devices set their own flags concurrently. */
+    /** Slots posted since the last commit. */
     std::vector<char> posted_;
     std::vector<std::vector<FabricDemand>> committed_;
     /** Distinct transfer ids in the committed view. */
     std::vector<std::uint64_t> committed_groups_;
     std::uint64_t epoch_ = 0;
     std::uint64_t next_group_ = 1;
-    std::atomic<std::int64_t> outstanding_{0};
+    std::int64_t outstanding_ = 0;
     bool injected_ = false;  ///< host-injected demand pending/active
+    /** distinctDemand's seen-list; keeps its capacity across calls. */
+    mutable std::vector<std::uint64_t> seen_;
 };
 
 }  // namespace fingrav::sim

@@ -69,14 +69,6 @@ struct MachineConfig {
     /** Floor of the thermal-feedback stretch cap (sim/gpu_device.cpp). */
     support::Duration idle_step = support::Duration::micros(50.0);
 
-    /**
-     * Thread budget of Simulation::advanceAllTo / advanceAllUntilIdle
-     * (including the calling thread); 1 = serial.  Devices are advanced
-     * concurrently between fabric epochs; results are bit-identical to the
-     * serial path for any value (docs/ARCHITECTURE.md).
-     */
-    std::size_t advance_threads = 1;
-
     /** Default averaging window of the on-GPU power logger (paper: 1 ms). */
     support::Duration logger_window = support::Duration::millis(1.0);
 

@@ -16,10 +16,11 @@
  * same operands as the seconds-based expression it replaces, so a hit
  * returns exactly the double that expression gives, whatever the libm.
  *
- * The table is thread_local, so devices stepping on pool threads never
- * share a slot: there is nothing to lock and nothing to race.  Every slot
- * starts out holding the true entry (dt 0, tau 1, factor 1.0), so no slot
- * needs an "empty" marker that a key could alias.
+ * The table is thread_local, so campaigns stepping on different
+ * CampaignRunner pool threads never share a slot: there is nothing to
+ * lock and nothing to race.  Every slot starts out holding the true
+ * entry (dt 0, tau 1, factor 1.0), so no slot needs an "empty" marker
+ * that a key could alias.
  */
 
 #include <bit>

@@ -93,75 +93,4 @@ ThreadPool::parallelFor(std::size_t n,
         std::rethrow_exception(first_error_);
 }
 
-void
-ThreadPool::roundLoop(const std::function<std::size_t()>& leader,
-                      const std::function<void(std::size_t)>& fn)
-{
-    // One participant per pool thread (a worker-less pool runs the same
-    // rounds on the calling thread alone; serial callers loop in place).  Each participant loops over
-    // rounds: arrive at the barrier; the last arriver runs the leader
-    // section (exclusively, under the barrier mutex — everyone else is
-    // asleep) and opens the next round; then every participant claims
-    // items through the shared counter.  The barrier mutex orders item
-    // writes before the leader's reads, so device state mutated in round
-    // r is visible to the leader computing round r+1.
-    struct RoundState {
-        std::mutex m;
-        std::condition_variable cv;
-        std::size_t arrived = 0;
-        std::uint64_t round = 0;
-        std::size_t count = 0;
-        bool done = false;
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr error;
-    } st;
-    const std::size_t participants = threads();
-
-    parallelFor(participants, [&](std::size_t) {
-        std::uint64_t seen = 0;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lk(st.m);
-                if (++st.arrived == participants) {
-                    std::size_t n = 0;
-                    if (!st.error) {
-                        try {
-                            n = leader();
-                        } catch (...) {
-                            st.error = std::current_exception();
-                        }
-                    }
-                    st.count = n;
-                    st.done = (n == 0);
-                    st.next.store(0, std::memory_order_relaxed);
-                    st.arrived = 0;
-                    ++st.round;
-                    lk.unlock();
-                    st.cv.notify_all();
-                } else {
-                    st.cv.wait(lk, [&] { return st.round != seen; });
-                }
-            }
-            ++seen;
-            if (st.done)
-                return;
-            for (;;) {
-                const std::size_t i =
-                    st.next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= st.count)
-                    break;
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk(st.m);
-                    if (!st.error)
-                        st.error = std::current_exception();
-                }
-            }
-        }
-    });
-    if (st.error)
-        std::rethrow_exception(st.error);
-}
-
 }  // namespace fingrav::support

@@ -5,24 +5,18 @@
  * @file
  * Minimal persistent thread pool for data-parallel loops.
  *
- * Built for Simulation::advanceAllTo's parallel node stepping: between
- * fabric epochs every device advances independently, so the per-epoch work
- * is a parallelFor over devices.  Epochs are frequent (every collective
- * start/completion), which rules out spawning threads per call — workers
- * are created once and woken per job with a generation-counted barrier.
+ * Built for campaign-level placement: ThreadPoolBackend fans independent
+ * campaigns over one pool with parallelFor, each campaign stepping its
+ * own node on the thread that claimed it.  Workers are created once and
+ * woken per job with a generation-counted barrier.
  *
  * Work items are claimed through a shared atomic counter, so the
  * *assignment* of items to threads is non-deterministic — callers must
  * only submit items that are independent and deterministic in isolation
- * (true for device advancement: each device touches only its own state
- * plus read-only shared state).  Exceptions thrown by items are captured
- * and the first one is rethrown on the calling thread after the barrier.
- *
- * roundLoop() extends the same contract to leader-coordinated epoch
- * loops: one dispatch runs an arbitrary number of rounds, with a serial
- * leader section between rounds, so per-epoch work no longer pays the
- * full job submission/wake handshake (the PR-2 follow-up: batch fabric
- * epochs per dispatch).
+ * (true for hermetic campaigns: each owns its node and every RNG stream
+ * and writes only its own result slot).  Exceptions thrown by items are
+ * captured and the first one is rethrown on the calling thread after the
+ * barrier.
  */
 
 #include <atomic>
@@ -60,24 +54,6 @@ class ThreadPool {
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)>& fn);
-
-    /**
-     * Leader-coordinated round loop in a single pool dispatch.
-     *
-     * Repeats rounds until the leader ends the loop: `leader()` runs
-     * exclusively on one thread (with all items of the previous round
-     * complete and visible) and returns the item count of the next round
-     * — 0 ends the loop; then `fn(i)` runs for i in [0, count) distributed
-     * over the pool.  Equivalent to `while ((n = leader())) parallelFor(n,
-     * fn)` but workers stay engaged across rounds instead of being woken
-     * and collected per round, which is what makes fine-grained fabric
-     * epochs affordable (sim::Simulation::advanceAllTo).
-     *
-     * Blocks until the loop ends; rethrows the first exception thrown by
-     * `leader` or `fn` (remaining rounds are abandoned).
-     */
-    void roundLoop(const std::function<std::size_t()>& leader,
-                   const std::function<void(std::size_t)>& fn);
 
   private:
     void workerMain();

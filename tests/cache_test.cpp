@@ -11,8 +11,7 @@
  *    instance over the same store serves disk hits) and is shared
  *    between backends and with worker processes;
  *  - the content key separates every input that can change a result
- *    (spec fields, machine config) — near-miss lookups never collide —
- *    and nothing that only places work (advance_threads);
+ *    (spec fields, machine config) — near-miss lookups never collide;
  *  - the memory tier honours its byte bound via LRU eviction.
  *
  * The worker binary is the real `fingrav_cli --serve`, resolved via
@@ -364,7 +363,6 @@ const KeyMutation kKeyMutations[] = {
     FINGRAV_FIELD(cfg.gpu_clock_drift_ppm),
     FINGRAV_FIELD(cfg.power_step),
     FINGRAV_FIELD(cfg.idle_step),
-    FINGRAV_FIELD(cfg.advance_threads),
     FINGRAV_FIELD(cfg.logger_window),
     FINGRAV_FIELD(cfg.logger_noise_w),
     FINGRAV_FIELD(cfg.launch_overhead),
@@ -414,13 +412,10 @@ const KeyMutation kKeyMutations[] = {
 
 }  // namespace
 
-TEST(CampaignCache, KeySeparatesEveryFieldButAdvanceThreads)
+TEST(CampaignCache, KeySeparatesEveryField)
 {
     // Every result-shaping input splits the key, and a near-miss lookup
-    // against a warm cache misses instead of colliding.  advance_threads
-    // only places device stepping on threads, so one campaign has one
-    // key on every host: a store written under 8 threads (or a capped
-    // worker count) serves a lookup at 1.
+    // against a warm cache misses instead of colliding.
     const KeyInputs base = richKeyInputs();
     const auto k0 = fc::CampaignCache::key(base.spec, base.cfg);
     TempDir dir("fingrav_cache");
@@ -436,9 +431,7 @@ TEST(CampaignCache, KeySeparatesEveryFieldButAdvanceThreads)
         KeyInputs in = base;
         m.mutate(in);
         const auto k = fc::CampaignCache::key(in.spec, in.cfg);
-        const bool placement_only =
-            std::string(m.field) == "cfg.advance_threads";
-        EXPECT_EQ(k == k0, placement_only) << m.field;
+        EXPECT_NE(k, k0) << m.field;
         // The mutated value survives the codec, so the key re-derives
         // from the decoded inputs.
         const auto spec = fc::codec::encode(in.spec);
@@ -448,21 +441,9 @@ TEST(CampaignCache, KeySeparatesEveryFieldButAdvanceThreads)
                       fc::codec::decode<fingrav::sim::MachineConfig>(cfg)),
                   k)
             << m.field;
-        EXPECT_EQ(warm.lookup(in.spec, in.cfg).has_value(), placement_only)
-            << m.field;
+        EXPECT_FALSE(warm.lookup(in.spec, in.cfg).has_value()) << m.field;
     }
     EXPECT_EQ(k0, fc::CampaignCache::key(base.spec, base.cfg));
-
-    KeyInputs at8 = base;
-    at8.cfg.advance_threads = 8;
-    fc::CampaignCache reader(copts);
-    const auto hit = reader.lookup(at8.spec, at8.cfg);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(fc::identicalProfileSets(*hit, stored));
-    EXPECT_EQ(reader.stats().disk_hits, 1u);
-    EXPECT_EQ(fc::CampaignCache::key(base.spec, fingrav::sim::mi300xConfig()),
-              fc::CampaignCache::key(base.spec, at8.cfg))
-        << "the default config's key must keep its bytes";
 }
 
 TEST(CampaignCache, MemoryTierHonoursByteBoundViaLru)

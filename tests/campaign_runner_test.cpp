@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/report.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/recorded_campaign.hpp"
 #include "kernels/workloads.hpp"
@@ -24,7 +23,6 @@
 #include "support/time_types.hpp"
 #include "tests/test_fixtures.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fs = fingrav::support;
 using namespace fingrav::support::literals;
@@ -72,28 +70,6 @@ TEST(CampaignRunner, SpecOrderDoesNotPerturbResults)
             forward[i], backward[specs.size() - 1 - i]))
             << specs[i].label;
     }
-}
-
-TEST(CampaignRunner, RunnerReplicatesAnalysisCampaignStreams)
-{
-    // runOne mirrors analysis::Campaign construction (runtime rng stream
-    // 7, profiler stream 8), so the ported benches reproduce the exact
-    // pre-runner numbers.
-    fc::ProfilerOptions opts;
-    opts.runs_override = 12;
-    opts.collect_extra_runs = false;
-
-    an::Campaign legacy(91);
-    const auto expected = legacy.run(
-        fingrav::kernels::kernelByLabel("CB-2K-GEMM", legacy.config()),
-        opts);
-
-    fc::ScenarioSpec spec;
-    spec.label = "CB-2K-GEMM";
-    spec.seed = 91;
-    spec.opts = opts;
-    const auto actual = fc::CampaignRunner::runOne(spec);
-    EXPECT_TRUE(fc::identicalProfileSets(expected, actual));
 }
 
 TEST(RecordedCampaign, SweepReuseBitIdenticalToReExecution)

@@ -288,14 +288,14 @@ TEST(Codec, IdenticalProfileSetsIsBitwiseOverEveryField)
 TEST(Codec, MachineConfigRoundTripExact)
 {
     auto cfg = fingrav::sim::mi300xConfig();
-    cfg.advance_threads = 3;
+    cfg.node_gpus = 3;
     cfg.logger_noise_w = -0.0;  // sign bit must survive
     cfg.dvfs.boost_budget = fs::Duration::micros(1234.5);
     cfg.thermal.ambient_c = 17.25;
     const auto bytes = codec::encode(cfg);
     const auto decoded = codec::decode<fingrav::sim::MachineConfig>(bytes);
     EXPECT_EQ(bytes, codec::encode(decoded));
-    EXPECT_EQ(decoded.advance_threads, 3u);
+    EXPECT_EQ(decoded.node_gpus, 3u);
     EXPECT_EQ(std::signbit(decoded.logger_noise_w), true);
     EXPECT_EQ(decoded.dvfs.boost_budget, fs::Duration::micros(1234.5));
     EXPECT_EQ(decoded.thermal.ambient_c, 17.25);

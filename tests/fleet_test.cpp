@@ -656,6 +656,24 @@ TEST(FingravCli, TrailingJunkAfterListRejected)
     EXPECT_NE(output.find("usage:"), std::string::npos);
 }
 
+TEST(FingravCli, NonFiniteOrOutOfRangeNumbersExitWithUsage)
+{
+    // No number may be NaN or infinite, and a window must come out at
+    // 1 ns or more and fit Duration's int64 nanosecond count.  Each bad
+    // value is a usage error, never a silent fall-back to the 1 ms
+    // default or an unrepresentable float-to-integer cast.
+    const std::string profile = "profile CB-2K-GEMM --runs 4 --quiet ";
+    for (const char* window : {"nan", "inf", "0", "-1", "1e-9", "1e30"}) {
+        std::string output;
+        EXPECT_EQ(runCli(profile + "--window " + window, output), 2)
+            << window;
+        EXPECT_NE(output.find("usage:"), std::string::npos) << window;
+    }
+    std::string margin;
+    EXPECT_EQ(runCli(profile + "--margin nan", margin), 2);
+    EXPECT_NE(margin.find("usage:"), std::string::npos);
+}
+
 TEST(FingravCli, RetiredOneShotFlagsExitWithUsage)
 {
     // The fleet is the one process placement path: the one-shot

@@ -121,13 +121,13 @@ struct WireDigest {
 
 /** Codec bytes of pinnedSpec()/pinnedSet() on the default config. */
 const WireDigest kWireGolden[] = {
-    {"machine-config", 0xfa031d48ae9652bfull},
+    {"machine-config", 0xed1f90000f5aa6c2ull},
     {"scenario-spec", 0x8c61fb7bddf323d8ull},
-    {"cache-key", 0x974b3b9b0311513eull},
-    {"shard-request", 0x62e056120b136dd2ull},
+    {"cache-key", 0x3204ad994128c262ull},
+    {"shard-request", 0x041b2abb2d041467ull},
     {"shard-result", 0xedef9e3f12e41488ull},
-    {"cache-entry", 0xc843f12b187409b1ull},
-    {"cache-entry-frame", 0x5aea9bceca0052adull},
+    {"cache-entry", 0x7f8f55dac4b43755ull},
+    {"cache-entry-frame", 0x2bed0e97c5d2dc04ull},
     {"profile-set", 0x4a92ba7787f7b68full},
 };
 

@@ -609,17 +609,12 @@ TEST(ProfileSoa, StitchReferenceIdentityOnFig10Kernels)
 
 namespace {
 
-/**
- * One instrumented run on a 2-GPU node with multi-window capture,
- * executed under the given advance-thread count.  Everything else —
- * seeds, plan, delays — is identical, so the capture columns must be.
- */
+/** One instrumented run on a 2-GPU node with multi-window capture. */
 fc::RunRecord
-captureRun(std::size_t threads)
+captureRun()
 {
     auto cfg = sim::mi300xConfig();
     cfg.node_gpus = 2;
-    cfg.advance_threads = threads;
     sim::Simulation simulation(cfg, 6006, 2);
     rt::HostRuntime host(simulation, simulation.forkRng(3));
     fc::RunExecutor exec(host, simulation.forkRng(5));
@@ -633,42 +628,24 @@ captureRun(std::size_t threads)
     return exec.executeRun(plan, 0);
 }
 
-void
-expectSameColumns(const sim::SampleColumns& a, const sim::SampleColumns& b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(a == b);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_TRUE(a[i] == b[i]) << "row " << i;
-}
-
 }  // namespace
 
-TEST(ProfileSoa, CaptureColumnsBitIdenticalAcrossAdvanceThreads)
+TEST(ProfileSoa, CaptureColumnsFillEveryWindow)
 {
-    const auto serial = captureRun(1);
-    const auto two = captureRun(2);
-    const auto eight = captureRun(8);
+    const auto rec = captureRun();
 
     // The scenario must actually capture, in every window.
-    ASSERT_FALSE(serial.samples.empty());
-    ASSERT_EQ(serial.extra_samples.size(), 2u);
-    ASSERT_FALSE(serial.extra_samples[0].empty());
-    ASSERT_FALSE(serial.extra_samples[1].empty());
+    ASSERT_FALSE(rec.samples.empty());
+    ASSERT_EQ(rec.extra_samples.size(), 2u);
+    ASSERT_FALSE(rec.extra_samples[0].empty());
+    ASSERT_FALSE(rec.extra_samples[1].empty());
     // The finer extra window emits more rows than the coarser one.
-    EXPECT_GT(serial.extra_samples[0].size(), serial.extra_samples[1].size());
-
-    expectSameColumns(serial.samples, two.samples);
-    expectSameColumns(serial.samples, eight.samples);
-    for (std::size_t w = 0; w < serial.extra_samples.size(); ++w) {
-        expectSameColumns(serial.extra_samples[w], two.extra_samples[w]);
-        expectSameColumns(serial.extra_samples[w], eight.extra_samples[w]);
-    }
+    EXPECT_GT(rec.extra_samples[0].size(), rec.extra_samples[1].size());
 }
 
 TEST(ProfileSoa, SampleColumnsRowViewMatchesColumnsBitwise)
 {
-    const auto rec = captureRun(1);
+    const auto rec = captureRun();
     const auto& cols = rec.samples;
     ASSERT_FALSE(cols.empty());
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -237,6 +238,9 @@ TEST(Binner, MarginValidation)
 {
     EXPECT_THROW(fc::ExecutionBinner(-0.01), fs::FatalError);
     EXPECT_THROW(fc::ExecutionBinner(0.6), fs::FatalError);
+    EXPECT_THROW(
+        fc::ExecutionBinner(std::numeric_limits<double>::quiet_NaN()),
+        fs::FatalError);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
  * engine.
  *
  * Locks the properties the scenario refactor is only admissible with:
- *  - an isolated scenario replicates analysis::Campaign's construction
- *    bitwise (an isolated scenario IS the pre-scenario campaign);
+ *  - an isolated scenario replicates a hand-built node (root seed,
+ *    runtime stream 7, profiler stream 8) bitwise: an empty background
+ *    arms nothing;
  *  - scenario trajectories are deterministic — re-running a spec, and
  *    fanning a spec set over 1/2/8 runner threads, reproduce results
  *    bitwise (background launches ride a dedicated root-RNG stream);
@@ -30,6 +31,8 @@
 #include "fingrav/recorded_campaign.hpp"
 #include "fingrav/scenario.hpp"
 #include "kernels/workloads.hpp"
+#include "runtime/host_runtime.hpp"
+#include "sim/simulation.hpp"
 #include "support/logging.hpp"
 #include "support/time_types.hpp"
 
@@ -72,18 +75,20 @@ contendedCollective(std::uint64_t seed)
 
 }  // namespace
 
-TEST(Scenario, IsolatedScenarioReplicatesAnalysisCampaign)
+TEST(Scenario, IsolatedScenarioReplicatesHandBuiltNode)
 {
     fc::ProfilerOptions opts;
     opts.runs_override = 10;
     opts.collect_extra_runs = false;
 
-    // The pre-scenario construction (analysis::Campaign: runtime stream
-    // 7, profiler stream 8) is the reference trajectory.
-    an::Campaign reference(91);
-    const auto expected = reference.run(
-        fingrav::kernels::kernelByLabel("CB-2K-GEMM", reference.config()),
-        opts);
+    // The stream contract, built by hand: a 1-GPU node on the root seed,
+    // runtime stream 7, profiler stream 8.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    fingrav::sim::Simulation s(cfg, 91, 1);
+    fingrav::runtime::HostRuntime host(s, s.forkRng(7));
+    const auto expected =
+        fc::Profiler(host, opts, s.forkRng(8))
+            .profile(fingrav::kernels::kernelByLabel("CB-2K-GEMM", cfg));
 
     // An isolated scenario through the runner replicates it bitwise.
     fc::ScenarioSpec isolated;

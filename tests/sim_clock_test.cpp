@@ -1,17 +1,13 @@
 /**
  * @file
- * Tests for ClockDomain (affine clocks, drift, quantization) and
- * EventQueue (deterministic discrete-event core).
+ * Tests for ClockDomain: affine clocks, drift and counter quantization.
  */
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/clock_domain.hpp"
-#include "sim/event_queue.hpp"
 #include "support/logging.hpp"
 #include "support/time_types.hpp"
 
@@ -68,64 +64,5 @@ TEST(ClockDomain, CounterQuantization)
 TEST(ClockDomain, RejectsNonPositiveTick)
 {
     EXPECT_THROW(sim::ClockDomain(fs::Duration::nanos(0), 0.0, 0_ns),
-                 fs::FatalError);
-}
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    sim::EventQueue q;
-    std::vector<int> order;
-    q.schedule(fs::SimTime::fromNanos(300), [&] { order.push_back(3); });
-    q.schedule(fs::SimTime::fromNanos(100), [&] { order.push_back(1); });
-    q.schedule(fs::SimTime::fromNanos(200), [&] { order.push_back(2); });
-    const auto fired = q.runUntil(fs::SimTime::fromNanos(1000));
-    EXPECT_EQ(fired, 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.now().nanos(), 1000);
-}
-
-TEST(EventQueue, EqualTimesFireInInsertionOrder)
-{
-    sim::EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(fs::SimTime::fromNanos(50), [&order, i] { order.push_back(i); });
-    q.runUntil(fs::SimTime::fromNanos(50));
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, LimitIsInclusiveAndPartial)
-{
-    sim::EventQueue q;
-    int fired = 0;
-    q.schedule(fs::SimTime::fromNanos(10), [&] { ++fired; });
-    q.schedule(fs::SimTime::fromNanos(20), [&] { ++fired; });
-    q.runUntil(fs::SimTime::fromNanos(10));
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.nextTime().nanos(), 20);
-}
-
-TEST(EventQueue, EventsScheduledDuringRunAreHonoured)
-{
-    sim::EventQueue q;
-    std::vector<std::string> log;
-    q.schedule(fs::SimTime::fromNanos(10), [&] {
-        log.push_back("a");
-        q.schedule(fs::SimTime::fromNanos(15), [&] { log.push_back("b"); });
-        q.schedule(fs::SimTime::fromNanos(500), [&] { log.push_back("z"); });
-    });
-    q.runUntil(fs::SimTime::fromNanos(100));
-    EXPECT_EQ(log, (std::vector<std::string>{"a", "b"}));
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, SchedulingIntoThePastIsUserError)
-{
-    sim::EventQueue q;
-    q.schedule(fs::SimTime::fromNanos(10), [] {});
-    q.runUntil(fs::SimTime::fromNanos(50));
-    EXPECT_THROW(q.schedule(fs::SimTime::fromNanos(20), [] {}),
                  fs::FatalError);
 }

@@ -2,14 +2,16 @@
  * @file
  * Tests for the support core: logging severities, strong time types,
  * unit literals, the deterministic RNG, the exact decay memo, the fault
- * plan grammar and the degradation journal.
+ * plan grammar, the degradation journal and the thread pool.
  */
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "support/rng.hpp"
 #include "support/run_journal.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 #include "support/time_types.hpp"
 #include "support/units.hpp"
 
@@ -342,4 +345,50 @@ TEST(RunJournal, RecordsCountsAndReports)
     // Copies snapshot the events (the journal rides inside FleetStats).
     const fs::RunJournal copy = journal;
     EXPECT_EQ(copy.size(), 2u);
+}
+
+TEST(ThreadPool, RunsEveryItemExactlyOnce)
+{
+    fs::ThreadPool pool(4);
+    EXPECT_EQ(pool.threads(), 4u);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(hits.size(),
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ReusableAcrossJobs)
+{
+    fs::ThreadPool pool(3);
+    std::atomic<int> sum{0};
+    for (int round = 0; round < 50; ++round)
+        pool.parallelFor(10, [&](std::size_t) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 500);
+}
+
+TEST(ThreadPool, SerialFallbackAndEmptyJob)
+{
+    fs::ThreadPool pool(1);  // no workers: caller runs everything
+    EXPECT_EQ(pool.threads(), 1u);
+    int count = 0;
+    pool.parallelFor(5, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count, 5);
+    pool.parallelFor(0, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count, 5);
+}
+
+TEST(ThreadPool, PropagatesItemExceptions)
+{
+    fs::ThreadPool pool(4);
+    EXPECT_THROW(pool.parallelFor(64,
+                                  [](std::size_t i) {
+                                      if (i == 13)
+                                          throw std::runtime_error("boom");
+                                  }),
+                 std::runtime_error);
+    // The pool survives a throwing job.
+    std::atomic<int> ok{0};
+    pool.parallelFor(8, [&](std::size_t) { ok.fetch_add(1); });
+    EXPECT_EQ(ok.load(), 8);
 }

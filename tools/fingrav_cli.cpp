@@ -39,8 +39,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -217,11 +219,11 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
             try {
                 std::size_t parsed = 0;
                 const double out = std::stod(value, &parsed);
-                if (parsed != value.size())
+                if (parsed != value.size() || !std::isfinite(out))
                     throw std::invalid_argument(value);
                 return out;
             } catch (const std::exception&) {
-                std::cerr << "error: " << a << " needs a number, got '"
+                std::cerr << "error: " << a << " needs a finite number, got '"
                           << value << "'\n";
                 usage(argv0);
             }
@@ -231,8 +233,19 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
         } else if (a == "--margin") {
             out.profiler.margin_override = double_value();
         } else if (a == "--window") {
-            out.profiler.logger_window =
-                fs::Duration::millis(double_value());
+            // Duration::millis truncates ms * 1e6 to int64 nanoseconds:
+            // the window must come out at least 1 ns and fit that count.
+            const double ms = double_value();
+            const double ns = ms * 1e6;
+            if (!(ns >= 1.0 &&
+                  ns < static_cast<double>(
+                           std::numeric_limits<std::int64_t>::max()))) {
+                std::cerr << "error: --window must be at least 1e-6 ms (1 ns)"
+                             " and fit int64 nanoseconds, got '"
+                          << args[i] << "'\n";
+                usage(argv0);
+            }
+            out.profiler.logger_window = fs::Duration::millis(ms);
         } else if (a == "--seed") {
             out.seed = unsigned_value();
         } else if (a == "--sync") {
