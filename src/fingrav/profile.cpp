@@ -84,9 +84,8 @@ PowerProfile::addRow(double toi_us, double toi_frac, double run_time_us,
 
 void
 PowerProfile::appendTimelineRun(const sim::SampleColumns& samples,
-                                const std::int64_t* cpu_ns,
+                                const double* run_time_us,
                                 const std::uint8_t* contended,
-                                std::int64_t run_start_cpu_ns,
                                 std::size_t run_index)
 {
     const std::size_t n = samples.size();
@@ -94,12 +93,12 @@ PowerProfile::appendTimelineRun(const sim::SampleColumns& samples,
     const std::size_t total = base + n;
     toi_us_.resize(total, 0.0);
     toi_frac_.resize(total, 0.0);
-    run_time_us_.resize(total);
     run_index_.resize(total, static_cast<std::uint64_t>(run_index));
     exec_index_.resize(total, 0);
 
-    // The rail and timestamp columns already exist contiguously in the
-    // capture block — straight column-to-column bulk copies.
+    // The rail, timestamp and run-time columns already exist
+    // contiguously — straight column-to-column bulk copies.
+    run_time_us_.insert(run_time_us_.end(), run_time_us, run_time_us + n);
     gpu_timestamp_.insert(gpu_timestamp_.end(), samples.gpu_timestamp.begin(),
                           samples.gpu_timestamp.end());
     total_w_.insert(total_w_.end(), samples.total_w.begin(),
@@ -107,11 +106,6 @@ PowerProfile::appendTimelineRun(const sim::SampleColumns& samples,
     xcd_w_.insert(xcd_w_.end(), samples.xcd_w.begin(), samples.xcd_w.end());
     iod_w_.insert(iod_w_.end(), samples.iod_w.begin(), samples.iod_w.end());
     hbm_w_.insert(hbm_w_.end(), samples.hbm_w.begin(), samples.hbm_w.end());
-
-    double* rt = run_time_us_.data() + base;
-    FINGRAV_SIMD_LOOP
-    for (std::size_t k = 0; k < n; ++k)
-        rt[k] = static_cast<double>(cpu_ns[k] - run_start_cpu_ns) / 1e3;
 
     contended_words_.resize((total + 63) / 64, 0);
     for (std::size_t k = 0; k < n; ++k) {

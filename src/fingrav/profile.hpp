@@ -142,17 +142,16 @@ class PowerProfile {
                 std::size_t exec_index, bool contended);
 
     /**
-     * Bulk-append one run's timeline: for every sample k, run time is
-     * (cpu_ns[k] - run_start_cpu_ns) / 1e3 with TOI fields zero and no
-     * exec attribution — the stitcher's whole-run view.  `contended`
-     * holds one 0/1 byte per sample.  The samples arrive as
-     * capture-time columns (sim::SampleColumns) and are bulk-copied
-     * column to column — no row materialization, no transpose.
+     * Bulk-append one run's timeline: every sample k at run time
+     * run_time_us[k], with TOI fields zero and no exec attribution — the
+     * stitcher's whole-run view.  `contended` holds one 0/1 byte per
+     * sample.  The samples arrive as capture-time columns
+     * (sim::SampleColumns) and are bulk-copied column to column — no
+     * row materialization, no transpose.
      */
     void appendTimelineRun(const sim::SampleColumns& samples,
-                           const std::int64_t* cpu_ns,
+                           const double* run_time_us,
                            const std::uint8_t* contended,
-                           std::int64_t run_start_cpu_ns,
                            std::size_t run_index);
 
     /**

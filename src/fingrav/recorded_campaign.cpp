@@ -132,9 +132,9 @@ RecordedCampaign::record(const ScenarioSpec& spec,
     rc.drift_sync_->addDriftAnchor(host, opts.device);
 
     // No per-window copies of the runs: a restitch at window w reads
-    // RunRecord::windowSamples(w) next to the one copy of each run's
-    // execs, and the alignment of each (window, sync mode) made here, so
-    // no sweep point aligns a run again.
+    // RunRecord::windowSamples(w) and the record of each run built here
+    // per (window, sync mode) for the window's SSE/SSP split, so no sweep
+    // point walks a run's executions again.
     static_assert(static_cast<std::size_t>(SyncMode::kCoarseAlign) + 1 ==
                       kSyncModes,
                   "one aligned table per SyncMode enumerator");
@@ -146,7 +146,8 @@ RecordedCampaign::record(const ScenarioSpec& spec,
             table.reserve(rc.runs_.size());
             for (const auto& run : rc.runs_)
                 table.push_back(alignRun(run, w, mode, rc.syncFor(mode),
-                                         rc.tick_));
+                                         rc.tick_, opts.sse_executions - 1,
+                                         rc.ssp_exec_index_[w]));
         }
     }
     return rc;

@@ -26,14 +26,17 @@
  *    a restitch hands the window index to the stitcher;
  *  - per-window SSE/SSP execution indices, derived at record time with
  *    the same formula + stabilization scan the Profiler applies;
- *  - every run aligned once per (window, sync mode) through alignRun:
- *    its samples in CPU time and their contention flags, the inputs
- *    every restitch at that window and mode reads unchanged.
+ *  - every run walked once per (window, sync mode) through alignRun, for
+ *    the window's SSE/SSP split: its representative time, its SSE and
+ *    SSP rows, and per-sample run times and contention flags.  No
+ *    margin, binning, budget or target-bin point changes any of these.
  *
  * restitch(SweepPoint) then replays steps 6-9 (golden selection, LOI/TOI
  * alignment, stitching, and the step-8 top-up decision loop) from the
- * recorded pool through the incremental ProfileStitcher, which reads
- * the immutable aligned table (restitch is const and needs no lock).
+ * recorded pool through the incremental ProfileStitcher, which bins the
+ * immutable table's representative times and concatenates each golden
+ * run's rows and timeline (restitch is const and needs no lock; it reads
+ * no execution record).
  * Because the recording pipeline is deterministic, a restitch is
  * bit-identical to re-executing the recorded plan from scratch and
  * stitching at that sweep point (campaign_runner_test's

@@ -12,13 +12,14 @@ namespace {
 
 using fingrav::support::Duration;
 
-/** Representative (SSP) execution time of a run; run must be eligible. */
-Duration
-repTime(const RunRecord& run, const ProfileSet& out)
+/** Representative (SSP) execution time; unset without main executions. */
+std::optional<Duration>
+repTime(const RunRecord& run, std::size_t ssp)
 {
-    const std::size_t rep = std::min(out.ssp_exec_index,
-                                     run.main_exec_indices.size() - 1);
-    return run.mainExecDuration(rep);
+    if (run.main_exec_indices.empty())
+        return std::nullopt;
+    return run.mainExecDuration(
+        std::min(ssp, run.main_exec_indices.size() - 1));
 }
 
 /** Timestamp translation under the configured sync mode. */
@@ -40,81 +41,6 @@ translateSample(const ProfilerOptions& opts, const TimeSync& sync,
                    tick.nanos();
     }
     return sync.gpuCounterToCpuNs(gpu_timestamp);
-}
-
-}  // namespace
-
-AlignedRun
-alignRun(const RunRecord& run, std::size_t window, SyncMode mode,
-         const TimeSync& sync, Duration tick)
-{
-    const auto& samples = run.windowSamples(window);
-    const std::size_t m = samples.size();
-    AlignedRun out;
-    out.cpu_ns.resize(m);
-    const std::int64_t* ts = samples.gpu_timestamp.data();
-    std::int64_t* o = out.cpu_ns.data();
-    if (mode == SyncMode::kCoarseAlign) {
-        const std::int64_t t0 = m > 0 ? ts[0] : 0;
-        const std::int64_t base = run.log_start_cpu_ns;
-        const std::int64_t tick_ns = tick.nanos();
-        FINGRAV_SIMD_LOOP
-        for (std::size_t k = 0; k < m; ++k)
-            o[k] = base + (ts[k] - t0) * tick_ns;
-    } else {
-        // Whole-column translation (one call, vectorized element-exact
-        // math) instead of one gpuCounterToCpuNs call per sample.
-        sync.translateColumn(ts, m, o);
-    }
-    // Sample times ascend and the contention intervals are merged and
-    // ascending, so one forward merge resolves every flag ([first,
-    // second), as RunRecord::contendedAt).
-    out.contended.assign(m, 0);
-    const auto& ivs = run.contended_cpu_ns;
-    std::size_t ii = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-        while (ii < ivs.size() && o[k] >= ivs[ii].second)
-            ++ii;
-        out.contended[k] = (ii < ivs.size() && o[k] >= ivs[ii].first) ? 1 : 0;
-    }
-    return out;
-}
-
-ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
-                                 const TimeSync& sync,
-                                 support::Duration tick, std::size_t window)
-    : opts_(opts), sync_(&sync), tick_(tick), window_(window)
-{
-}
-
-ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
-                                 const std::vector<AlignedRun>& aligned,
-                                 std::size_t window)
-    : opts_(opts), window_(window), table_(&aligned)
-{
-}
-
-namespace {
-
-/**
- * Step-6 binning input: run `i`'s representative time, appended with its
- * index.  Runs that recorded zero main executions cannot provide one
- * (indexing size-1 underflowed before); they are excluded from binning
- * and count as outliers.  Returns whether the run was appended.
- */
-bool
-addBinningInput(const RunRecord& run, std::size_t i, const ProfileSet& out,
-                std::vector<Duration>& rep_times,
-                std::vector<std::size_t>& eligible)
-{
-    if (run.main_exec_indices.empty()) {
-        support::warn("stitch: run ", run.run_index,
-                      " recorded no main executions; skipping");
-        return false;
-    }
-    rep_times.push_back(repTime(run, out));
-    eligible.push_back(i);
-    return true;
 }
 
 /**
@@ -152,6 +78,26 @@ firstStartAtOrAfter(const RunRecord& run, std::size_t from, std::int64_t t)
     return hi;
 }
 
+/**
+ * Step-6 binning input: run `i`'s representative time, appended with its
+ * index.  Runs that recorded zero main executions cannot provide one
+ * (indexing size-1 underflowed before); they are excluded from binning
+ * and count as outliers.
+ */
+void
+addBinningInput(const std::optional<Duration>& rep, std::size_t run_index,
+                std::size_t i, std::vector<Duration>& rep_times,
+                std::vector<std::size_t>& eligible)
+{
+    if (!rep.has_value()) {
+        support::warn("stitch: run ", run_index,
+                      " recorded no main executions; skipping");
+        return;
+    }
+    rep_times.push_back(*rep);
+    eligible.push_back(i);
+}
+
 /** Step-6 golden selection over `n` runs (see header). */
 void
 selectGolden(const ProfilerOptions& opts,
@@ -184,68 +130,55 @@ selectGolden(const ProfilerOptions& opts,
 
 }  // namespace
 
-void
-ProfileStitcher::selectGoldenRuns(const ProfilerOptions& opts,
-                                  const std::vector<RunRecord>& runs,
-                                  ProfileSet& out)
+AlignedRun
+alignRun(const RunRecord& run, std::size_t window, SyncMode mode,
+         const TimeSync& sync, Duration tick, std::size_t sse,
+         std::size_t ssp)
 {
-    std::vector<Duration> rep_times;
-    std::vector<std::size_t> eligible;
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        addBinningInput(runs[i], i, out, rep_times, eligible);
-    selectGolden(opts, rep_times, eligible, runs.size(), out);
-}
-
-void
-ProfileStitcher::updateCaches(const std::vector<RunRecord>& runs,
-                              std::size_t n, const ProfileSet& out)
-{
-    FINGRAV_ASSERT(n >= run_rep_times_.size(),
-                   "restitch: runs shrank between calls");
-    FINGRAV_ASSERT(n <= runs.size(), "restitch: prefix beyond runs");
-    FINGRAV_ASSERT(table_ == nullptr || n <= table_->size(),
-                   "restitch: prefix beyond the aligned runs");
-    for (std::size_t i = run_rep_times_.size(); i < n; ++i) {
-        FINGRAV_ASSERT(window_ <= runs[i].extra_samples.size(),
-                       "restitch: run ", runs[i].run_index,
-                       " recorded no window ", window_);
-        const bool eligible =
-            addBinningInput(runs[i], i, out, rep_times_, eligible_);
-        run_rep_times_.push_back(eligible ? rep_times_.back() : Duration());
+    const auto& samples = run.windowSamples(window);
+    const std::size_t n = samples.size();
+    AlignedRun out;
+    out.sse_exec_index = sse;
+    out.ssp_exec_index = ssp;
+    out.rep_time = repTime(run, ssp);
+    std::vector<std::int64_t> cpu_ns(n);
+    const std::int64_t* ts = samples.gpu_timestamp.data();
+    std::int64_t* cpu = cpu_ns.data();
+    if (mode == SyncMode::kCoarseAlign) {
+        const std::int64_t t0 = n > 0 ? ts[0] : 0;
+        const std::int64_t base = run.log_start_cpu_ns;
+        const std::int64_t tick_ns = tick.nanos();
+        FINGRAV_SIMD_LOOP
+        for (std::size_t k = 0; k < n; ++k)
+            cpu[k] = base + (ts[k] - t0) * tick_ns;
+    } else {
+        // Whole-column translation (one call, vectorized element-exact
+        // math) instead of one gpuCounterToCpuNs call per sample.
+        sync.translateColumn(ts, n, cpu);
     }
-    if (table_ == nullptr)
-        own_.resize(n);
-}
+    out.run_time_us.resize(n);
+    double* rt = out.run_time_us.data();
+    FINGRAV_SIMD_LOOP
+    for (std::size_t k = 0; k < n; ++k)
+        rt[k] = static_cast<double>(cpu[k] - run.run_start_cpu_ns) / 1e3;
+    // Sample times ascend and the contention intervals are merged and
+    // ascending, so one forward merge resolves every flag ([first,
+    // second), as RunRecord::contendedAt).
+    out.contended.assign(n, 0);
+    const auto& ivs = run.contended_cpu_ns;
+    std::size_t ii = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        while (ii < ivs.size() && cpu[k] >= ivs[ii].second)
+            ++ii;
+        out.contended[k] = (ii < ivs.size() && cpu[k] >= ivs[ii].first);
+    }
 
-const AlignedRun&
-ProfileStitcher::alignedRun(const RunRecord& run, std::size_t run_idx)
-{
-    if (table_ != nullptr)
-        return (*table_)[run_idx];
-    auto& slot = own_[run_idx];
-    if (!slot.has_value())
-        slot = alignRun(run, window_, opts_.sync_mode, *sync_, tick_);
-    return *slot;
-}
-
-void
-ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
-                           ProfileSet& out)
-{
-    const AlignedRun& aligned = alignedRun(run, run_idx);
-    const auto& samples = run.windowSamples(window_);
-    const std::int64_t* cpu = aligned.cpu_ns.data();
-    const std::size_t n = aligned.cpu_ns.size();
-
-    // Visit only the executions that yield points: SSE (first, when it
+    // Visit only the executions that yield rows: SSE (first, when it
     // precedes the SSP index), then the j >= ssp that can hold a sample,
     // until every sample is behind the cursor (si == n).  Starts never
     // decrease (header precondition) and samples ascend, so the cursor
     // jumped to a visited start lands where a walk over every execution
-    // would.  Points land in the profile columns directly (addRow) — no
-    // staging.
-    const std::size_t sse = out.sse_exec_index;
-    const std::size_t ssp = out.ssp_exec_index;
+    // would.
     const std::size_t mains = run.main_exec_indices.size();
     std::size_t si = 0;
     for (std::size_t j = std::min(sse, ssp); j < mains && si < n;
@@ -265,31 +198,103 @@ ProfileStitcher::appendRun(const RunRecord& run, std::size_t run_idx,
         // advance (scalar fallback under FINGRAV_SIMD_SCALAR): same
         // indices as the former advance-while-less loops, `cpu` ascends.
         si = support::simd::scanGe(cpu, si, n, timing.cpu_start_ns);
-        const bool is_sse = j == sse;
-        const bool is_ssp = j >= ssp;
         const std::size_t ke =
             support::simd::scanGt(cpu, si, n, timing.cpu_end_ns);
         for (std::size_t k = si; k < ke; ++k) {
             const double toi_ns =
                 static_cast<double>(cpu[k] - timing.cpu_start_ns);
-            const double toi_us = toi_ns / 1e3;
-            const double toi_frac = toi_ns / dur_ns;
-            const double run_time_us =
-                static_cast<double>(cpu[k] - run.run_start_cpu_ns) / 1e3;
-            const bool contended = aligned.contended[k] != 0;
-            if (is_sse)
-                out.sse.addRow(toi_us, toi_frac, run_time_us, samples[k],
-                               run.run_index, j, contended);
-            if (is_ssp)
-                out.ssp.addRow(toi_us, toi_frac, run_time_us, samples[k],
-                               run.run_index, j, contended);
+            const StitchRow row{k, j, toi_ns / 1e3, toi_ns / dur_ns};
+            if (j == sse)
+                out.sse.push_back(row);
+            if (j >= ssp)
+                out.ssp.push_back(row);
         }
     }
+    return out;
+}
 
-    // Timeline view: every sample of the run in run-relative time,
-    // bulk-copied capture columns → profile columns (no transpose).
-    out.timeline.appendTimelineRun(samples, cpu, aligned.contended.data(),
-                                   run.run_start_cpu_ns, run.run_index);
+ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
+                                 const TimeSync& sync,
+                                 support::Duration tick, std::size_t window)
+    : opts_(opts), sync_(&sync), tick_(tick), window_(window)
+{
+}
+
+ProfileStitcher::ProfileStitcher(const ProfilerOptions& opts,
+                                 const std::vector<AlignedRun>& aligned,
+                                 std::size_t window)
+    : opts_(opts), window_(window), table_(&aligned)
+{
+}
+
+void
+ProfileStitcher::selectGoldenRuns(const ProfilerOptions& opts,
+                                  const std::vector<RunRecord>& runs,
+                                  ProfileSet& out)
+{
+    std::vector<Duration> rep_times;
+    std::vector<std::size_t> eligible;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        addBinningInput(repTime(runs[i], out.ssp_exec_index),
+                        runs[i].run_index, i, rep_times, eligible);
+    }
+    selectGolden(opts, rep_times, eligible, runs.size(), out);
+}
+
+void
+ProfileStitcher::updateCaches(const std::vector<RunRecord>& runs,
+                              std::size_t n, const ProfileSet& out)
+{
+    FINGRAV_ASSERT(n >= seen_, "restitch: runs shrank between calls");
+    FINGRAV_ASSERT(n <= runs.size(), "restitch: prefix beyond runs");
+    FINGRAV_ASSERT(table_ == nullptr || n <= table_->size(),
+                   "restitch: prefix beyond the aligned runs");
+    for (std::size_t i = seen_; i < n; ++i) {
+        FINGRAV_ASSERT(window_ <= runs[i].extra_samples.size(),
+                       "restitch: run ", runs[i].run_index,
+                       " recorded no window ", window_);
+        if (table_ == nullptr) {
+            own_.push_back(alignRun(runs[i], window_, opts_.sync_mode,
+                                    *sync_, tick_, out.sse_exec_index,
+                                    out.ssp_exec_index));
+        }
+        addBinningInput(record(i, out).rep_time, runs[i].run_index, i,
+                        rep_times_, eligible_);
+    }
+    seen_ = n;
+}
+
+const AlignedRun&
+ProfileStitcher::record(std::size_t i, const ProfileSet& out) const
+{
+    const AlignedRun& rec = table_ != nullptr ? (*table_)[i] : own_[i];
+    if (rec.sse_exec_index != out.sse_exec_index ||
+        rec.ssp_exec_index != out.ssp_exec_index)
+        support::fatal("restitch: run ", i, " was recorded for SSE/SSP "
+                       "indices ", rec.sse_exec_index, "/", rec.ssp_exec_index,
+                       ", not ", out.sse_exec_index, "/", out.ssp_exec_index);
+    return rec;
+}
+
+void
+ProfileStitcher::appendRun(const RunRecord& run, const AlignedRun& rec,
+                           ProfileSet& out) const
+{
+    // The run's rows, each completed from its sample's columns, then
+    // every sample as the timeline (bulk column copies, no transpose).
+    const auto& samples = run.windowSamples(window_);
+    const auto add = [&](PowerProfile& profile,
+                         const std::vector<StitchRow>& rows) {
+        for (const StitchRow& r : rows) {
+            profile.addRow(r.toi_us, r.toi_frac, rec.run_time_us[r.sample],
+                           samples[r.sample], run.run_index, r.exec,
+                           rec.contended[r.sample] != 0);
+        }
+    };
+    add(out.sse, rec.sse);
+    add(out.ssp, rec.ssp);
+    out.timeline.appendTimelineRun(samples, rec.run_time_us.data(),
+                                   rec.contended.data(), run.run_index);
 }
 
 void
@@ -321,20 +326,27 @@ ProfileStitcher::restitch(const std::vector<RunRecord>& runs, std::size_t n,
         out.timeline = PowerProfile(out.label, ProfileKind::kTimeline);
         ssp_time_us_ = support::RunningStats();
         ++rebuilds_;
+        // A rebuild reserves its whole extent from the records' row and
+        // sample counts, so its appends never re-allocate; an incremental
+        // append lets the columns grow geometrically instead (an exact
+        // reserve would copy every column at every top-up step).
+        std::size_t sse = 0, ssp = 0, timeline = 0;
+        for (const std::size_t idx : golden) {
+            const AlignedRun& rec = record(idx, out);
+            sse += rec.sse.size();
+            ssp += rec.ssp.size();
+            timeline += rec.run_time_us.size();
+        }
+        out.sse.reserve(sse);
+        out.ssp.reserve(ssp);
+        out.timeline.reserve(timeline);
     }
 
     const std::size_t from = incremental ? stitched_golden_.size() : 0;
-    // Every sample of every appended run lands in the timeline, and the
-    // capture columns carry their sizes — reserve the whole extent once
-    // so the per-run bulk appends never re-allocate the profile columns.
-    std::size_t extra = 0;
-    for (std::size_t g = from; g < golden.size(); ++g)
-        extra += runs[golden[g]].windowSamples(window_).size();
-    out.timeline.reserve(out.timeline.size() + extra);
     for (std::size_t g = from; g < golden.size(); ++g) {
-        const std::size_t idx = golden[g];
-        ssp_time_us_.add(run_rep_times_[idx].toMicros());
-        appendRun(runs[idx], idx, out);
+        const AlignedRun& rec = record(golden[g], out);
+        ssp_time_us_.add(rec.rep_time->toMicros());
+        appendRun(runs[golden[g]], rec, out);
     }
 
     stitched_golden_ = golden;
@@ -363,7 +375,7 @@ ProfileStitcher::stitchReference(const ProfilerOptions& opts,
     support::RunningStats ssp_time_us;
     for (const std::size_t run_idx : out.binning.golden_runs) {
         const RunRecord& run = runs[run_idx];
-        ssp_time_us.add(repTime(run, out).toMicros());
+        ssp_time_us.add(repTime(run, out.ssp_exec_index)->toMicros());
 
         for (std::size_t j = 0; j < run.main_exec_indices.size(); ++j) {
             const auto& timing =

@@ -12,21 +12,20 @@
  * every appended run, quadratic in run count.  ProfileStitcher fixes both
  * hot paths:
  *
- *  - per run, sample CPU timestamps are translated once (alignRun) — on
- *    first use, or up front for a whole recorded pool (RecordedCampaign
- *    aligns every run once per window and sync mode); a forward cursor
- *    then jumps to the start of each execution that yields points (the
- *    SSE one and every one from the SSP index on), and a galloping search
- *    over execution starts jumps past every execution that ends before
- *    the next unplaced sample: the cost follows the samples a run places,
- *    not the executions it recorded.  Golden selection bins
- *    representative times cached when each run is first seen, and the
- *    SSP-time statistic reads the same cache;
+ *  - each run is walked once (alignRun) into a record of all a stitch
+ *    reads of it but its samples.  The walk's cursor jumps to the start
+ *    of each execution that yields points (the SSE one and every one from
+ *    the SSP index on) and gallops past every execution that ends before
+ *    the next unplaced sample: it costs what the run's samples cost, not
+ *    its executions.  The live form records a run when it first sees it,
+ *    RecordedCampaign every run per (window, sync mode) at record time.
+ *    A (re)stitch bins the records' representative times and
+ *    concatenates each golden run's rows, reading no execution record;
  *  - restitch() is incremental: when appended runs leave the golden-bin
  *    membership of previously stitched runs unchanged (the common case —
  *    modalCluster returns ascending indices, so unchanged membership
  *    means the old golden set is a prefix of the new one), only the new
- *    runs are scanned; a full rebuild happens only when the modal bin
+ *    runs are appended; a full rebuild happens only when the modal bin
  *    shifts.
  *
  * Precondition: within a run, each execution starts at or after the
@@ -51,9 +50,22 @@
 
 namespace fingrav::core {
 
-/** One run's log in CPU time under one (window, sync mode). */
+/** One LOI: sample `sample` of a run's log inside main execution `exec`. */
+struct StitchRow {
+    std::size_t sample, exec;
+    double toi_us, toi_frac;
+};
+
+/**
+ * One run's record under one (window, sync mode) for one (SSE index, SSP
+ * index) split; stitching it into a ProfileSet with another split is a
+ * FatalError.
+ */
 struct AlignedRun {
-    std::vector<std::int64_t> cpu_ns;  ///< per sample, ascending
+    std::size_t sse_exec_index = 0, ssp_exec_index = 0;  ///< the split
+    /** Representative (SSP) execution time; unset without main executions. */
+    std::optional<support::Duration> rep_time;
+    std::vector<double> run_time_us;  ///< per sample, since the run start
     /**
      * Per-sample contention flag (0/1), resolved by merging the ascending
      * sample times against the run's merged contention intervals — same
@@ -61,26 +73,29 @@ struct AlignedRun {
      * sample.
      */
     std::vector<std::uint8_t> contended;
+    std::vector<StitchRow> sse;  ///< SSE-profile rows, in stitch order
+    std::vector<StitchRow> ssp;  ///< SSP-profile rows, in stitch order
 };
 
 /**
- * Align window `window` of `run` (RunRecord::windowSamples): translate
- * the whole timestamp column into CPU nanoseconds under `mode` (one
- * vectorized pass, element-wise identical to a per-sample translation)
- * and resolve each sample's contention flag.  The one alignment every
- * stitch path reads.
+ * Record window `window` of `run` (RunRecord::windowSamples) for the
+ * split (`sse`, `ssp`): translate the whole timestamp column into CPU
+ * nanoseconds under `mode` (one vectorized pass, element-wise identical
+ * to a per-sample translation), resolve each sample's contention flag
+ * and walk the executions that yield rows.  Every stitch path reads it.
  *
  * @param sync  Calibrated translation (every mode but coarse-align).
  * @param tick  GPU timestamp-counter tick (coarse-align only).
  */
 AlignedRun alignRun(const RunRecord& run, std::size_t window, SyncMode mode,
-                    const TimeSync& sync, support::Duration tick);
+                    const TimeSync& sync, support::Duration tick,
+                    std::size_t sse, std::size_t ssp);
 
 /** Incremental stitcher; one instance per profiling campaign. */
 class ProfileStitcher {
   public:
     /**
-     * Live form: aligns each golden run on first use.
+     * Live form: builds each run's record when it first sees the run.
      *
      * @param opts  Profiler options in force (sync mode, binning, margin).
      * @param sync  Calibrated CPU-GPU translation; must outlive the
@@ -144,16 +159,16 @@ class ProfileStitcher {
                                  ProfileSet& out);
 
   private:
-    /** Extend per-run caches and the binning input to the first `n` runs. */
+    /** Extend the records and the binning input to the first `n` runs. */
     void updateCaches(const std::vector<RunRecord>& runs, std::size_t n,
                       const ProfileSet& out);
 
-    /** Run `run_idx` aligned: the recorded table, or aligned once here. */
-    const AlignedRun& alignedRun(const RunRecord& run, std::size_t run_idx);
+    /** Run `i`'s record, fatal unless it was built for `out`'s split. */
+    const AlignedRun& record(std::size_t i, const ProfileSet& out) const;
 
-    /** Append one golden run's points to the profiles (cursor jumps). */
-    void appendRun(const RunRecord& run, std::size_t run_idx,
-                   ProfileSet& out);
+    /** Append one golden run's rows and timeline to the profiles. */
+    void appendRun(const RunRecord& run, const AlignedRun& rec,
+                   ProfileSet& out) const;
 
     ProfilerOptions opts_;
     const TimeSync* sync_ = nullptr;  ///< live form only
@@ -161,10 +176,8 @@ class ProfileStitcher {
     std::size_t window_;
     const std::vector<AlignedRun>* table_ = nullptr;  ///< recorded form
 
-    /** Live form: one slot per run seen, aligned on its first use. */
-    std::vector<std::optional<AlignedRun>> own_;
-    /** Per run seen: its representative time (zero when ineligible). */
-    std::vector<support::Duration> run_rep_times_;
+    std::vector<AlignedRun> own_;  ///< live form: one record per run seen
+    std::size_t seen_ = 0;  ///< runs whose binning input is in
     std::vector<support::Duration> rep_times_;  ///< of the eligible_ runs
     std::vector<std::size_t> eligible_;  ///< runs with main executions
     std::vector<std::size_t> stitched_golden_;

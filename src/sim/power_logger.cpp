@@ -26,9 +26,10 @@ PowerLogger::PowerLogger(support::Duration window,
       rng_(std::move(rng)),
       mapped_end_gpu_ns_(gpu_clock.domainTime(mapped_end_).nanos())
 {
-    if (window.nanos() <= 0)
-        support::fatal("PowerLogger: window must be positive, got ",
-                       window.nanos(), "ns");
+    if (window < gpu_clock.tick())
+        support::fatal("PowerLogger: window ", window.nanos(),
+                       "ns is shorter than the GPU timestamp tick ",
+                       gpu_clock.tick().nanos(), "ns");
 }
 
 void

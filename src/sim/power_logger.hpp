@@ -50,7 +50,9 @@ namespace fingrav::sim {
 class PowerLogger {
   public:
     /**
-     * @param window      Averaging window (1 ms models the paper's logger).
+     * @param window      Averaging window (1 ms models the paper's logger);
+     *                    at least one counter tick, so that consecutive
+     *                    samples never share a timestamp.
      * @param gpu_clock   Clock domain whose counter timestamps the samples.
      * @param noise_w     Std-dev of per-rail measurement noise (0 = exact).
      * @param rng         Noise stream (unused when noise_w == 0).

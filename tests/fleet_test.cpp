@@ -659,11 +659,14 @@ TEST(FingravCli, TrailingJunkAfterListRejected)
 TEST(FingravCli, NonFiniteOrOutOfRangeNumbersExitWithUsage)
 {
     // No number may be NaN or infinite, and a window must come out at
-    // 1 ns or more and fit Duration's int64 nanosecond count.  Each bad
-    // value is a usage error, never a silent fall-back to the 1 ms
-    // default or an unrepresentable float-to-integer cast.
+    // one 10 ns timestamp tick or more (1 ns and 9 ns are below it) and
+    // fit Duration's int64 nanosecond count.  Each bad value is a usage
+    // error, never a silent fall-back to the 1 ms default, a logger whose
+    // samples share timestamps or an unrepresentable float-to-integer
+    // cast.
     const std::string profile = "profile CB-2K-GEMM --runs 4 --quiet ";
-    for (const char* window : {"nan", "inf", "0", "-1", "1e-9", "1e30"}) {
+    for (const char* window :
+         {"nan", "inf", "0", "-1", "1e-9", "1e-6", "9e-6", "1e30"}) {
         std::string output;
         EXPECT_EQ(runCli(profile + "--window " + window, output), 2)
             << window;

@@ -468,6 +468,7 @@ TEST(ProfileSoa, AppendTimelineRunMatchesPerPointAdds)
         std::vector<sim::PowerSample> samples(n);
         sim::SampleColumns columns;
         std::vector<std::int64_t> cpu(n);
+        std::vector<double> run_time_us(n);
         std::vector<std::uint8_t> contended(n);
         const std::int64_t start = rng.uniformInt(0, 1LL << 40);
         for (std::size_t k = 0; k < n; ++k) {
@@ -478,9 +479,10 @@ TEST(ProfileSoa, AppendTimelineRunMatchesPerPointAdds)
             samples[k].hbm_w = rng.uniform(0.0, 200.0);
             columns.push_back(samples[k]);
             cpu[k] = start + static_cast<std::int64_t>(k) * 37'000;
+            run_time_us[k] = static_cast<double>(cpu[k] - start) / 1e3;
             contended[k] = rng.uniformInt(0, 1) ? 1 : 0;
         }
-        bulk.appendTimelineRun(columns, cpu.data(), contended.data(), start,
+        bulk.appendTimelineRun(columns, run_time_us.data(), contended.data(),
                                run);
         for (std::size_t k = 0; k < n; ++k) {
             fc::ProfilePoint p;

@@ -6,10 +6,12 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +197,100 @@ TEST(Differentiator, StabilizationScan)
     std::vector<double> flat{500, 501, 499, 500};
     EXPECT_EQ(d.detectStabilization(flat), 0u);
     EXPECT_EQ(d.detectStabilization({}), 0u);
+}
+
+namespace {
+
+/** The step-4 scan without a screen: the full check at every candidate. */
+std::size_t
+fullScanStabilization(const std::vector<double>& series, double eps)
+{
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        double mean = 0.0;
+        for (std::size_t j = i; j < series.size(); ++j)
+            mean += series[j];
+        mean /= static_cast<double>(series.size() - i);
+        if (mean <= 0.0)
+            continue;
+        bool stable = true;
+        for (std::size_t j = i; j < series.size(); ++j) {
+            if (std::fabs(series[j] - mean) > eps * mean) {
+                stable = false;
+                break;
+            }
+        }
+        if (stable)
+            return i;
+    }
+    return series.size();
+}
+
+}  // namespace
+
+TEST(Differentiator, ScreenedScanMatchesFullScanOnSeededSeries)
+{
+    // The scan screens candidates by the tail's extrema before the full
+    // check; it must answer exactly as the unscreened scan, including on
+    // tails whose extremes sit on the ±eps band edge, on zero, negative
+    // and NaN values, constants and ramps.
+    const double kEps[] = {0.03, 0.01, 0.2, 0.5, 0.9};
+    fs::Rng rng(4242);
+    std::size_t stable_found = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const double eps = kEps[rng.uniformInt(0, 4)];
+        const auto n = static_cast<std::size_t>(
+            rng.bernoulli(0.1) ? rng.uniformInt(1000, 3000)
+                               : rng.uniformInt(0, 120));
+        const auto settle = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n)));
+        const double level = rng.uniform(1.0, 1000.0);
+        std::vector<double> series(n);
+        const auto shape = rng.uniformInt(0, 4);
+        for (std::size_t k = 0; k < n; ++k) {
+            const double ramp = level * (0.2 + 0.8 * static_cast<double>(k) /
+                                                   static_cast<double>(n));
+            // Noise up to 1.2 eps; the band edge nudged by a few ulps.
+            const double noise =
+                rng.uniform(-eps, eps) * rng.uniform(0.0, 1.2);
+            const double edge = (1.0 + (k % 2 ? eps : -eps)) *
+                                (1.0 + rng.uniformInt(-2, 2) * 1e-16);
+            switch (shape) {
+              case 0:  // transient, then noise around the level
+                series[k] = k < settle ? ramp : level * (1.0 + noise);
+                break;
+              case 1:  // transient, then a tail on the band edge
+                series[k] = k < settle ? ramp : level * edge;
+                break;
+              case 2:  // constant
+                series[k] = level;
+                break;
+              case 3:  // ramp, never flat
+                series[k] = ramp;
+                break;
+              default:  // uniform noise over both signs
+                series[k] = rng.uniform(-level, level);
+                break;
+            }
+        }
+        // Sprinkle zeros, negatives and (rarely) a NaN.
+        if (n > 0 && rng.bernoulli(0.2))
+            series[rng.uniformInt(0, n - 1)] = 0.0;
+        if (n > 0 && rng.bernoulli(0.2))
+            series[rng.uniformInt(0, n - 1)] = -level;
+        if (n > 0 && rng.bernoulli(0.05)) {
+            series[rng.uniformInt(0, n - 1)] =
+                std::numeric_limits<double>::quiet_NaN();
+        }
+        const fc::ProfileDifferentiator d(4, eps);
+        const std::size_t want = fullScanStabilization(series, eps);
+        EXPECT_EQ(d.detectStabilization(series), want)
+            << "trial " << trial << " shape " << shape << " n " << n
+            << " eps " << eps;
+        stable_found += want < n;
+    }
+    // The seeds reach both answers: stable tails and none.
+    EXPECT_GT(stable_found, 100u);
+    EXPECT_LT(stable_found, 600u);
 }
 
 TEST(Differentiator, Validation)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -267,6 +268,22 @@ TEST(PowerLogger, RejectsNonPositiveWindow)
     sim::ClockDomain clk(fs::Duration::nanos(0), 0.0, 10_ns);
     EXPECT_THROW(sim::PowerLogger(0_ms, clk, 0.0, fs::Rng(1)),
                  fs::FatalError);
+}
+
+TEST(PowerLogger, RejectsWindowBelowTheCounterTick)
+{
+    // Windows shorter than one counter tick would stamp consecutive
+    // samples with the same timestamp; one tick is the shortest window.
+    sim::ClockDomain clk(fs::Duration::nanos(0), 0.0, 10_ns);
+    try {
+        sim::PowerLogger(9_ns, clk, 0.0, fs::Rng(1));
+        ADD_FAILURE() << "a 9 ns window on a 10 ns clock constructed";
+    } catch (const fs::FatalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("9ns"), std::string::npos) << what;
+        EXPECT_NE(what.find("10ns"), std::string::npos) << what;
+    }
+    EXPECT_NO_THROW(sim::PowerLogger(10_ns, clk, 0.0, fs::Rng(1)));
 }
 
 namespace {

@@ -32,6 +32,7 @@
 #include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/simulation.hpp"
+#include "support/logging.hpp"
 #include "support/time_types.hpp"
 
 namespace fc = fingrav::core;
@@ -425,6 +426,18 @@ TEST(StitchIncremental, LongRunsMatchReferenceAtEveryIndexSplit)
                 for (std::size_t n = 1; n <= runs.size(); ++n)
                     stitcher.restitch(runs, n, incremental);
 
+                // The recorded form: every run's record built up front
+                // for this split, as RecordedCampaign::record does.
+                std::vector<fc::AlignedRun> table;
+                for (const auto& run : runs) {
+                    table.push_back(fc::alignRun(run, w, mode, sync, tick,
+                                                 split.sse, split.ssp));
+                }
+                auto recorded = skeleton("synthetic", split.sse, split.ssp);
+                fc::ProfileStitcher from_table(opts, table, w);
+                for (std::size_t n = 1; n <= runs.size(); ++n)
+                    from_table.restitch(runs, n, recorded);
+
                 auto reference = skeleton("synthetic", split.sse, split.ssp);
                 fc::ProfileStitcher::stitchReference(opts, sync, tick,
                                                      window_major, reference);
@@ -437,6 +450,7 @@ TEST(StitchIncremental, LongRunsMatchReferenceAtEveryIndexSplit)
                               split.sse >= kLongMains || split.sse == 50);
                 }
                 expectSetsEqual(incremental, reference);
+                expectSetsEqual(recorded, reference);
             }
         }
     }
@@ -491,5 +505,34 @@ TEST(StitchIncremental, EachWindowOfOnePoolMatchesWindowMajorReference)
             EXPECT_EQ(at_314, 1u);
             EXPECT_EQ(in_quiet, 0u);
         }
+    }
+}
+
+TEST(StitchIncremental, TableForAnotherSplitIsFatal)
+{
+    // A record's rows hold for the split it was built for; a ProfileSet
+    // with another SSE or SSP index must be refused, never stitched from
+    // the wrong rows.
+    Bench b(36);
+    const auto sync = fc::TimeSync::calibrate(*b.host);
+    const auto tick = b.host->timestampTick();
+    const auto runs = longPool(sync, tick);
+    fc::ProfilerOptions opts;
+    opts.margin_override = 0.05;
+    std::vector<fc::AlignedRun> table;
+    for (const auto& run : runs)
+        table.push_back(fc::alignRun(run, 0, opts.sync_mode, sync, tick, 3,
+                                     300));
+
+    auto matching = skeleton("synthetic", 3, 300);
+    fc::ProfileStitcher ok(opts, table, 0);
+    EXPECT_NO_THROW(ok.restitch(runs, matching));
+    EXPECT_FALSE(matching.ssp.empty());
+    for (const auto& [sse, ssp] :
+         {std::pair<std::size_t, std::size_t>{4, 300}, {3, 301}, {300, 3}}) {
+        auto other = skeleton("synthetic", sse, ssp);
+        fc::ProfileStitcher stitcher(opts, table, 0);
+        EXPECT_THROW(stitcher.restitch(runs, other), fs::FatalError)
+            << sse << "/" << ssp;
     }
 }

@@ -108,7 +108,8 @@ usage(const char* argv0)
         << "options (one table; per-flag command scope in parentheses):\n"
         << "  --runs N           override the guidance-table run count\n"
         << "  --margin F         override the binning margin (e.g. 0.05)\n"
-        << "  --window MS        logger averaging window in ms (default 1)\n"
+        << "  --window MS        logger averaging window in ms (default 1,\n"
+        << "                     at least the 1e-5 ms timestamp tick)\n"
         << "  --seed N           simulation seed (default 1)\n"
         << "  --sync MODE        fingrav | drift | lang | none\n"
         << "  --no-binning       keep every run (tenet S3 off)\n"
@@ -234,13 +235,17 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
             out.profiler.margin_override = double_value();
         } else if (a == "--window") {
             // Duration::millis truncates ms * 1e6 to int64 nanoseconds:
-            // the window must come out at least 1 ns and fit that count.
+            // the window must come out at least one GPU timestamp tick
+            // (PowerLogger's floor) and fit that count.
             const double ms = double_value();
             const double ns = ms * 1e6;
-            if (!(ns >= 1.0 &&
+            const auto tick = sim::mi300xConfig().timestamp_tick;
+            if (!(ns >= static_cast<double>(tick.nanos()) &&
                   ns < static_cast<double>(
                            std::numeric_limits<std::int64_t>::max()))) {
-                std::cerr << "error: --window must be at least 1e-6 ms (1 ns)"
+                std::cerr << "error: --window must be at least "
+                          << tick.toMillis() << " ms (the "
+                          << tick.nanos() << " ns timestamp tick)"
                              " and fit int64 nanoseconds, got '"
                           << args[i] << "'\n";
                 usage(argv0);
