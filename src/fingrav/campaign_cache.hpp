@@ -164,9 +164,6 @@ class CampaignCache {
      */
     const support::RunJournal& journal() const { return journal_; }
 
-    /** The options in force. */
-    const CacheOptions& options() const { return opts_; }
-
     /**
      * Survey an on-disk store: blob count and bytes, how many blobs
      * revalidate end to end, and leftover write-temps.  Powers the CLI's

@@ -48,11 +48,10 @@ CampaignNode::CampaignNode(const ScenarioSpec& spec,
 CampaignRunner::CampaignRunner(std::size_t threads)
     : backend_(std::make_shared<ThreadPoolBackend>(threads))
 {
-    threads_ = static_cast<ThreadPoolBackend&>(*backend_).threads();
 }
 
 CampaignRunner::CampaignRunner(std::shared_ptr<ExecutionBackend> backend)
-    : threads_(0), backend_(std::move(backend))
+    : backend_(std::move(backend))
 {
     if (!backend_)
         support::fatal("CampaignRunner: null execution backend");

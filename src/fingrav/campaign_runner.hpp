@@ -101,9 +101,6 @@ class CampaignRunner {
      */
     explicit CampaignRunner(std::shared_ptr<ExecutionBackend> backend);
 
-    /** Thread budget in force (0 when a custom backend decides). */
-    std::size_t threads() const { return threads_; }
-
     /** The placement backend in force. */
     ExecutionBackend& backend() const { return *backend_; }
 
@@ -135,7 +132,6 @@ class CampaignRunner {
                                     sim::mi300xConfig()) const;
 
   private:
-    std::size_t threads_;
     std::shared_ptr<ExecutionBackend> backend_;
 };
 

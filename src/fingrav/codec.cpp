@@ -38,16 +38,10 @@ const char*
 toString(FrameType type)
 {
     switch (type) {
-      case FrameType::kScenarioSpec:
-        return "scenario-spec";
+      case FrameType::kSpecRequest:
+        return "spec-request";
       case FrameType::kProfileSet:
         return "profile-set";
-      case FrameType::kShardRequest:
-        return "shard-request";
-      case FrameType::kShardResult:
-        return "shard-result";
-      case FrameType::kShardDone:
-        return "shard-done";
       case FrameType::kWorkerError:
         return "worker-error";
       case FrameType::kCacheEntry:
@@ -418,21 +412,9 @@ fields(Is<sim::MachineConfig> auto& c, auto&& f)
 }
 
 decltype(auto)
-fields(Is<SlotSpec> auto& s, auto&& f)
+fields(Is<SpecRequest> auto& r, auto&& f)
 {
-    return f(s.slot, s.spec);
-}
-
-decltype(auto)
-fields(Is<ShardRequest> auto& r, auto&& f)
-{
-    return f(r.cfg, r.items);
-}
-
-decltype(auto)
-fields(Is<ShardResult> auto& r, auto&& f)
-{
-    return f(r.slot, r.set);
+    return f(r.cfg, r.spec);
 }
 
 /** The borrowed view walks the owning entry's list: same bytes. */
@@ -533,8 +515,6 @@ put(W& enc, const T& v)
         enc.f64(v);
     } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
         enc.u64(static_cast<std::uint64_t>(v));
-    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-        enc.u32(v);
     } else if constexpr (std::is_same_v<T, std::uint16_t>) {
         enc.u16(v);
     } else if constexpr (std::is_same_v<T, std::string>) {
@@ -614,8 +594,6 @@ get(Decoder& dec, T& v)
         v = dec.f64();
     } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
         v = static_cast<T>(dec.u64());
-    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-        v = dec.u32();
     } else if constexpr (std::is_same_v<T, std::string>) {
         v = dec.str();
     } else if constexpr (std::is_same_v<T, Duration>) {
@@ -734,28 +712,22 @@ decode(std::span<const std::uint8_t> payload)
 template std::vector<std::uint8_t> encode(const ScenarioSpec&);
 template std::vector<std::uint8_t> encode(const ProfileSet&);
 template std::vector<std::uint8_t> encode(const sim::MachineConfig&);
-template std::vector<std::uint8_t> encode(const ShardRequest&);
-template std::vector<std::uint8_t> encode(const ShardResult&);
+template std::vector<std::uint8_t> encode(const SpecRequest&);
 template std::vector<std::uint8_t> encode(const CacheEntry&);
 template std::vector<std::uint8_t> encode(const CacheEntryView&);
-template std::vector<std::uint8_t> encode(const std::uint32_t&);
 template std::vector<std::uint8_t> encode(const std::string&);
 template std::size_t encodedSize(const ScenarioSpec&);
 template std::size_t encodedSize(const ProfileSet&);
 template std::size_t encodedSize(const sim::MachineConfig&);
-template std::size_t encodedSize(const ShardRequest&);
-template std::size_t encodedSize(const ShardResult&);
+template std::size_t encodedSize(const SpecRequest&);
 template std::size_t encodedSize(const CacheEntry&);
 template std::size_t encodedSize(const CacheEntryView&);
-template std::size_t encodedSize(const std::uint32_t&);
 template std::size_t encodedSize(const std::string&);
 template ScenarioSpec decode(std::span<const std::uint8_t>);
 template ProfileSet decode(std::span<const std::uint8_t>);
 template sim::MachineConfig decode(std::span<const std::uint8_t>);
-template ShardRequest decode(std::span<const std::uint8_t>);
-template ShardResult decode(std::span<const std::uint8_t>);
+template SpecRequest decode(std::span<const std::uint8_t>);
 template CacheEntry decode(std::span<const std::uint8_t>);
-template std::uint32_t decode(std::span<const std::uint8_t>);
 template std::string decode(std::span<const std::uint8_t>);
 
 std::string
@@ -825,7 +797,7 @@ decodeFrameHeader(const std::uint8_t* data)
     }
     FrameHeader header;
     const std::uint16_t type = dec.u16();
-    if (type < static_cast<std::uint16_t>(FrameType::kScenarioSpec) ||
+    if (type < static_cast<std::uint16_t>(FrameType::kSpecRequest) ||
         type > static_cast<std::uint16_t>(FrameType::kShutdown))
         support::fatal("codec: unknown frame type ", type);
     header.type = static_cast<FrameType>(type);

@@ -5,8 +5,8 @@
  * @file
  * Versioned canonical binary encoding for the campaign wire contract.
  *
- * Multi-process placement (fingrav/worker_fleet.hpp) ships hermetic
- * scenarios to worker processes and slot-addressed results back; the
+ * Multi-process placement (fingrav/worker_fleet.hpp) ships one hermetic
+ * scenario per request to a worker process and one ProfileSet back; the
  * encoding defined here is the wire contract both sides speak.
  * Three properties it must hold, in order of importance:
  *
@@ -83,21 +83,23 @@ inline constexpr std::uint32_t kMagic = 0x56524746u;
  * v5: MachineConfig loses its node-stepping thread budget (a node now
  * steps serially), so every encoded config is eight bytes shorter.
  * Other payload layouts are unchanged.
+ * v6: one request, one reply.  A kSpecRequest (config + one spec)
+ * replaces the slot-addressed shard request, the worker answers with
+ * one kProfileSet frame, and the shard-result, shard-done and
+ * scenario-spec frame types are gone; the remaining types are
+ * renumbered contiguously.  Other payload layouts are unchanged.
  */
-inline constexpr std::uint16_t kVersion = 5;
+inline constexpr std::uint16_t kVersion = 6;
 
 /** Frame payload types. */
 enum class FrameType : std::uint16_t {
-    kScenarioSpec = 1,  ///< one ScenarioSpec (tests, tooling)
-    kProfileSet = 2,    ///< one ProfileSet (tests, tooling)
-    kShardRequest = 3,  ///< ShardRequest
-    kShardResult = 4,   ///< ShardResult — streamed per spec
-    kShardDone = 5,     ///< std::uint32_t result count: clean completion
-    kWorkerError = 6,   ///< std::string: worker-side fatal diagnostic
-    kCacheEntry = 7,    ///< CacheEntry (on-disk campaign cache)
-    kPing = 8,          ///< empty: driver keepalive probe to an idle worker
-    kPong = 9,          ///< empty: worker liveness reply to kPing
-    kShutdown = 10,     ///< empty: clean fleet-worker shutdown request
+    kSpecRequest = 1,  ///< SpecRequest: one campaign for a fleet worker
+    kProfileSet = 2,   ///< ProfileSet: the worker's reply
+    kWorkerError = 3,  ///< std::string: worker-side fatal diagnostic
+    kCacheEntry = 4,   ///< CacheEntry (on-disk campaign cache)
+    kPing = 5,         ///< empty: driver keepalive probe to an idle worker
+    kPong = 6,         ///< empty: worker liveness reply to kPing
+    kShutdown = 7,     ///< empty: clean fleet-worker shutdown request
 };
 
 /** Printable frame-type name. */
@@ -200,22 +202,10 @@ class Decoder {
 // Payloads
 // ---------------------------------------------------------------------------
 
-/** One spec of a shard request, addressed by its driver-side slot. */
-struct SlotSpec {
-    std::uint64_t slot = 0;
-    ScenarioSpec spec;
-};
-
-/** kShardRequest payload: the node every spec runs on, plus the specs. */
-struct ShardRequest {
+/** kSpecRequest payload: one campaign and the node it runs on. */
+struct SpecRequest {
     sim::MachineConfig cfg;
-    std::vector<SlotSpec> items;
-};
-
-/** kShardResult payload: one slot-addressed result. */
-struct ShardResult {
-    std::uint64_t slot = 0;
-    ProfileSet set;
+    ScenarioSpec spec;
 };
 
 /** kCacheEntry payload: the full content key (CampaignCache::key) and
@@ -235,9 +225,8 @@ struct CacheEntryView {
 
 /**
  * Canonical payload bytes of one value.  Defined for ScenarioSpec,
- * ProfileSet, sim::MachineConfig, ShardRequest, ShardResult, CacheEntry,
- * CacheEntryView, std::uint32_t (kShardDone) and std::string
- * (kWorkerError).  A size pass over the same field list runs first, so
+ * ProfileSet, sim::MachineConfig, SpecRequest, CacheEntry,
+ * CacheEntryView and std::string (kWorkerError).  A size pass over the same field list runs first, so
  * the buffer is allocated once at its exact size; a write that differs
  * from the count is a panic.
  */
@@ -279,7 +268,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 
 /** Parsed frame header (payload follows on the wire). */
 struct FrameHeader {
-    FrameType type = FrameType::kShardDone;
+    FrameType type = FrameType::kSpecRequest;
     std::uint64_t payload_len = 0;
     std::uint64_t checksum = 0;
 };
@@ -315,14 +304,14 @@ void verifyFramePayload(const FrameHeader& header,
 
 /** One frame read off a stream. */
 struct Frame {
-    FrameType type = FrameType::kShardDone;
+    FrameType type = FrameType::kSpecRequest;
     std::vector<std::uint8_t> payload;
 };
 
 /** A frame validated in place: its payload views the parsed buffer and
  *  is valid only while that buffer lives. */
 struct FrameView {
-    FrameType type = FrameType::kShardDone;
+    FrameType type = FrameType::kSpecRequest;
     std::span<const std::uint8_t> payload;
 };
 

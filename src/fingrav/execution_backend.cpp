@@ -17,12 +17,10 @@ ExecutionBackend::consultCache(const std::vector<ScenarioSpec>& specs,
 {
     CacheConsult consult;
     consult.results.resize(specs.size());
-    consult.resolved.assign(specs.size(), 0);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (cache()) {
             if (auto hit = cache()->lookup(specs[i], cfg)) {
                 consult.results[i] = std::move(*hit);
-                consult.resolved[i] = 1;
                 continue;
             }
         }

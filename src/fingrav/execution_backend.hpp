@@ -73,14 +73,13 @@ class ExecutionBackend {
 
   protected:
     /**
-     * The per-spec cache consult every backend shares: resolved[i] is
-     * true when results[i] was served from the cache; pending/slots list
-     * the residual specs (in spec order) the backend must still place.
-     * With no cache attached, everything is pending.
+     * The per-spec cache consult every backend shares: results holds
+     * every cache hit in its slot; pending/slots list the residual specs
+     * (in spec order) the backend must still place.  With no cache
+     * attached, everything is pending.
      */
     struct CacheConsult {
         std::vector<ProfileSet> results;
-        std::vector<std::uint8_t> resolved;
         std::vector<ScenarioSpec> pending;
         std::vector<std::size_t> slots;  ///< pending[j] -> specs slot
     };
@@ -105,9 +104,6 @@ class ThreadPoolBackend final : public ExecutionBackend {
      *                 thread; 0 = hardware concurrency, 1 = serial.
      */
     explicit ThreadPoolBackend(std::size_t threads = 0);
-
-    /** Thread budget in force. */
-    std::size_t threads() const { return threads_; }
 
     const char* name() const override { return "thread-pool"; }
 

@@ -110,23 +110,15 @@ harvestExecutions(support::Duration exec_time, support::Duration window)
         2, 64);
 }
 
-support::Duration
-Profiler::measureExecTime(const kernels::KernelModelPtr& kernel)
+TimeSync
+Profiler::measureAndSync(const kernels::KernelModelPtr& kernel,
+                         ProfileSet& out)
 {
-    return measureKernelExecTime(host_, rng_, kernel, opts_);
-}
-
-ProfileSet
-Profiler::profile(const kernels::KernelModelPtr& kernel)
-{
-    if (!kernel)
-        support::fatal("Profiler::profile: null kernel");
-
-    ProfileSet out;
     out.label = kernel->label();
 
     // ---- step 1: execution time + guidance lookup -----------------------
-    out.measured_exec_time = measureExecTime(kernel);
+    out.measured_exec_time =
+        measureKernelExecTime(host_, rng_, kernel, opts_);
     out.guidance = guidance_.lookup(out.measured_exec_time);
     out.loi_target = out.guidance.recommendedLois(out.measured_exec_time);
 
@@ -138,35 +130,13 @@ Profiler::profile(const kernels::KernelModelPtr& kernel)
         sync = TimeSync::calibrateIgnoringDelay(host_, opts_.device);
     }
     out.read_delay_us = sync.readDelay().toMicros();
+    return sync;
+}
 
-    // ---- steps 3-4: SSE/SSP execution indices ---------------------------
-    const auto window =
-        opts_.logger_window.nanos() > 0
-            ? opts_.logger_window
-            : host_.simulation().config().logger_window;
-    const std::size_t formula =
-        differ_.sspExecutionFormula(out.measured_exec_time, window);
-    out.sse_exec_index = opts_.sse_executions - 1;
-
-    RunExecutor exec(host_, rng_.fork(901));
-    RunPlan plan;
-    plan.main = kernel;
-    plan.device = opts_.device;
-    plan.min_delay = opts_.min_delay;
-    plan.max_delay = opts_.max_delay;
-    plan.logger_window = opts_.logger_window;
-    plan.main_execs_per_block =
-        std::clamp<std::size_t>(3 * formula, 20, formula + 128);
-    const auto explore = exec.executeRun(plan, 0);
-    out.ssp_exec_index =
-        sspIndexFromExplore(differ_, sync, explore, explore.samples,
-                            formula, opts_, plan.main_execs_per_block);
-
-    out.execs_per_run =
-        out.ssp_exec_index + harvestExecutions(out.measured_exec_time,
-                                               window);
-    plan.main_execs_per_block = out.execs_per_run;
-
+void
+Profiler::runAndStitch(RunExecutor& exec, const RunPlan& plan,
+                       TimeSync& sync, ProfileSet& out)
+{
     // ---- step 5: the runs ------------------------------------------------
     const std::size_t base_runs =
         opts_.runs_override.value_or(out.guidance.runs);
@@ -200,6 +170,46 @@ Profiler::profile(const kernels::KernelModelPtr& kernel)
             stitcher.restitch(runs, out);
         }
     }
+}
+
+ProfileSet
+Profiler::profile(const kernels::KernelModelPtr& kernel)
+{
+    if (!kernel)
+        support::fatal("Profiler::profile: null kernel");
+
+    ProfileSet out;
+    TimeSync sync = measureAndSync(kernel, out);
+
+    // ---- steps 3-4: SSE/SSP execution indices ---------------------------
+    const auto window =
+        opts_.logger_window.nanos() > 0
+            ? opts_.logger_window
+            : host_.simulation().config().logger_window;
+    const std::size_t formula =
+        differ_.sspExecutionFormula(out.measured_exec_time, window);
+    out.sse_exec_index = opts_.sse_executions - 1;
+
+    RunExecutor exec(host_, rng_.fork(901));
+    RunPlan plan;
+    plan.main = kernel;
+    plan.device = opts_.device;
+    plan.min_delay = opts_.min_delay;
+    plan.max_delay = opts_.max_delay;
+    plan.logger_window = opts_.logger_window;
+    plan.main_execs_per_block =
+        std::clamp<std::size_t>(3 * formula, 20, formula + 128);
+    const auto explore = exec.executeRun(plan, 0);
+    out.ssp_exec_index =
+        sspIndexFromExplore(differ_, sync, explore, explore.samples,
+                            formula, opts_, plan.main_execs_per_block);
+
+    out.execs_per_run =
+        out.ssp_exec_index + harvestExecutions(out.measured_exec_time,
+                                               window);
+    plan.main_execs_per_block = out.execs_per_run;
+
+    runAndStitch(exec, plan, sync, out);
     return out;
 }
 
@@ -218,15 +228,7 @@ Profiler::profileInterleaved(const kernels::KernelModelPtr& main,
                        "(block 0 is warm-up)");
 
     ProfileSet out;
-    out.label = main->label();
-    out.measured_exec_time = measureExecTime(main);
-    out.guidance = guidance_.lookup(out.measured_exec_time);
-    out.loi_target = out.guidance.recommendedLois(out.measured_exec_time);
-
-    TimeSync sync = TimeSync::calibrate(host_, opts_.device);
-    if (opts_.sync_mode == SyncMode::kNoDelayAccounting)
-        sync = TimeSync::calibrateIgnoringDelay(host_, opts_.device);
-    out.read_delay_us = sync.readDelay().toMicros();
+    TimeSync sync = measureAndSync(main, out);
 
     // Main-kernel instances: one per block; block 0 warms up.
     out.sse_exec_index = kNoSse;
@@ -244,27 +246,7 @@ Profiler::profileInterleaved(const kernels::KernelModelPtr& main,
     plan.max_delay = opts_.max_delay;
     plan.logger_window = opts_.logger_window;
 
-    const std::size_t base_runs =
-        opts_.runs_override.value_or(out.guidance.runs);
-    std::vector<RunRecord> runs;
-    runs.reserve(base_runs);
-    for (std::size_t r = 0; r < base_runs; ++r)
-        runs.push_back(exec.executeRun(plan, r));
-    out.runs_executed = runs.size();
-
-    ProfileStitcher stitcher(opts_, sync, host_.timestampTick(opts_.device));
-    stitcher.restitch(runs, out);
-
-    if (opts_.collect_extra_runs) {
-        const auto max_total = static_cast<std::size_t>(
-            static_cast<double>(base_runs) *
-            (1.0 + opts_.max_extra_run_factor));
-        while (out.ssp.size() < out.loi_target && runs.size() < max_total) {
-            runs.push_back(exec.executeRun(plan, runs.size()));
-            out.runs_executed = runs.size();
-            stitcher.restitch(runs, out);
-        }
-    }
+    runAndStitch(exec, plan, sync, out);
     return out;
 }
 

@@ -205,8 +205,20 @@ class Profiler {
     const GuidanceTable& guidance() const { return guidance_; }
 
   private:
-    /** Step 1: measure warm execution time (median of timing_reps). */
-    support::Duration measureExecTime(const kernels::KernelModelPtr& kernel);
+    /**
+     * The head both entry points share: label, step 1 (execution time,
+     * guidance row, LOI target) and the CPU-GPU time sync of steps 2/7.
+     */
+    TimeSync measureAndSync(const kernels::KernelModelPtr& kernel,
+                            ProfileSet& out);
+
+    /**
+     * The tail both entry points share: step 5's base runs under `plan`,
+     * the drift anchor in SyncMode::kFinGraVDrift, the steps 6, 7, 9
+     * stitch and the step-8 top-up.
+     */
+    void runAndStitch(RunExecutor& exec, const RunPlan& plan,
+                      TimeSync& sync, ProfileSet& out);
 
     // Steps 6-9 (golden selection, LOI/TOI alignment, stitching) live in
     // ProfileStitcher (fingrav/stitcher.hpp): incremental stitching of

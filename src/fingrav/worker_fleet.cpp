@@ -280,7 +280,6 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     /** Per-seat dispatch state for this execute() call. */
     struct SeatState {
         bool busy = false;
-        bool delivered = false;  ///< result for `slot` already landed
         bool assigned_before = false;
         std::size_t slot = 0;
         Clock::time_point last_activity;
@@ -307,10 +306,9 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     const auto sendTo = [&](std::size_t seat, std::size_t slot) {
         SeatState& state = seats[seat];
         state.slot = slot;
-        state.delivered = false;
-        const codec::ShardRequest request{cfg, {{slot, specs[slot]}}};
-        const auto wire = codec::encodeFrame(codec::FrameType::kShardRequest,
-                                             codec::encode(request));
+        const auto wire = codec::encodeFrame(
+            codec::FrameType::kSpecRequest,
+            codec::encode(codec::SpecRequest{cfg, specs[slot]}));
         if (!runtime::writeAll(fleet_.writeFd(seat), wire.data(),
                                wire.size(),
                                IoBudget::inactivityOnly(opts.io_timeout_ms)))
@@ -330,7 +328,10 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         return true;
     };
 
-    /** A busy seat's worker is gone: retire it, re-place its spec. */
+    /**
+     * A busy seat's worker is gone: retire it, re-place its spec.  The
+     * kill means no late reply to this request can reach a later one.
+     */
     const auto forfeit = [&](std::size_t seat, DegradeKind kind,
                              const char* cause) {
         SeatState& state = seats[seat];
@@ -338,13 +339,6 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         ++stats_.worker_failures;
         fleet_.retire(seat, true);
         state.busy = false;
-        if (state.delivered) {
-            // The result already landed bit-exact; only the worker (and
-            // its clean completion frame) was lost.
-            stats_.journal.record(kind, "fleet seat ", seat, ": worker ",
-                                  cause, " after delivering slot ", slot);
-            return;
-        }
         stats_.journal.record(kind, "fleet seat ", seat, ": worker ",
                               cause, " with slot ", slot, " outstanding");
         support::warn("FleetBackend: worker in seat ", seat, " ", cause,
@@ -393,75 +387,49 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     };
 
     /**
-     * Drain one seat's response: a kShardResult then the kShardDone the
-     * serve loop writes back-to-back.  Any other outcome forfeits.
+     * Read one busy seat's reply: a kProfileSet fills its slot and idles
+     * the seat; anything else forfeits the spec.
      */
     const auto drainSeat = [&](std::size_t seat) {
         SeatState& state = seats[seat];
-        while (state.busy) {
-            codec::Frame frame;
-            const FrameStatus status =
-                readWorkerFrame(fleet_.readFd(seat), seatBudget(state),
-                                frame);
-            if (status != FrameStatus::kFrame) {
-                DegradeKind kind = DegradeKind::kWorkerDeath;
-                const char* cause = "died";
-                if (status == FrameStatus::kCorrupt) {
-                    kind = DegradeKind::kFrameCorruption;
-                    cause = "produced a corrupt stream";
-                } else if (status == FrameStatus::kTimeout) {
-                    kind = DegradeKind::kTimeout;
-                    cause = "exceeded its I/O budget";
-                }
-                forfeit(seat, kind, cause);
-                return;
+        codec::Frame frame;
+        const FrameStatus status =
+            readWorkerFrame(fleet_.readFd(seat), seatBudget(state), frame);
+        if (status != FrameStatus::kFrame) {
+            DegradeKind kind = DegradeKind::kWorkerDeath;
+            const char* cause = "died";
+            if (status == FrameStatus::kCorrupt) {
+                kind = DegradeKind::kFrameCorruption;
+                cause = "produced a corrupt stream";
+            } else if (status == FrameStatus::kTimeout) {
+                kind = DegradeKind::kTimeout;
+                cause = "exceeded its I/O budget";
             }
-            state.last_activity = Clock::now();
-            try {
-                switch (frame.type) {
-                  case codec::FrameType::kShardResult: {
-                    auto result =
-                        codec::decode<codec::ShardResult>(frame.payload);
-                    if (result.slot != state.slot || state.delivered) {
-                        support::fatal("fleet seat ", seat,
-                                       " returned unexpected slot ",
-                                       result.slot);
-                    }
-                    results[state.slot] = std::move(result.set);
-                    state.delivered = true;
-                    ++stats_.remote_specs;
-                    break;
-                  }
-                  case codec::FrameType::kShardDone: {
-                    const auto count =
-                        codec::decode<std::uint32_t>(frame.payload);
-                    if (count != 1 || !state.delivered) {
-                        support::fatal("fleet seat ", seat,
-                                       " completed with its slot "
-                                       "unaccounted for");
-                    }
-                    state.busy = false;  // idle resident, ready to pull
-                    break;
-                  }
-                  case codec::FrameType::kWorkerError: {
-                    const auto message =
-                        codec::decode<std::string>(frame.payload);
-                    forfeit(seat, DegradeKind::kWorkerDeath,
-                            ("reported: " + message).c_str());
-                    return;
-                  }
-                  default:
-                    support::fatal("fleet seat ", seat,
-                                   " sent unexpected frame type '",
-                                   codec::toString(frame.type), "'");
-                }
-            } catch (const support::FatalError& e) {
-                support::warn("FleetBackend: seat ", seat,
-                              " protocol error: ", e.what());
-                forfeit(seat, DegradeKind::kFrameCorruption,
-                        "broke protocol");
-                return;
+            forfeit(seat, kind, cause);
+            return;
+        }
+        try {
+            switch (frame.type) {
+              case codec::FrameType::kProfileSet:
+                results[state.slot] = codec::decodeProfileSet(frame.payload);
+                ++stats_.remote_specs;
+                state.busy = false;  // idle resident, ready to pull
+                break;
+              case codec::FrameType::kWorkerError:
+                forfeit(seat, DegradeKind::kWorkerDeath,
+                        ("reported: " +
+                         codec::decode<std::string>(frame.payload))
+                            .c_str());
+                break;
+              default:
+                support::fatal("fleet seat ", seat,
+                               " sent unexpected frame type '",
+                               codec::toString(frame.type), "'");
             }
+        } catch (const support::FatalError& e) {
+            support::warn("FleetBackend: seat ", seat,
+                          " protocol error: ", e.what());
+            forfeit(seat, DegradeKind::kFrameCorruption, "broke protocol");
         }
     };
 

@@ -14,10 +14,10 @@
  * to every resident and reaps them.
  *
  *  - **WorkerFleet** keeps `fingrav_cli --serve` subprocesses resident
- *    across dispatches.  A serve worker's loop (runtime/shard_worker)
- *    answers any number of kShardRequest frames until EOF or an
- *    explicit kShutdown, and idle residents are probed with kPing
- *    (answered kPong) at acquire time so a worker that died between
+ *    across dispatches.  A serve worker's loop (runtime/serve_worker)
+ *    answers each kSpecRequest frame with one kProfileSet frame until
+ *    EOF or an explicit kShutdown, and idle residents are probed with
+ *    kPing (answered kPong) at acquire time so a worker that died between
  *    dispatches is respawned instead of trusted.  Spawn failures and
  *    keepalive deaths are journaled; `crash_loop_spawns` consecutive
  *    spawn failures disable the fleet for its remaining lifetime (the
@@ -27,10 +27,12 @@
  *    queue sorted longest-predicted-first by core::CostModel.  A worker
  *    that finishes its spec pulls the next one — pull-based stealing
  *    with no partition to mis-balance, so the skewed-campaign straggler
- *    tail collapses to (roughly) the longest single spec.  Results are
- *    slot-addressed, so placement, pull order and worker count are
- *    invisible in the output: execute() is bit-identical to
- *    ThreadPoolBackend for any fleet size (tests/fleet_test.cpp).
+ *    tail collapses to (roughly) the longest single spec.  A seat has
+ *    one request in flight, so its reply lands in that request's slot:
+ *    placement, pull order and worker count are invisible in the
+ *    output, and execute() is bit-identical to ThreadPoolBackend for any
+ *    fleet size (tests/fleet_test.cpp).  The driver alone consults and
+ *    fills the campaign cache; workers never open one.
  *
  * Supervision: a worker that dies, stalls past its I/O budget or its
  * per-spec deadline, or streams corruption forfeits only the one spec
@@ -168,12 +170,6 @@ class WorkerFleet {
         return members_[seat].proc.from_child;
     }
 
-    /** Spawn generation of a seat (0 before the first spawn). */
-    std::size_t spawnRound(std::size_t seat) const
-    {
-        return members_[seat].spawn_round;
-    }
-
     /**
      * Make a seat live: no-op when it already is, otherwise spawn a
      * worker into it (fault-injected spawn failures included).  On
@@ -249,8 +245,6 @@ class FleetBackend final : public ExecutionBackend {
 
     /** The resident pool (kept across execute() calls). */
     WorkerFleet& fleet() { return fleet_; }
-
-    const FleetOptions& options() const { return fleet_.options(); }
 
   private:
     std::vector<ProfileSet> executeUncached(

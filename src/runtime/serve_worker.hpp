@@ -1,24 +1,24 @@
-#ifndef FINGRAV_RUNTIME_SHARD_WORKER_HPP_
-#define FINGRAV_RUNTIME_SHARD_WORKER_HPP_
+#ifndef FINGRAV_RUNTIME_SERVE_WORKER_HPP_
+#define FINGRAV_RUNTIME_SERVE_WORKER_HPP_
 
 /**
  * @file
  * Worker-process bootstrap for multi-process campaign placement.
  *
  * `fingrav_cli --serve` (a core::WorkerFleet resident) calls
- * runShardWorker(std::cin, std::cout): a serve loop that reads
- * kShardRequest frames (machine config + a list of slot-addressed
- * ScenarioSpecs) off stdin, executes each spec on a fresh hermetic node
- * via core::CampaignRunner::runOne — the exact code path the in-process
- * backends bottom out in — and streams one kShardResult frame per
- * completed spec back on stdout, closing each request with a kShardDone
- * frame.  The loop then waits for the next request: core::WorkerFleet
- * keeps the worker resident across dispatches, probing idle residents
- * with kPing (answered kPong) and retiring them with kShutdown (clean
- * exit, same as EOF).  Streaming per spec means a worker killed
- * mid-request forfeits only its unfinished slots; everything already
- * written is checksummed, slot-addressed and bit-exact
- * (fingrav/codec.hpp, fingrav/worker_fleet.hpp).
+ * runServeWorker(std::cin, std::cout): a serve loop that answers one
+ * request with one reply.  Each kSpecRequest frame (machine config + one
+ * ScenarioSpec) read off stdin runs on a fresh hermetic node via
+ * core::CampaignRunner::runOne — the exact code path the in-process
+ * backends bottom out in — and its ProfileSet goes back on stdout as one
+ * kProfileSet frame.  The loop then waits for the next request:
+ * core::WorkerFleet keeps the worker resident across dispatches, probing
+ * idle residents with kPing (answered kPong) and retiring them with
+ * kShutdown (clean exit, same as EOF).  The driver has one request
+ * outstanding per worker and kills a worker it gives up on, so a reply
+ * needs no address: it answers the request in flight
+ * (fingrav/codec.hpp, fingrav/worker_fleet.hpp).  The worker opens no
+ * campaign cache; the driver consults and fills its own.
  *
  * stdout belongs to the protocol: the worker must never print there.
  * Callers route diagnostics to stderr (the CLI lowers the log level so
@@ -38,9 +38,6 @@
 
 #include <iosfwd>
 
-namespace fingrav::core {
-class CampaignCache;
-}
 namespace fingrav::support {
 class FaultInjector;
 }
@@ -48,16 +45,11 @@ class FaultInjector;
 namespace fingrav::runtime {
 
 /**
- * Serve kShardRequest frames until kShutdown or clean EOF on `in`.
+ * Serve kSpecRequest frames until kShutdown or clean EOF on `in`.
  *
- * @param cache  Optional campaign cache consulted before executing each
- *               spec and fed with every fresh result (`fingrav_cli
- *               --serve --cache-dir DIR`).  Cached results are
- *               bit-identical to execution by the cache's contract, so
- *               the frames streamed back are unchanged; null disables.
  * @param injector  Optional fault injector consulted before each result
  *               frame (see file comment); null disables.  A kill or
- *               truncate fault abandons the serve loop mid-stream and
+ *               truncate fault abandons the serve loop mid-reply and
  *               returns the fault's exit code, exactly as the driver
  *               would observe a real mid-request death.
  * @return Process exit code: 0 after a clean EOF on a frame boundary,
@@ -65,10 +57,9 @@ namespace fingrav::runtime {
  *         kWorkerError frame is emitted first when possible), 137 after
  *         an injected kill.
  */
-int runShardWorker(std::istream& in, std::ostream& out,
-                   core::CampaignCache* cache = nullptr,
+int runServeWorker(std::istream& in, std::ostream& out,
                    support::FaultInjector* injector = nullptr);
 
 }  // namespace fingrav::runtime
 
-#endif  // FINGRAV_RUNTIME_SHARD_WORKER_HPP_
+#endif  // FINGRAV_RUNTIME_SERVE_WORKER_HPP_

@@ -194,11 +194,11 @@ TEST(CacheFault, ForeignVersionAndForeignTypeAreMisses)
     EXPECT_FALSE(cache.lookup(spec, cfg).has_value());
     EXPECT_EQ(cache.stats().corrupt_misses, 1u);
 
-    // A valid frame of the wrong type (a shard-result masquerading at a
-    // cache address) is equally a miss.
+    // A valid frame of the wrong type (a bare profile-set masquerading at
+    // a cache address) is equally a miss.
     auto foreign_type = intact;
     foreign_type[6] = static_cast<std::uint8_t>(
-        fc::codec::FrameType::kShardResult);
+        fc::codec::FrameType::kProfileSet);
     writeFile(path, foreign_type);
     EXPECT_FALSE(cache.lookup(spec, cfg).has_value());
     EXPECT_EQ(cache.stats().corrupt_misses, 2u);

@@ -9,7 +9,7 @@
  *    must not even spawn workers;
  *  - the on-disk tier survives the process boundary (a fresh cache
  *    instance over the same store serves disk hits) and is shared
- *    between backends and with worker processes;
+ *    between backends; under the fleet the driver alone fills it;
  *  - the content key separates every input that can change a result
  *    (spec fields, machine config) — near-miss lookups never collide;
  *  - the memory tier honours its byte bound via LRU eviction.
@@ -52,16 +52,13 @@ fig10Specs()
     return fingrav::testing::fig10Specs(4);
 }
 
-/** A fleet of real `fingrav_cli --serve` workers, plus extra argv. */
+/** A fleet of real `fingrav_cli --serve` workers. */
 std::shared_ptr<fc::FleetBackend>
-makeFleetBackend(std::size_t workers,
-                 const std::vector<std::string>& extra_args = {})
+makeFleetBackend(std::size_t workers)
 {
     fc::FleetOptions opts;
     opts.workers = workers;
     opts.worker_command = fc::defaultServeCommand(FINGRAV_CLI_PATH);
-    opts.worker_command.insert(opts.worker_command.end(),
-                               extra_args.begin(), extra_args.end());
     return std::make_shared<fc::FleetBackend>(opts);
 }
 
@@ -226,33 +223,40 @@ TEST(CampaignCache, StoreIsSharedAcrossBackends)
     EXPECT_EQ(backend->lastStats().cached_specs, specs.size());
 }
 
-TEST(CampaignCache, WorkerProcessesShareTheStore)
+TEST(CampaignCache, FleetDriverFillsTheStore)
 {
-    // Workers spawned with --serve --cache-dir feed the same store the
-    // driver uses: one fleet dispatch populates it end to end.
+    // The driver owns the cache: a fleet dispatch stores each fresh
+    // result once, from the driver, and the store it leaves serves a
+    // later run in full.
     auto specs = fig10Specs();
     specs.resize(4);
     const auto reference = fc::CampaignRunner(1).run(specs);
 
     TempDir dir("fingrav_cache");
-    auto backend = makeFleetBackend(2, {"--cache-dir", dir.path()});
-    expectAllIdentical(reference,
-                       fc::CampaignRunner(backend).run(specs), specs,
-                       "workers with --cache-dir");
-    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
-
-    const auto scan = fc::CampaignCache::scanDir(dir.path());
-    EXPECT_EQ(scan.valid_entries, specs.size());
-    EXPECT_EQ(scan.corrupt_entries, 0u);
-
-    // A cached driver over the worker-written store re-executes nothing.
     fc::CacheOptions copts;
     copts.dir = dir.path();
+    const auto driver_cache = std::make_shared<fc::CampaignCache>(copts);
+    auto backend = makeFleetBackend(2);
+    backend->attachCache(driver_cache);
+    expectAllIdentical(reference, fc::CampaignRunner(backend).run(specs),
+                       specs, "cached fleet");
+    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
+    EXPECT_EQ(driver_cache->stats().misses, specs.size());
+    EXPECT_EQ(driver_cache->stats().stores, specs.size());
+    EXPECT_EQ(driver_cache->stats().store_failures, 0u);
+
+    const auto scan = fc::CampaignCache::scanDir(dir.path());
+    EXPECT_EQ(scan.entries, specs.size());
+    EXPECT_EQ(scan.valid_entries, specs.size());
+    EXPECT_EQ(scan.corrupt_entries, 0u);
+    EXPECT_EQ(scan.temp_files, 0u);
+
+    // A fresh cache over the fleet-filled store re-executes nothing.
     auto cache = std::make_shared<fc::CampaignCache>(copts);
     const fc::CampaignRunner runner(2);
     runner.attachCache(cache);
     expectAllIdentical(reference, runner.run(specs), specs,
-                       "driver over worker-written store");
+                       "fresh cache over the fleet-filled store");
     EXPECT_EQ(cache->stats().disk_hits, specs.size());
     EXPECT_EQ(cache->stats().misses, 0u);
 }

@@ -326,19 +326,20 @@ TEST(Codec, TruncatedPayloadFailsCleanly)
 TEST(Codec, FrameRoundTripAndCleanEof)
 {
     fs::Rng rng(44);
-    const auto payload = codec::encode(randomSpec(rng));
+    const auto payload = codec::encode(
+        codec::SpecRequest{fingrav::sim::mi300xConfig(), randomSpec(rng)});
     std::stringstream stream;
     ASSERT_TRUE(codec::writeFrame(
-        stream, codec::FrameType::kScenarioSpec, payload));
-    ASSERT_TRUE(codec::writeFrame(stream, codec::FrameType::kShardDone, {}));
+        stream, codec::FrameType::kSpecRequest, payload));
+    ASSERT_TRUE(codec::writeFrame(stream, codec::FrameType::kShutdown, {}));
 
     const auto first = codec::readFrame(stream);
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->type, codec::FrameType::kScenarioSpec);
+    EXPECT_EQ(first->type, codec::FrameType::kSpecRequest);
     EXPECT_EQ(first->payload, payload);
     const auto second = codec::readFrame(stream);
     ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->type, codec::FrameType::kShardDone);
+    EXPECT_EQ(second->type, codec::FrameType::kShutdown);
     // Clean EOF on the frame boundary is not an error.
     EXPECT_FALSE(codec::readFrame(stream).has_value());
 }
@@ -346,8 +347,10 @@ TEST(Codec, FrameRoundTripAndCleanEof)
 TEST(Codec, TruncatedFrameFailsCleanly)
 {
     fs::Rng rng(45);
-    const auto wire = codec::encodeFrame(codec::FrameType::kScenarioSpec,
-                                         codec::encode(randomSpec(rng)));
+    const auto wire = codec::encodeFrame(
+        codec::FrameType::kSpecRequest,
+        codec::encode(codec::SpecRequest{fingrav::sim::mi300xConfig(),
+                                         randomSpec(rng)}));
     // Header cut short.
     {
         std::stringstream stream;
@@ -379,14 +382,14 @@ TEST(Codec, CorruptedPayloadFailsCleanly)
 
 TEST(Codec, BadMagicRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kPing, {});
     wire[0] ^= 0xff;
     EXPECT_THROW(codec::parseFrame(wire), fs::FatalError);
 }
 
 TEST(Codec, VersionMismatchRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kPing, {});
     // The version field sits right after the 4-byte magic.
     wire[4] = static_cast<std::uint8_t>(codec::kVersion + 1);
     try {
@@ -402,7 +405,7 @@ TEST(Codec, ImplausiblePayloadLengthRejectedBeforeAllocation)
     // A corrupt header must be rejected at the length field — the
     // reader (driver or worker) must never trust it with a
     // multi-gigabyte allocation before the checksum can fire.
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kPing, {});
     for (std::size_t i = 8; i < 16; ++i)  // payload_len, past magic+ver+type
         wire[i] = 0xff;
     std::stringstream stream;
@@ -414,9 +417,14 @@ TEST(Codec, ImplausiblePayloadLengthRejectedBeforeAllocation)
 
 TEST(Codec, UnknownFrameTypeRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
-    wire[6] = 0x7f;  // type field, past magic + version
-    EXPECT_THROW(codec::parseFrame(wire), fs::FatalError);
+    // The types are contiguous: both ends of the one range check hold.
+    const auto past_last =
+        static_cast<std::uint8_t>(codec::FrameType::kShutdown) + 1;
+    for (const int type : {0, past_last, 0x7f}) {
+        auto wire = codec::encodeFrame(codec::FrameType::kPing, {});
+        wire[6] = static_cast<std::uint8_t>(type);  // past magic + version
+        EXPECT_THROW(codec::parseFrame(wire), fs::FatalError) << type;
+    }
 }
 
 // ---- v2 columnar profile layout ------------------------------------------
@@ -518,7 +526,6 @@ TEST(Codec, SizePassAndBorrowedEntryMatchEncode)
     expectSizePassExact(every_optional, "spec with every optional set");
     expectSizePassExact(fc::ProfileSet{}, "empty set");
     expectSizePassExact(cfg, "machine config");
-    expectSizePassExact(std::uint32_t{7}, "shard-done count");
     expectSizePassExact(std::string("worker diagnostic"), "worker error");
     // Every payload the wire goldens pin, over randomized contents; the
     // borrowed cache entry encodes exactly as the owning one.
@@ -528,10 +535,7 @@ TEST(Codec, SizePassAndBorrowedEntryMatchEncode)
         const std::string key = codec::cacheKey(spec, cfg);
         expectSizePassExact(spec, "spec");
         expectSizePassExact(set, "set");
-        expectSizePassExact(
-            codec::ShardRequest{cfg, {{3, spec}, {9, every_optional}}},
-            "shard request");
-        expectSizePassExact(codec::ShardResult{3, set}, "shard result");
+        expectSizePassExact(codec::SpecRequest{cfg, spec}, "spec request");
         expectSizePassExact(codec::CacheEntry{key, set}, "cache entry");
         expectSizePassExact(codec::CacheEntryView{key, set},
                             "borrowed cache entry");

@@ -52,6 +52,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/cost_model.hpp"
 #include "fingrav/execution_backend.hpp"
@@ -694,6 +695,30 @@ TEST(FingravCli, RetiredOneShotFlagsExitWithUsage)
     std::string worker;
     EXPECT_EQ(runCli("--worker < /dev/null", worker), 2);
     EXPECT_NE(worker.find("usage:"), std::string::npos);
+
+    // A serve worker opens no cache: the driver keeps it.
+    std::string cached_worker;
+    EXPECT_EQ(runCli("--serve --cache-dir D < /dev/null", cached_worker), 2);
+    EXPECT_NE(cached_worker.find("usage:"), std::string::npos);
+}
+
+TEST(FingravCli, FleetWorkersLeaveTheStoreToTheDriver)
+{
+    // Every store-short write of the driver's cache skips its disk tier,
+    // so a store that workers do not touch stays empty.
+    fingrav::testing::TempDir dir("fingrav_fleet_cache");
+    std::string output;
+    EXPECT_EQ(runCli("campaign CB-2K-GEMM MB-4K-GEMV --runs 4 --fleet 2 "
+                     "--cache-dir " + dir.path() +
+                         " --fault-plan 'store-short:times=*'",
+                     output),
+              0)
+        << output;
+    EXPECT_NE(output.find("2 spec(s) over the wire"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("cache-store-failure"), std::string::npos)
+        << output;
+    EXPECT_EQ(fc::CampaignCache::scanDir(dir.path()).entries, 0u) << output;
 }
 
 TEST(FingravCli, ShorthandKernelCrossesTheWire)

@@ -123,11 +123,10 @@ struct WireDigest {
 const WireDigest kWireGolden[] = {
     {"machine-config", 0xed1f90000f5aa6c2ull},
     {"scenario-spec", 0x8c61fb7bddf323d8ull},
-    {"cache-key", 0x3204ad994128c262ull},
-    {"shard-request", 0x041b2abb2d041467ull},
-    {"shard-result", 0xedef9e3f12e41488ull},
-    {"cache-entry", 0x7f8f55dac4b43755ull},
-    {"cache-entry-frame", 0x2bed0e97c5d2dc04ull},
+    {"cache-key", 0x616d0c108d1b4a95ull},
+    {"spec-request", 0xf410f1dedbb49e03ull},
+    {"cache-entry", 0x3b5ff750e50d6390ull},
+    {"cache-entry-frame", 0xd114c0e5d8df0d61ull},
     {"profile-set", 0x4a92ba7787f7b68full},
 };
 
@@ -531,8 +530,7 @@ TEST(GoldenDigest, WireAndCacheKeyBytes)
         codec::encode(cfg),
         codec::encode(spec),
         {key.begin(), key.end()},
-        codec::encode(codec::ShardRequest{cfg, {{5, spec}}}),
-        codec::encode(codec::ShardResult{5, set}),
+        codec::encode(codec::SpecRequest{cfg, spec}),
         entry,
         codec::encodeFrame(codec::FrameType::kCacheEntry, entry),
         codec::encode(set),
@@ -559,7 +557,7 @@ TEST(GoldenDigest, WireAndCacheKeyBytes)
                      std::ios::binary);
     const std::vector<std::uint8_t> blob(std::istreambuf_iterator<char>(in),
                                          {});
-    const auto& frame_row = kWireGolden[6];
+    const auto& frame_row = kWireGolden[5];
     ASSERT_STREQ(frame_row.name, "cache-entry-frame");
     EXPECT_EQ(digest(blob), frame_row.digest);
     fc::CampaignCache memory_only;

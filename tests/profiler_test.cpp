@@ -494,6 +494,22 @@ TEST(ProfilerPipeline, InterleavedContaminationDirections)
     EXPECT_LT(down_shift, -10.0);
 }
 
+TEST(ProfilerPipeline, InterleavedDriftModeTakesTheDriftAnchor)
+{
+    // Both entry points share the campaign tail, so drift mode takes its
+    // second anchor after the interleaved base runs too.
+    Bench b(210);
+    fc::ProfilerOptions opts;
+    opts.runs_override = 20;
+    opts.sync_mode = fc::SyncMode::kFinGraVDrift;
+    const std::vector<fc::InterleaveItem> prelude{
+        {fk::makeGemv(4096, b.cfg), 4}};
+    const auto set = b.profiler(opts).profileInterleaved(
+        fk::makeSquareGemm(2048, b.cfg), prelude);
+    ASSERT_FALSE(set.ssp.empty());
+    EXPECT_GT(set.drift_ppm, 0.0);
+}
+
 TEST(ProfilerPipeline, OptionValidation)
 {
     Bench b(209);

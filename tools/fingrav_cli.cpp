@@ -18,11 +18,11 @@
  *   fingrav cache stats --cache-dir DIR
  *       Survey an on-disk campaign cache: blob count, bytes, how many
  *       entries revalidate, leftover write-temps.
- *   fingrav --serve [--cache-dir DIR]
- *       Fleet-worker mode: serve length-prefixed campaign requests on
- *       stdin/stdout, stay resident across requests, answer kPing
- *       keepalives, exit on kShutdown or EOF (spawned by --fleet
- *       drivers; not for humans).
+ *   fingrav --serve
+ *       Fleet-worker mode: answer each campaign request on stdin with
+ *       one ProfileSet on stdout, stay resident across requests, answer
+ *       kPing keepalives, exit on kShutdown or EOF (spawned by --fleet
+ *       drivers, which keep the campaign cache; not for humans).
  *
  * Common options: see usage() — one flag table covers every command.
  *
@@ -59,7 +59,7 @@
 #include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
-#include "runtime/shard_worker.hpp"
+#include "runtime/serve_worker.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/simulation.hpp"
 #include "support/fault_injector.hpp"
@@ -102,7 +102,7 @@ usage(const char* argv0)
         << "  compare <kernel-a> <kernel-b>      compare two kernels\n"
         << "  coschedule <kernel-a> <kernel-b>   evaluate R1 co-scheduling\n"
         << "  cache stats --cache-dir DIR        survey an on-disk cache\n"
-        << "  --serve  [--cache-dir DIR]         persistent fleet worker on\n"
+        << "  --serve                            persistent fleet worker on\n"
         << "                                     stdin/stdout (internal)\n"
         << "\n"
         << "options (one table; per-flag command scope in parentheses):\n"
@@ -342,13 +342,6 @@ makeFleetBackend(const CliOptions& opts, const char* argv0)
     fleet_opts.worker_command = fc::defaultServeCommand(argv0);
     fleet_opts.io_timeout_ms = opts.io_timeout_ms;
     fleet_opts.fault_plan = opts.fault_plan;
-    // Workers share the driver's on-disk store (atomic-rename publication
-    // makes concurrent writers safe), so placement cannot defeat
-    // memoization.
-    if (!opts.cache_dir.empty() && !opts.no_cache) {
-        fleet_opts.worker_command.push_back("--cache-dir");
-        fleet_opts.worker_command.push_back(opts.cache_dir);
-    }
     return std::make_shared<fc::FleetBackend>(std::move(fleet_opts));
 }
 
@@ -642,14 +635,19 @@ main(int argc, char** argv)
             // stdout carries protocol frames; keep inform() off it so a
             // status line can never corrupt the stream.
             fs::setLogLevel(fs::LogLevel::kWarn);
-            // Worker options: a shared cache store (drivers append it
-            // when their own run is cached) and a fault sub-plan (the
-            // driver derives one per (seat, generation) spawn from the
-            // run-level plan).
-            const auto opts = parseOptions(args, 2, argv[0]);
-            const auto cache = makeCache(opts);
-            fs::FaultInjector injector(opts.fault_plan);
-            return rt::runShardWorker(std::cin, std::cout, cache.get(),
+            // A worker's one option is the fault sub-plan its driver
+            // derives per (seat, generation) spawn from the run-level
+            // plan; the driver keeps the cache.
+            fs::FaultPlan plan;
+            if (args.size() == 4 && args[2] == "--fault-plan") {
+                plan = fs::FaultPlan::parse(args[3]);
+            } else if (args.size() != 2) {
+                std::cerr << "error: --serve takes no option but "
+                             "--fault-plan PLAN\n";
+                usage(argv[0]);
+            }
+            fs::FaultInjector injector(plan);
+            return rt::runServeWorker(std::cin, std::cout,
                                       injector.armed() ? &injector
                                                        : nullptr);
         }
