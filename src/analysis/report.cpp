@@ -1,15 +1,50 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
+#include <string_view>
 
 #include "kernels/workloads.hpp"
 #include "support/logging.hpp"
 #include "support/table.hpp"
 
 namespace fingrav::analysis {
+
+namespace {
+
+void
+putOne(std::string& out, std::string_view text)
+{
+    out += text;
+}
+
+void
+putOne(std::string& out, double v)
+{
+    support::appendGeneral(out, v);
+}
+
+template <std::integral T>
+void
+putOne(std::string& out, T v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+/** Append each part as a stream with default flags prints it. */
+template <typename... Parts>
+void
+put(std::string& out, const Parts&... parts)
+{
+    (putOne(out, parts), ...);
+}
+
+}  // namespace
 
 std::vector<core::ScenarioSpec>
 fig10ScenarioSet(std::size_t runs, bool with_contended)
@@ -46,42 +81,41 @@ fig10ScenarioSet(std::size_t runs, bool with_contended)
 std::string
 summarize(const core::ProfileSet& set)
 {
-    std::ostringstream oss;
-    oss << set.label << ": exec " << set.measured_exec_time.toMicros()
-        << " us, runs " << set.runs_executed << " (golden "
-        << set.binning.golden_runs.size() << ", "
-        << set.binning.outlierCount() << " outliers), SSE idx "
-        << set.sse_exec_index << ", SSP idx " << set.ssp_exec_index
-        << ", LOIs sse/ssp " << set.sse.size() << "/" << set.ssp.size();
+    std::string out;
+    put(out, set.label, ": exec ", set.measured_exec_time.toMicros(),
+        " us, runs ", set.runs_executed, " (golden ",
+        set.binning.golden_runs.size(), ", ", set.binning.outlierCount(),
+        " outliers), SSE idx ", set.sse_exec_index, ", SSP idx ",
+        set.ssp_exec_index, ", LOIs sse/ssp ", set.sse.size(), "/",
+        set.ssp.size());
     // A set that never consulted the guidance table has no target.
     if (set.loi_target > 0) {
-        oss << ", LOI yield " << set.ssp.size() << "/" << set.loi_target
-            << " (" << static_cast<int>(set.loiYield() * 100.0 + 0.5)
-            << "%)";
+        put(out, ", LOI yield ", set.ssp.size(), "/", set.loi_target, " (",
+            static_cast<int>(set.loiYield() * 100.0 + 0.5), "%)");
     }
-    oss << ", SSP power " << set.ssp.meanPower() << " W";
+    put(out, ", SSP power ", set.ssp.meanPower(), " W");
     if (const auto contended = set.ssp.contendedCount(); contended > 0)
-        oss << ", contended LOIs " << contended << "/" << set.ssp.size();
-    return oss.str();
+        put(out, ", contended LOIs ", contended, "/", set.ssp.size());
+    return out;
 }
 
 std::string
 summarize(const core::ProfileSet& set,
           const core::AutotuneResult& autotune)
 {
-    std::ostringstream oss;
-    oss << summarize(set) << ", autotuned runs " << autotune.runs_needed
-        << " vs Table I " << autotune.recommended_runs << " (target "
-        << autotune.loi_target << " LOIs ";
+    std::string out = summarize(set);
+    put(out, ", autotuned runs ", autotune.runs_needed, " vs Table I ",
+        autotune.recommended_runs, " (target ", autotune.loi_target,
+        " LOIs ");
     if (autotune.target_met) {
-        oss << "met";
+        out += "met";
         if (autotune.budgetDelta() > 0)
-            oss << ", " << autotune.budgetDelta() << " runs to spare";
+            put(out, ", ", autotune.budgetDelta(), " runs to spare");
     } else {
-        oss << "NOT met within the " << autotune.pool_runs << "-run pool";
+        put(out, "NOT met within the ", autotune.pool_runs, "-run pool");
     }
-    oss << ")";
-    return oss.str();
+    out += ')';
+    return out;
 }
 
 double
@@ -164,25 +198,25 @@ contentionDelta(const core::ProfileSet& isolated,
 std::string
 contentionReport(const ContentionDelta& delta)
 {
-    std::ostringstream oss;
-    oss << "exec stretch " << delta.exec_stretch << "x, SSP power shift "
-        << delta.ssp_delta_pct << " %, contended LOI coverage "
-        << delta.contended_loi_frac * 100.0 << " %\n";
+    std::string out;
+    put(out, "exec stretch ", delta.exec_stretch, "x, SSP power shift ",
+        delta.ssp_delta_pct, " %, contended LOI coverage ",
+        delta.contended_loi_frac * 100.0, " %\n");
     support::TableWriter table({"phase (frac of exec)", "isolated (W)",
                                 "contended (W)", "delta (%)",
                                 "LOIs iso/cont"});
     for (const auto& p : delta.phases) {
-        std::ostringstream range;
-        range << p.frac_lo << "-" << p.frac_hi;
-        table.addRow({range.str(),
+        std::string range, lois;
+        put(range, p.frac_lo, "-", p.frac_hi);
+        put(lois, p.isolated_lois, "/", p.contended_lois);
+        table.addRow({std::move(range),
                       support::TableWriter::num(p.isolated_w, 1),
                       support::TableWriter::num(p.contended_w, 1),
                       support::TableWriter::num(p.deltaPct(), 1),
-                      std::to_string(p.isolated_lois) + "/" +
-                          std::to_string(p.contended_lois)});
+                      std::move(lois)});
     }
-    table.print(oss);
-    return oss.str();
+    table.render(out);
+    return out;
 }
 
 void

@@ -9,6 +9,38 @@
 
 namespace fingrav::core {
 
+namespace {
+
+/**
+ * Set the contention bits of points [base, base + n) in `words`, which
+ * already holds their words: flag(k) is point base + k's 0/1 flag.  A
+ * word's flags are ORed together first, so a clear word (every word of
+ * an isolated campaign) costs one branch-free pass; a word with a flag
+ * set is packed in a register and stored once.
+ */
+template <typename Flag>
+void
+setFlags(std::uint64_t* words, std::size_t base, std::size_t n,
+         const Flag& flag)
+{
+    for (std::size_t k = 0; k < n;) {
+        const std::size_t i = base + k;
+        const std::size_t m = std::min<std::size_t>(64 - (i & 63), n - k);
+        std::uint8_t any = 0;
+        for (std::size_t j = 0; j < m; ++j)
+            any |= flag(k + j);
+        if (any != 0) {
+            std::uint64_t bits = 0;
+            for (std::size_t j = 0; j < m; ++j)
+                bits |= static_cast<std::uint64_t>(flag(k + j) != 0) << j;
+            words[i >> 6] |= bits << (i & 63);
+        }
+        k += m;
+    }
+}
+
+}  // namespace
+
 const char*
 toString(Rail rail)
 {
@@ -58,28 +90,67 @@ toString(ProfileKind kind)
 void
 PowerProfile::add(const ProfilePoint& p)
 {
-    addRow(p.toi_us, p.toi_frac, p.run_time_us, p.sample, p.run_index,
-           p.exec_index, p.contended);
-    // gpu_timestamp rides inside the sample; addRow stored it already.
+    toi_us_.push_back(p.toi_us);
+    toi_frac_.push_back(p.toi_frac);
+    run_time_us_.push_back(p.run_time_us);
+    gpu_timestamp_.push_back(p.sample.gpu_timestamp);
+    total_w_.push_back(p.sample.total_w);
+    xcd_w_.push_back(p.sample.xcd_w);
+    iod_w_.push_back(p.sample.iod_w);
+    hbm_w_.push_back(p.sample.hbm_w);
+    run_index_.push_back(static_cast<std::uint64_t>(p.run_index));
+    exec_index_.push_back(static_cast<std::uint64_t>(p.exec_index));
+    contended_words_.resize((size_ + 64) / 64, 0);
+    if (p.contended)
+        contended_words_[size_ >> 6] |= std::uint64_t{1} << (size_ & 63);
+    ++size_;
 }
 
 void
-PowerProfile::addRow(double toi_us, double toi_frac, double run_time_us,
-                     const sim::PowerSample& sample, std::size_t run_index,
-                     std::size_t exec_index, bool contended)
+PowerProfile::appendRows(const std::vector<StitchRow>& rows,
+                         const sim::SampleColumns& samples,
+                         const double* run_time_us,
+                         const std::uint8_t* contended,
+                         std::size_t run_index)
 {
-    toi_us_.push_back(toi_us);
-    toi_frac_.push_back(toi_frac);
-    run_time_us_.push_back(run_time_us);
-    gpu_timestamp_.push_back(sample.gpu_timestamp);
-    total_w_.push_back(sample.total_w);
-    xcd_w_.push_back(sample.xcd_w);
-    iod_w_.push_back(sample.iod_w);
-    hbm_w_.push_back(sample.hbm_w);
-    run_index_.push_back(static_cast<std::uint64_t>(run_index));
-    exec_index_.push_back(static_cast<std::uint64_t>(exec_index));
-    setContended(size_, contended);
-    ++size_;
+    // Most runs of a short kernel hold no SSE row and few SSP rows.
+    const std::size_t n = rows.size();
+    if (n == 0)
+        return;
+    const std::size_t base = size_;
+    const std::size_t total = base + n;
+    const StitchRow* r = rows.data();
+    // One resize per column, then a gather through the rows' sample
+    // indices (or a copy of their own fields).
+    const auto gather = [&](auto& column, const auto& field) {
+        column.resize(total);
+        auto* out = column.data() + base;
+        for (std::size_t k = 0; k < n; ++k)
+            out[k] = field(r[k]);
+    };
+    gather(toi_us_, [](const StitchRow& row) { return row.toi_us; });
+    gather(toi_frac_, [](const StitchRow& row) { return row.toi_frac; });
+    gather(run_time_us_,
+           [&](const StitchRow& row) { return run_time_us[row.sample]; });
+    gather(gpu_timestamp_, [&](const StitchRow& row) {
+        return samples.gpu_timestamp[row.sample];
+    });
+    gather(total_w_,
+           [&](const StitchRow& row) { return samples.total_w[row.sample]; });
+    gather(xcd_w_,
+           [&](const StitchRow& row) { return samples.xcd_w[row.sample]; });
+    gather(iod_w_,
+           [&](const StitchRow& row) { return samples.iod_w[row.sample]; });
+    gather(hbm_w_,
+           [&](const StitchRow& row) { return samples.hbm_w[row.sample]; });
+    run_index_.resize(total, static_cast<std::uint64_t>(run_index));
+    gather(exec_index_, [](const StitchRow& row) {
+        return static_cast<std::uint64_t>(row.exec);
+    });
+    contended_words_.resize((total + 63) / 64, 0);
+    setFlags(contended_words_.data(), base, n,
+             [&](std::size_t k) { return contended[r[k].sample]; });
+    size_ = total;
 }
 
 void
@@ -108,12 +179,8 @@ PowerProfile::appendTimelineRun(const sim::SampleColumns& samples,
     hbm_w_.insert(hbm_w_.end(), samples.hbm_w.begin(), samples.hbm_w.end());
 
     contended_words_.resize((total + 63) / 64, 0);
-    for (std::size_t k = 0; k < n; ++k) {
-        if (contended[k]) {
-            const std::size_t i = base + k;
-            contended_words_[i >> 6] |= std::uint64_t{1} << (i & 63);
-        }
-    }
+    setFlags(contended_words_.data(), base, n,
+             [&](std::size_t k) { return contended[k]; });
     size_ = total;
 }
 

@@ -80,6 +80,15 @@ operator==(const ProfilePoint& a, const ProfilePoint& b)
            a.contended == b.contended;
 }
 
+/**
+ * One stitched LOI of a run: sample `sample` of the run's log, inside
+ * main execution `exec` at TOI `toi_us` (`toi_frac` of the execution).
+ */
+struct StitchRow {
+    std::size_t sample, exec;
+    double toi_us, toi_frac;
+};
+
 /** Profile flavour per the paper's S4 differentiation. */
 enum class ProfileKind {
     kSse,       ///< steady-state-execution profile (first post-warm-up exec)
@@ -134,12 +143,16 @@ class PowerProfile {
     void add(const ProfilePoint& p);
 
     /**
-     * Append one point without constructing a ProfilePoint — the stitcher
-     * hot path writes straight into the columns.
+     * Bulk-append one run's stitched rows, in order: row r takes its TOI
+     * and execution from rows[r], and its sample, run time and contention
+     * flag from element rows[r].sample of `samples`, `run_time_us` and
+     * `contended` (one 0/1 byte per sample).  Column by column: each
+     * column grows once per call.
      */
-    void addRow(double toi_us, double toi_frac, double run_time_us,
-                const sim::PowerSample& sample, std::size_t run_index,
-                std::size_t exec_index, bool contended);
+    void appendRows(const std::vector<StitchRow>& rows,
+                    const sim::SampleColumns& samples,
+                    const double* run_time_us,
+                    const std::uint8_t* contended, std::size_t run_index);
 
     /**
      * Bulk-append one run's timeline: every sample k at run time
@@ -327,17 +340,6 @@ class PowerProfile {
     ProfileKind kind() const { return kind_; }
 
   private:
-    /** Set bit i (columns already grown past i). */
-    void
-    setContended(std::size_t i, bool contended)
-    {
-        const std::size_t word = i >> 6;
-        if (word >= contended_words_.size())
-            contended_words_.resize(word + 1, 0);
-        if (contended)
-            contended_words_[word] |= std::uint64_t{1} << (i & 63);
-    }
-
     std::string label_;
     ProfileKind kind_ = ProfileKind::kSsp;
 

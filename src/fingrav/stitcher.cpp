@@ -280,19 +280,14 @@ void
 ProfileStitcher::appendRun(const RunRecord& run, const AlignedRun& rec,
                            ProfileSet& out) const
 {
-    // The run's rows, each completed from its sample's columns, then
-    // every sample as the timeline (bulk column copies, no transpose).
+    // The run's rows, completed column by column from its samples'
+    // columns, then every sample as the timeline (bulk column copies, no
+    // transpose).
     const auto& samples = run.windowSamples(window_);
-    const auto add = [&](PowerProfile& profile,
-                         const std::vector<StitchRow>& rows) {
-        for (const StitchRow& r : rows) {
-            profile.addRow(r.toi_us, r.toi_frac, rec.run_time_us[r.sample],
-                           samples[r.sample], run.run_index, r.exec,
-                           rec.contended[r.sample] != 0);
-        }
-    };
-    add(out.sse, rec.sse);
-    add(out.ssp, rec.ssp);
+    out.sse.appendRows(rec.sse, samples, rec.run_time_us.data(),
+                       rec.contended.data(), run.run_index);
+    out.ssp.appendRows(rec.ssp, samples, rec.run_time_us.data(),
+                       rec.contended.data(), run.run_index);
     out.timeline.appendTimelineRun(samples, rec.run_time_us.data(),
                                    rec.contended.data(), run.run_index);
 }

@@ -50,12 +50,6 @@
 
 namespace fingrav::core {
 
-/** One LOI: sample `sample` of a run's log inside main execution `exec`. */
-struct StitchRow {
-    std::size_t sample, exec;
-    double toi_us, toi_frac;
-};
-
 /**
  * One run's record under one (window, sync mode) for one (SSE index, SSP
  * index) split; stitching it into a ProfileSet with another split is a

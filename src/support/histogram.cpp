@@ -1,8 +1,8 @@
 #include "support/histogram.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "support/logging.hpp"
 #include "support/simd.hpp"
@@ -96,34 +96,38 @@ modalCluster(const std::vector<double>& values, double margin)
     if (values.empty())
         return best;
 
-    // Sort value/index pairs; then for each candidate window anchored at a
-    // sample, count members with a two-pointer sweep.  A window centred at c
-    // admits [c*(1-margin), c*(1+margin)]; anchoring candidate centres at
-    // sample values is sufficient to find the max-membership window.
-    std::vector<std::size_t> order(values.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return values[a] < values[b];
-    });
+    // Sort contiguous (value, index) pairs; then for each candidate window
+    // anchored at a sample, count members with a two-pointer sweep.  A
+    // window centred at c admits [c*(1-margin), c*(1+margin)]; anchoring
+    // candidate centres at sample values is sufficient to find the
+    // max-membership window.  Its count, centre and member set depend
+    // only on the values, so the order of equal values cannot change the
+    // answer.
+    std::vector<std::pair<double, std::size_t>> sorted(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        sorted[i] = {values[i], i};
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
     std::size_t best_count = 0;
     double best_center = 0.0;
     std::size_t best_lo = 0;
-    std::size_t best_hi = 0;  // half-open over `order`
+    std::size_t best_hi = 0;  // half-open over `sorted`
 
     // Both window edges are monotone in the anchor (values ascend), so a
     // single sweep costs O(n) beyond the sort.
+    const std::size_t n = sorted.size();
     std::size_t lo = 0;
     std::size_t hi = 0;
-    for (std::size_t anchor = 0; anchor < order.size(); ++anchor) {
-        const double c = values[order[anchor]];
+    for (std::size_t anchor = 0; anchor < n; ++anchor) {
+        const double c = sorted[anchor].first;
         const double lo_val = c * (1.0 - margin);
         const double hi_val = c * (1.0 + margin);
-        while (lo < order.size() && values[order[lo]] < lo_val)
+        while (lo < n && sorted[lo].first < lo_val)
             ++lo;
         if (hi < anchor)
             hi = anchor;
-        while (hi < order.size() && values[order[hi]] <= hi_val)
+        while (hi < n && sorted[hi].first <= hi_val)
             ++hi;
         const std::size_t count = hi - lo;
         // Strict > keeps the earliest (smallest-centre) window on ties.
@@ -135,11 +139,16 @@ modalCluster(const std::vector<double>& values, double margin)
         }
     }
 
+    // Mark the window's members, then emit them in ascending index order.
+    std::vector<char> member(n, 0);
+    for (std::size_t k = best_lo; k < best_hi; ++k)
+        member[sorted[k].second] = 1;
     best.center = best_center;
     best.indices.reserve(best_count);
-    for (std::size_t i = best_lo; i < best_hi; ++i)
-        best.indices.push_back(order[i]);
-    std::sort(best.indices.begin(), best.indices.end());
+    for (std::size_t i = 0; i < n; ++i) {
+        if (member[i])
+            best.indices.push_back(i);
+    }
     return best;
 }
 

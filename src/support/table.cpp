@@ -1,6 +1,7 @@
 #include "support/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -8,6 +9,36 @@
 #include "support/logging.hpp"
 
 namespace fingrav::support {
+
+void
+appendGeneral(std::string& out, double v)
+{
+    // "-2.22507e-308" and "-nan" are the longest %g outputs.
+    char buf[32];
+    const auto r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+    out.append(buf, r.ptr);
+}
+
+void
+appendFixed(std::string& out, double v, int precision)
+{
+    // A sign, up to 309 integer digits (DBL_MAX), the point and the
+    // fraction: the buffer is sized from the precision, so nothing is
+    // ever truncated.
+    const int digits = precision < 0 ? 6 : precision;
+    const std::size_t need = 2 + 309 + static_cast<std::size_t>(digits);
+    char stack[352];
+    std::string heap;
+    char* buf = stack;
+    if (need > sizeof stack) {
+        heap.resize(need);
+        buf = heap.data();
+    }
+    const auto r =
+        std::to_chars(buf, buf + need, v, std::chars_format::fixed, digits);
+    out.append(buf, r.ptr);
+}
 
 TableWriter::TableWriter(std::vector<std::string> headers)
     : headers_(std::move(headers))
@@ -28,13 +59,13 @@ TableWriter::addRow(std::vector<std::string> row)
 std::string
 TableWriter::num(double v, int precision)
 {
-    std::ostringstream oss;
-    oss << std::fixed << std::setprecision(precision) << v;
-    return oss.str();
+    std::string out;
+    appendFixed(out, v, precision);
+    return out;
 }
 
 void
-TableWriter::print(std::ostream& os) const
+TableWriter::render(std::string& out) const
 {
     std::vector<std::size_t> widths(headers_.size());
     for (std::size_t c = 0; c < headers_.size(); ++c)
@@ -43,22 +74,31 @@ TableWriter::print(std::ostream& os) const
         for (std::size_t c = 0; c < row.size(); ++c)
             widths[c] = std::max(widths[c], row[c].size());
     }
-
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << std::left << std::setw(static_cast<int>(widths[c]) + 2)
-               << row[c];
-        }
-        os << "\n";
-    };
-
-    emit_row(headers_);
     std::size_t total = 0;
     for (std::size_t w : widths)
         total += w + 2;
-    os << std::string(total, '-') << "\n";
+
+    out.reserve(out.size() + (rows_.size() + 2) * (total + 1));
+    auto emit_row = [&](const std::vector<std::string>& row) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            out += row[c];
+            out.append(widths[c] + 2 - row[c].size(), ' ');
+        }
+        out += '\n';
+    };
+    emit_row(headers_);
+    out.append(total, '-');
+    out += '\n';
     for (const auto& row : rows_)
         emit_row(row);
+}
+
+void
+TableWriter::print(std::ostream& os) const
+{
+    std::string out;
+    render(out);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 CsvWriter::CsvWriter(std::vector<std::string> headers)

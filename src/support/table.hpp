@@ -17,6 +17,19 @@
 
 namespace fingrav::support {
 
+/**
+ * Append `v` as a stream with default flags prints it: printf's %g at
+ * precision 6 in the C locale (std::to_chars' general format).
+ */
+void appendGeneral(std::string& out, double v);
+
+/**
+ * Append `v` as `os << std::fixed << std::setprecision(precision) << v`
+ * prints it: printf's %.*f in the C locale, a negative precision meaning
+ * 6.  Never truncates (DBL_MAX has 309 integer digits).
+ */
+void appendFixed(std::string& out, double v, int precision);
+
 /** Column-aligned console table. */
 class TableWriter {
   public:
@@ -29,7 +42,13 @@ class TableWriter {
     /** Format a double with the given precision (helper for row building). */
     static std::string num(double v, int precision = 2);
 
-    /** Render to a stream with a header underline. */
+    /**
+     * Append the table to `out`: each cell left-aligned in its column's
+     * width plus two, and a dash rule under the headers.
+     */
+    void render(std::string& out) const;
+
+    /** Write render()'s text to a stream; its flags are left alone. */
     void print(std::ostream& os) const;
 
     /** Number of data rows so far. */

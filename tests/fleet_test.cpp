@@ -676,6 +676,33 @@ TEST(FingravCli, NonFiniteOrOutOfRangeNumbersExitWithUsage)
     std::string margin;
     EXPECT_EQ(runCli(profile + "--margin nan", margin), 2);
     EXPECT_NE(margin.find("usage:"), std::string::npos);
+    // poll(2) takes an int of milliseconds: a longer timeout would wrap
+    // (4294967297 ms to 1 ms) or turn negative ("no bound").  Parsing
+    // fails before any worker is spawned.
+    for (const char* timeout :
+         {"2147483648", "4294967297", "18446744073709551615"}) {
+        std::string output;
+        EXPECT_EQ(runCli(profile + "--fleet 1 --io-timeout-ms " + timeout,
+                         output),
+                  2)
+            << timeout;
+        EXPECT_NE(output.find("usage:"), std::string::npos) << timeout;
+    }
+}
+
+TEST(FingravCli, FleetIsCappedAtTheSpecCount)
+{
+    // A dispatch fills no more seats than it has specs, so a fleet far
+    // larger than the run is sized to the run (never a seat list of
+    // 2^64 - 1 members).
+    std::string output;
+    EXPECT_EQ(runCli("campaign CB-2K-GEMM MB-4K-GEMV --runs 4 --fleet "
+                     "18446744073709551615",
+                     output),
+              0)
+        << output;
+    EXPECT_NE(output.find("2 worker(s) spawned"), std::string::npos)
+        << output;
 }
 
 TEST(FingravCli, RetiredOneShotFlagsExitWithUsage)

@@ -10,10 +10,12 @@
  * plus AR-512MB under injected fabric demand, bench_fig10's seeds 10001
  * on), of one multi-window RecordedCampaign restitch, and of grids of
  * restitch points and budget autotunes over two isolated recordings and
- * one contended recording.  The Release, forced-scalar SIMD and
- * sanitizer builds must all reproduce the same digests, and a simulator
- * optimisation that claims to be exact must leave every one of them
- * untouched.
+ * one contended recording, plus the text a sweep study prints at every
+ * point of the contended grid (summaries and contention reports: a
+ * formatting change that claims to be exact must leave it untouched).
+ * The Release, forced-scalar SIMD and sanitizer builds must all
+ * reproduce the same digests, and a simulator optimisation that claims
+ * to be exact must leave every one of them untouched.
  *
  * A second table pins the wire and cache-key bytes themselves: the
  * encodings of a config, a spec touching every field, its cache key,
@@ -42,6 +44,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/report.hpp"
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/codec.hpp"
@@ -54,6 +57,7 @@
 #include "support/time_types.hpp"
 #include "tests/test_fixtures.hpp"
 
+namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace sim = fingrav::sim;
@@ -113,6 +117,10 @@ constexpr std::uint64_t kRestitchGridGolden = 0x42c8f5eab8d0f1e1ull;
 
 /** restitchGridDigest() over contendedSpec() at 1/2 ms. */
 constexpr std::uint64_t kContendedRestitchGridGolden = 0xcfe43b8b4a712f7dull;
+
+/** reportGridDigest() over contendedSpec() at 1/2 ms against the same
+ *  spec profiled without its background. */
+constexpr std::uint64_t kSweepReportGolden = 0x5c410d52c8ed87f4ull;
 
 struct WireDigest {
     const char* name;
@@ -390,35 +398,48 @@ contendedSpec()
 }
 
 /**
- * One digest over a recording's sweep surface: every window x every
- * sync mode x {default, 0.10} margin x binning {default, off} x target
- * bin {none, the measured execution time} x run budget {default + top-up,
- * half the base}, then each window's budget autotune, field by field.
+ * Window `w`'s share of a recording's sweep surface: every sync mode x
+ * {default, 0.10} margin x binning {default, off} x target bin {none,
+ * the measured execution time} x run budget {default + top-up, half the
+ * base}.
  */
-std::uint64_t
-restitchGridDigest(const fc::RecordedCampaign& recorded)
+std::vector<fc::SweepPoint>
+gridPoints(const fc::RecordedCampaign& recorded, std::size_t w)
 {
     const fc::SyncMode modes[] = {
         fc::SyncMode::kFinGraV, fc::SyncMode::kFinGraVDrift,
         fc::SyncMode::kNoDelayAccounting, fc::SyncMode::kCoarseAlign};
+    std::vector<fc::SweepPoint> points;
+    for (const auto mode : modes) {
+        for (unsigned mask = 0; mask < 16; ++mask) {
+            fc::SweepPoint point;
+            point.window_index = w;
+            point.sync_mode = mode;
+            if (mask & 1u)
+                point.margin = 0.10;
+            if (mask & 2u)
+                point.binning = false;
+            if (mask & 4u)
+                point.target_bin = recorded.measuredExecTime();
+            if (mask & 8u)
+                point.runs = recorded.baseRuns() / 2;
+            points.push_back(point);
+        }
+    }
+    return points;
+}
+
+/**
+ * One digest over a recording's sweep surface: every window's
+ * gridPoints(), then that window's budget autotune, field by field.
+ */
+std::uint64_t
+restitchGridDigest(const fc::RecordedCampaign& recorded)
+{
     std::vector<std::uint64_t> words;
     for (std::size_t w = 0; w < recorded.windows().size(); ++w) {
-        for (const auto mode : modes) {
-            for (unsigned mask = 0; mask < 16; ++mask) {
-                fc::SweepPoint point;
-                point.window_index = w;
-                point.sync_mode = mode;
-                if (mask & 1u)
-                    point.margin = 0.10;
-                if (mask & 2u)
-                    point.binning = false;
-                if (mask & 4u)
-                    point.target_bin = recorded.measuredExecTime();
-                if (mask & 8u)
-                    point.runs = recorded.baseRuns() / 2;
-                words.push_back(digest(recorded.restitch(point)));
-            }
-        }
+        for (const auto& point : gridPoints(recorded, w))
+            words.push_back(digest(recorded.restitch(point)));
         const auto tuned = recorded.autotuneBudget(0, w);
         std::uint64_t yield_bits = 0;
         std::memcpy(&yield_bits, &tuned.achieved_yield, sizeof yield_bits);
@@ -430,6 +451,32 @@ restitchGridDigest(const fc::RecordedCampaign& recorded)
     return fc::codec::fnv1a64(
         reinterpret_cast<const std::uint8_t*>(words.data()),
         words.size() * sizeof(std::uint64_t));
+}
+
+/**
+ * One digest over the text a sweep study prints at every point of
+ * restitchGridDigest()'s grid: the summary, the summary with that
+ * window's budget autotune, and the per-phase contention report against
+ * `isolated`.
+ */
+std::uint64_t
+reportGridDigest(const fc::RecordedCampaign& recorded,
+                 const fc::ProfileSet& isolated)
+{
+    std::string text;
+    for (std::size_t w = 0; w < recorded.windows().size(); ++w) {
+        const auto tuned = recorded.autotuneBudget(0, w);
+        for (const auto& point : gridPoints(recorded, w)) {
+            const auto set = recorded.restitch(point);
+            text += an::summarize(set);
+            text += '\n';
+            text += an::summarize(set, tuned);
+            text += '\n';
+            text += an::contentionReport(an::contentionDelta(isolated, set));
+        }
+    }
+    return fc::codec::fnv1a64(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
 }
 
 bool
@@ -516,6 +563,19 @@ TEST(GoldenDigest, ContendedRestitchGrid)
     if (printing())
         std::printf("contended restitch grid 0x%016" PRIx64 "ull\n", d);
     EXPECT_EQ(d, kContendedRestitchGridGolden);
+}
+
+TEST(GoldenDigest, SweepReportBytes)
+{
+    const auto recorded =
+        fc::RecordedCampaign::record(contendedSpec(), {2_ms});
+    auto isolated = contendedSpec();
+    isolated.background.clear();
+    const std::uint64_t d =
+        reportGridDigest(recorded, fc::CampaignRunner::runOne(isolated));
+    if (printing())
+        std::printf("sweep report 0x%016" PRIx64 "ull\n", d);
+    EXPECT_EQ(d, kSweepReportGolden);
 }
 
 TEST(GoldenDigest, WireAndCacheKeyBytes)

@@ -499,6 +499,61 @@ TEST(ProfileSoa, AppendTimelineRunMatchesPerPointAdds)
     EXPECT_EQ(bulk.contendedCount(), scalar.contendedCount());
 }
 
+TEST(ProfileSoa, AppendRowsMatchesPerPointAdds)
+{
+    // Runs of 0-200 samples and 0-150 rows each (a row may repeat a
+    // sample), so appends start at every offset within a bitmap word.
+    fs::Rng rng(9011);
+    fc::PowerProfile bulk("rows", fc::ProfileKind::kSsp);
+    fc::PowerProfile scalar("rows", fc::ProfileKind::kSsp);
+    for (std::size_t run = 0; run < 12; ++run) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(0, 200));
+        sim::SampleColumns columns;
+        std::vector<double> run_time_us(n);
+        std::vector<std::uint8_t> contended(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            sim::PowerSample sample;
+            sample.gpu_timestamp = rng.uniformInt(0, 1LL << 40);
+            sample.total_w = rng.uniform(0.0, 1000.0);
+            sample.xcd_w = rng.uniform(0.0, 500.0);
+            sample.iod_w = rng.uniform(0.0, 100.0);
+            sample.hbm_w = rng.uniform(0.0, 200.0);
+            columns.push_back(sample);
+            run_time_us[k] = rng.uniform(0.0, 1e6);
+            contended[k] = rng.uniformInt(0, 1) ? 1 : 0;
+        }
+        std::vector<fc::StitchRow> rows;
+        if (n > 0) {
+            const auto count = rng.uniformInt(0, 150);
+            for (std::int64_t r = 0; r < count; ++r) {
+                const auto sample = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+                const auto exec =
+                    static_cast<std::size_t>(rng.uniformInt(0, 5000));
+                rows.push_back({sample, exec, rng.uniform(0.0, 500.0),
+                                rng.uniform(0.0, 1.0)});
+            }
+        }
+        bulk.appendRows(rows, columns, run_time_us.data(), contended.data(),
+                        run);
+        for (const auto& r : rows) {
+            fc::ProfilePoint p;
+            p.toi_us = r.toi_us;
+            p.toi_frac = r.toi_frac;
+            p.run_time_us = run_time_us[r.sample];
+            p.sample = columns[r.sample];
+            p.run_index = run;
+            p.exec_index = r.exec;
+            p.contended = contended[r.sample] != 0;
+            scalar.add(p);
+        }
+    }
+    ASSERT_EQ(bulk.size(), scalar.size());
+    for (std::size_t i = 0; i < bulk.size(); ++i)
+        EXPECT_TRUE(bulk.points()[i] == scalar.points()[i]) << i;
+    EXPECT_EQ(bulk.contendedWords(), scalar.contendedWords());
+}
+
 TEST(ProfileSoa, AdoptColumnsValidatesShapeAndBitmapCanonicality)
 {
     const std::size_t n = 3;

@@ -5,10 +5,12 @@
  * plan grammar, the degradation journal and the thread pool.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -85,6 +87,91 @@ memoDecayProbe()
     for (int i = 0; i < 500; ++i)
         keys.push_back(keys[static_cast<std::size_t>(i) * 7]);
     return keys;
+}
+
+/** What `os << v` prints with default flags. */
+std::string
+streamGeneral(double v)
+{
+    std::ostringstream oss;
+    oss << v;
+    return oss.str();
+}
+
+/** What `os << std::fixed << std::setprecision(precision) << v` prints. */
+std::string
+streamFixed(double v, int precision)
+{
+    std::ostringstream oss;
+    oss << std::fixed << std::setprecision(precision) << v;
+    return oss.str();
+}
+
+/**
+ * Doubles the number formatters must print as a stream does: signed
+ * zeros, the extremes, infinities and NaNs, round-half ties at one to
+ * three decimals and at the units, then seeded random bit patterns
+ * (every exponent, subnormals, NaN payloads) and seeded values in the
+ * range reports print.
+ */
+std::vector<double>
+formatProbe()
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0,          -0.0,           limits::max(),  -limits::max(),
+        limits::min(), -limits::min(), limits::denorm_min(),
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), 0.05,   0.15,           0.25,
+        0.5,          1.5,            2.5,            712.45,
+        999999.5,     9999995.0,      1e15,           1e16,
+        123456789.0,  0.0001,         0.00001,        1e-5 / 3.0};
+    fs::Rng rng(2028);
+    for (int i = 0; i < 4000; ++i) {
+        values.push_back(std::bit_cast<double>(static_cast<std::uint64_t>(
+            rng.uniformInt(std::numeric_limits<std::int64_t>::min(),
+                           std::numeric_limits<std::int64_t>::max()))));
+    }
+    for (int i = 0; i < 4000; ++i) {
+        values.push_back(rng.uniform(-1e6, 1e6));
+        values.push_back(static_cast<double>(rng.uniformInt(-20000, 20000)) /
+                         20.0);
+    }
+    return values;
+}
+
+/**
+ * The table TableWriter::print rendered through stream manipulators:
+ * each cell left-aligned in its column's width plus two, and a dash
+ * rule under the headers.
+ */
+std::string
+streamTable(const std::vector<std::string>& headers,
+            const std::vector<std::vector<std::string>>& rows)
+{
+    std::vector<std::size_t> widths(headers.size());
+    for (std::size_t c = 0; c < headers.size(); ++c)
+        widths[c] = headers[c].size();
+    for (const auto& row : rows) {
+        for (std::size_t c = 0; c < row.size(); ++c)
+            widths[c] = std::max(widths[c], row[c].size());
+    }
+    std::ostringstream oss;
+    const auto emit = [&](const std::vector<std::string>& row) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            oss << std::left << std::setw(static_cast<int>(widths[c]) + 2)
+                << row[c];
+        }
+        oss << "\n";
+    };
+    emit(headers);
+    std::size_t total = 0;
+    for (const std::size_t w : widths)
+        total += w + 2;
+    oss << std::string(total, '-') << "\n";
+    for (const auto& row : rows)
+        emit(row);
+    return oss.str();
 }
 
 }  // namespace
@@ -276,6 +363,74 @@ TEST(TableWriter, AlignedOutputAndRowCheck)
     EXPECT_NE(s.find("CB-8K-GEMM"), std::string::npos);
     EXPECT_NE(s.find("712.5"), std::string::npos);
     EXPECT_THROW(t.addRow({"only-one-cell"}), fs::FatalError);
+}
+
+TEST(TableWriter, NumberFormattersMatchTheStream)
+{
+    const int precisions[] = {-1, 0, 1, 2, 3, 6, 17, 30};
+    std::size_t mismatches = 0;
+    for (const double v : formatProbe()) {
+        std::string general = "x";
+        fs::appendGeneral(general, v);
+        if (general != "x" + streamGeneral(v)) {
+            ++mismatches;
+            ADD_FAILURE() << "general " << streamGeneral(v) << " printed as "
+                          << general.substr(1);
+        }
+        for (const int p : precisions) {
+            const std::string want = streamFixed(v, p);
+            std::string fixed = "x";
+            fs::appendFixed(fixed, v, p);
+            const std::string num = fs::TableWriter::num(v, p);
+            if (fixed != "x" + want || num != want) {
+                ++mismatches;
+                ADD_FAILURE() << "fixed " << p << ": " << want
+                              << " printed as " << fixed.substr(1) << " / "
+                              << num;
+            }
+            if (mismatches > 10)
+                return;
+        }
+    }
+    // DBL_MAX at 30 decimals is 340 characters: nothing is truncated.
+    EXPECT_EQ(fs::TableWriter::num(std::numeric_limits<double>::max(), 30)
+                  .size(),
+              309u + 1u + 30u);
+}
+
+TEST(TableWriter, PrintMatchesTheStreamRenderingOnRaggedColumns)
+{
+    const std::vector<std::string> headers = {"kernel", "p", "",
+                                              "a long heading"};
+    const std::vector<std::vector<std::string>> rows = {
+        {"CB-8K-GEMM", "712.5", "x", ""},
+        {"", "a cell wider than its heading", "", "1"},
+        {"AR-512MB-under-demand", "", "yy", "22"},
+    };
+    fs::TableWriter table(headers);
+    for (const auto& row : rows)
+        table.addRow(row);
+    std::ostringstream oss;
+    table.print(oss);
+    EXPECT_EQ(oss.str(), streamTable(headers, rows));
+
+    fs::TableWriter empty({"only"});
+    std::ostringstream none;
+    empty.print(none);
+    EXPECT_EQ(none.str(), streamTable({"only"}, {}));
+}
+
+TEST(TableWriter, PrintLeavesTheStreamFlagsAlone)
+{
+    // A table must not leave std::left behind: a field printed after it
+    // keeps the stream's right alignment.
+    fs::TableWriter table({"a", "bb"});
+    table.addRow({"1", "2"});
+    std::ostringstream oss;
+    table.print(oss);
+    const std::string rendered = oss.str();
+    oss << std::setw(4) << 7;
+    EXPECT_EQ(oss.str(), rendered + "   7");
 }
 
 TEST(CsvWriter, RowsAndNumericRows)

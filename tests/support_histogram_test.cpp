@@ -6,7 +6,11 @@
 
 #include "support/histogram.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +19,54 @@
 #include "support/rng.hpp"
 
 namespace fs = fingrav::support;
+
+namespace {
+
+/**
+ * modalCluster as an index sort: order the indices through an indirect
+ * comparator, sweep the window, then sort the winning window's indices.
+ * The oracle the pair-sort version must reproduce.
+ */
+fs::ModalCluster
+indexSortModalCluster(const std::vector<double>& values, double margin)
+{
+    fs::ModalCluster best;
+    if (values.empty())
+        return best;
+    std::vector<std::size_t> order(values.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return values[a] < values[b];
+    });
+    std::size_t best_count = 0;
+    std::size_t best_lo = 0;
+    std::size_t best_hi = 0;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    for (std::size_t anchor = 0; anchor < order.size(); ++anchor) {
+        const double c = values[order[anchor]];
+        const double lo_val = c * (1.0 - margin);
+        const double hi_val = c * (1.0 + margin);
+        while (lo < order.size() && values[order[lo]] < lo_val)
+            ++lo;
+        if (hi < anchor)
+            hi = anchor;
+        while (hi < order.size() && values[order[hi]] <= hi_val)
+            ++hi;
+        if (hi - lo > best_count) {
+            best_count = hi - lo;
+            best.center = c;
+            best_lo = lo;
+            best_hi = hi;
+        }
+    }
+    for (std::size_t i = best_lo; i < best_hi; ++i)
+        best.indices.push_back(order[i]);
+    std::sort(best.indices.begin(), best.indices.end());
+    return best;
+}
+
+}  // namespace
 
 TEST(Histogram, BucketsAndClamping)
 {
@@ -104,6 +156,32 @@ TEST(ModalCluster, TieBreaksTowardSmallerCenter)
     ASSERT_EQ(c.indices.size(), 2u);
     EXPECT_LT(v[c.indices[0]], 15.0);
     EXPECT_LT(v[c.indices[1]], 15.0);
+}
+
+TEST(ModalCluster, MatchesTheIndexSortOnTiedSamples)
+{
+    // A few levels with little jitter, so equal values are common and
+    // windows share members; every size from empty to 600.
+    const double margins[] = {0.0, 0.01, 0.05, 0.10, 0.5};
+    const double levels[] = {100.0, 101.0, 104.0, 112.0, 150.0};
+    fs::Rng rng(424242);
+    for (std::size_t n = 0; n <= 600; ++n) {
+        std::vector<double> v(n);
+        for (double& x : v) {
+            x = levels[rng.uniformInt(0, 4)];
+            if (rng.bernoulli(0.3))
+                x += static_cast<double>(rng.uniformInt(-3, 3)) * 0.5;
+        }
+        for (const double margin : margins) {
+            const auto want = indexSortModalCluster(v, margin);
+            const auto got = fs::modalCluster(v, margin);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.center),
+                      std::bit_cast<std::uint64_t>(want.center))
+                << "n " << n << ", margin " << margin;
+            EXPECT_EQ(got.indices, want.indices)
+                << "n " << n << ", margin " << margin;
+        }
+    }
 }
 
 /** Property sweep: the cluster always contains the plurality mass around the

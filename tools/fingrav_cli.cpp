@@ -116,7 +116,8 @@ usage(const char* argv0)
         << "  --csv NAME         dump profiles to fingrav_out/NAME_*.csv\n"
         << "  --quiet            summary only, no plot\n"
         << "  --fleet N          N worker subprocesses with cost-aware\n"
-        << "                     pull dispatch (profile/campaign)\n"
+        << "                     pull dispatch, capped at the run's spec\n"
+        << "                     count (profile/campaign)\n"
         << "  --autotune         report the autotuned run budget vs\n"
         << "                     Table I (profile)\n"
         << "  --cache-dir DIR    content-addressed campaign cache: reuse\n"
@@ -124,7 +125,8 @@ usage(const char* argv0)
         << "                     fresh ones (profile/campaign/cache stats)\n"
         << "  --no-cache         ignore --cache-dir for this run\n"
         << "  --io-timeout-ms N  worker-pipe inactivity timeout for\n"
-        << "                     --fleet runs (0 = wait forever)\n"
+        << "                     --fleet runs, 0 to 2147483647 (0 = wait\n"
+        << "                     forever)\n"
         << "  --fault-plan PLAN  scripted fault injection for CI fault\n"
         << "                     matrices: kill:shard=0,frame=1 |\n"
         << "                     corrupt:frame=0 | stall:frame=0,ms=2000 |\n"
@@ -282,7 +284,16 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
         } else if (a == "--no-cache") {
             out.no_cache = true;
         } else if (a == "--io-timeout-ms") {
-            out.io_timeout_ms = static_cast<long>(unsigned_value());
+            // poll(2) takes the timeout as an int of milliseconds.
+            const std::uint64_t ms = unsigned_value();
+            if (ms > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+                std::cerr << "error: --io-timeout-ms must be at most "
+                          << std::numeric_limits<int>::max() << ", got '"
+                          << args[i] << "'\n";
+                usage(argv0);
+            }
+            out.io_timeout_ms = static_cast<long>(ms);
         } else if (a == "--fault-plan") {
             // Parsed eagerly so a malformed plan is rejected before any
             // work runs (FaultPlan::parse is fatal on bad grammar).
@@ -330,15 +341,16 @@ reportCacheStats(const fc::CampaignCache& cache)
 }
 
 /**
- * A --fleet backend: --serve subprocesses of this binary.  The CLI
- * dispatches once; the backend going out of scope shuts its workers
- * down and reaps them.
+ * A --fleet backend of `workers` --serve subprocesses of this binary.
+ * The CLI dispatches once; the backend going out of scope shuts its
+ * workers down and reaps them.
  */
 std::shared_ptr<fc::FleetBackend>
-makeFleetBackend(const CliOptions& opts, const char* argv0)
+makeFleetBackend(const CliOptions& opts, std::size_t workers,
+                 const char* argv0)
 {
     fc::FleetOptions fleet_opts;
-    fleet_opts.workers = opts.fleet;
+    fleet_opts.workers = workers;
     fleet_opts.worker_command = fc::defaultServeCommand(argv0);
     fleet_opts.io_timeout_ms = opts.io_timeout_ms;
     fleet_opts.fault_plan = opts.fault_plan;
@@ -466,7 +478,7 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
         return 0;
     }
     const auto fleet_backend =
-        opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr;
+        opts.fleet > 0 ? makeFleetBackend(opts, 1, argv0) : nullptr;
     const auto runner = fleet_backend ? fc::CampaignRunner(fleet_backend)
                                       : fc::CampaignRunner();
     const auto cache = makeCache(opts);
@@ -501,8 +513,10 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
     for (const auto& label : labels)
         specs.push_back(cliSpec(label, seed++, opts));
 
+    // A dispatch fills no more seats than it has specs.
+    const std::size_t workers = std::min<std::size_t>(opts.fleet, specs.size());
     const auto fleet_backend =
-        opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr;
+        workers > 0 ? makeFleetBackend(opts, workers, argv0) : nullptr;
     const auto runner = fleet_backend ? fc::CampaignRunner(fleet_backend)
                                       : fc::CampaignRunner();
     const auto cache = makeCache(opts);
@@ -519,8 +533,8 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
         std::cout << an::summarize(set) << "\n";
     std::cout << results.size() << " campaigns via "
               << runner.backend().name() << " backend";
-    if (opts.fleet > 0)
-        std::cout << " (" << opts.fleet << " fleet workers)";
+    if (workers > 0)
+        std::cout << " (" << workers << " fleet workers)";
     std::cout << " in " << wall_ms << " ms\n";
     if (cache)
         reportCacheStats(*cache);
